@@ -5,21 +5,18 @@
 // lithography model's forward/backward passes, slab mode solving and one
 // full pipeline evaluation. These quantify where an optimization iteration's
 // time goes. After the google-benchmark run the driver times the solver
-// comparisons (single vs multi RHS, backend split, cached vs uncached
-// Monte Carlo) with a wall clock and writes them to BENCH_solvers.json so
-// the performance trajectory is recorded run over run.
+// comparisons (single vs multi RHS, backend split) with a wall clock and
+// writes them to BENCH_solvers.json so the performance trajectory is
+// recorded run over run.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
-#include "common/env.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/design_problem.h"
-#include "core/evaluate.h"
 #include "core/methods.h"
 #include "devices/builders.h"
 #include "fab/litho.h"
@@ -36,7 +33,6 @@
 #include "runtime/lease.h"
 #include "runtime/scheduler.h"
 #include "sim/backend.h"
-#include "sim/cache.h"
 #include "sim/engine.h"
 #include "store/segment_log.h"
 #include "sparse/banded.h"
@@ -280,9 +276,9 @@ BENCHMARK(bm_pipeline_evaluate)->Unit(benchmark::kMillisecond);
 // ------------------------------------------- BENCH_solvers.json report ----
 
 /// Wall-clock the solver-level comparisons the microbenchmarks sample —
-/// single vs multi RHS through one factorization, the prepare/solve split of
-/// every backend, and cold- vs warm-cache post-fab Monte Carlo — and write
-/// them to BENCH_solvers.json so the perf trajectory is recorded run to run.
+/// single vs multi RHS through one factorization and the prepare/solve split
+/// of every backend — and write them to BENCH_solvers.json so the perf
+/// trajectory is recorded run to run.
 io::json_value time_solvers() {
   io::json_value report = io::json_value::object();
 
@@ -335,98 +331,6 @@ io::json_value time_solvers() {
                   sim::to_string(kind), 1e3 * prepare_s, 1e3 * solve_s);
     }
     report["backends"] = std::move(backends);
-  }
-
-  {  // nearby-operator reuse vs full re-preparation of a perturbed corner.
-    solver_fixture f(88);
-    sim::engine_settings s;  // banded + reuse defaults
-    const auto nominal = std::make_shared<const sim::simulation_engine>(
-        f.g, f.pml, 2.0 * pi / 1.55, f.eps, s);
-    array2d<double> eps2 = f.eps;  // temperature-like core shift
-    for (std::size_t ix = 0; ix < f.g.nx; ++ix)
-      for (std::size_t iy = f.g.ny / 2 - 4; iy < f.g.ny / 2 + 4; ++iy) eps2(ix, iy) += 0.05;
-    array2d<cplx> current(f.g.nx, f.g.ny, cplx{});
-    current(f.g.nx / 4, f.g.ny / 2) = cplx{1.0};
-
-    constexpr int reps = 5;
-    stopwatch sw;
-    for (int rep = 0; rep < reps; ++rep) {
-      const sim::simulation_engine full(f.g, f.pml, 2.0 * pi / 1.55, eps2, s);
-      benchmark::DoNotOptimize(full.solve_excitation(current));
-    }
-    const double reprepare_s = sw.seconds() / reps;
-    sim::reset_reuse_statistics();
-    sw.reset();
-    for (int rep = 0; rep < reps; ++rep) {
-      const sim::simulation_engine near(nominal, eps2);
-      benchmark::DoNotOptimize(near.solve_excitation(current));
-    }
-    const double reuse_s = sw.seconds() / reps;
-    const auto rs = sim::reuse_statistics();
-
-    io::json_value j = io::json_value::object();
-    j["grid"] = std::string("88x88");
-    j["reprepare_seconds"] = reprepare_s;
-    j["reuse_seconds"] = reuse_s;
-    j["speedup"] = reprepare_s / reuse_s;
-    j["refinement_solves"] = rs.refinement_solves;
-    j["refinement_iterations"] = rs.refinement_iterations;
-    j["fallbacks"] = rs.fallbacks;
-    report["nearby_reuse"] = std::move(j);
-    std::printf("nearby reuse (88x88 perturbed corner): %.3f ms vs %.3f ms re-prepare "
-                "=> %.2fx (%zu outer iters, %zu fallbacks)\n",
-                1e3 * reuse_s, 1e3 * reprepare_s, reprepare_s / reuse_s,
-                rs.refinement_iterations, rs.fallbacks);
-  }
-
-  {  // cold- vs warm-cache post-fab Monte Carlo on the bend benchmark.
-    core::experiment_config cfg;
-    cfg.resolution = 0.1;
-    cfg.litho.na = 0.65;
-    cfg.litho.sigma = 0.35;
-    cfg.litho.kernel_half = 5;
-    cfg.litho.max_kernels = 5;
-    const core::design_problem problem = core::make_problem(dev::make_bend(0.1), true, cfg);
-    array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
-    for (std::size_t i = 0; i < mask.nx(); ++i)
-      for (std::size_t j = mask.ny() / 3; j < 2 * mask.ny() / 3; ++j) mask(i, j) = 1.0;
-
-    const auto samples = static_cast<std::size_t>(
-        std::max(2.0, 8.0 * env_double("BOSON_BENCH_SCALE", 1.0)));
-    stopwatch sw;
-    (void)core::postfab_monte_carlo(problem, mask, samples, 42, /*use_operator_cache=*/false);
-    const double uncached_s = sw.seconds();
-    sim::engine_cache::global().clear();
-    sim::reset_reuse_statistics();
-    sw.reset();
-    (void)core::postfab_monte_carlo(problem, mask, samples, 42);
-    const double cold_s = sw.seconds();
-    sw.reset();
-    (void)core::postfab_monte_carlo(problem, mask, samples, 42);
-    const double warm_s = sw.seconds();
-    const auto cs = sim::engine_cache::global().stats();
-    const auto rs = sim::reuse_statistics();
-
-    io::json_value j = io::json_value::object();
-    j["samples"] = samples;
-    j["uncached_seconds"] = uncached_s;
-    j["cached_cold_seconds"] = cold_s;
-    j["cached_warm_seconds"] = warm_s;
-    j["speedup_warm_vs_uncached"] = uncached_s / warm_s;
-    j["cache_hits"] = cs.hits;
-    j["cache_misses"] = cs.misses;
-    j["cache_reuse_hits"] = cs.reuse_hits;
-    j["reuse_prepares_avoided"] = rs.prepares_avoided;
-    j["reuse_refinement_solves"] = rs.refinement_solves;
-    j["reuse_refinement_iterations"] = rs.refinement_iterations;
-    j["reuse_fallbacks"] = rs.fallbacks;
-    j["reuse_solution_reuses"] = rs.solution_reuses;
-    report["postfab_monte_carlo"] = std::move(j);
-    std::printf("postfab MC (%zu samples): uncached %.3f s, cached cold %.3f s, "
-                "cached warm %.3f s => %.2fx (%zu hits / %zu misses, %zu reuse hits, "
-                "%zu solution reuses, %zu fallbacks)\n",
-                samples, uncached_s, cold_s, warm_s, uncached_s / warm_s, cs.hits,
-                cs.misses, cs.reuse_hits, rs.solution_reuses, rs.fallbacks);
   }
 
   return report;
@@ -697,10 +601,6 @@ io::json_value time_runtime() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Keep the Monte-Carlo comparison's operators resident: one engine per
-  // sample plus the reference operator must fit the cache.
-  setenv("BOSON_SIM_CACHE", "24", /*overwrite=*/0);
-
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

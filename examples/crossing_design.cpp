@@ -6,7 +6,7 @@
 // fabricable subspace, so its post-fabrication performance holds up. This
 // example reproduces that comparison (one row of the paper's Table I) as a
 // two-spec batch through the session façade: both experiments share the
-// engine cache and worker pool, and each leaves its own artifact directory.
+// worker pool, and each leaves its own artifact directory.
 
 #include <cstdio>
 

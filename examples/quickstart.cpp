@@ -15,7 +15,6 @@
 
 #include "api/session.h"
 #include "sim/backend.h"
-#include "sim/cache.h"
 
 int main() {
   using namespace boson;
@@ -47,10 +46,6 @@ int main() {
               method.postfab.fom_mean, method.postfab.fom_std, method.postfab.samples);
   std::printf("  post-fab reflection  : %.4f\n",
               method.postfab.metric_means.at("reflection"));
-
-  const auto cache = sim::engine_cache::global().stats();
-  std::printf("  operator cache       : %zu hits / %zu misses (capacity %zu)\n",
-              cache.hits, cache.misses, sim::engine_cache::global().capacity());
 
   std::printf("  artifacts            : %s (summary.json, trajectory.csv, mask.pgm)\n",
               result.artifact_dir.c_str());

@@ -13,7 +13,6 @@
 #include "io/csv.h"
 #include "io/pgm.h"
 #include "sim/backend.h"
-#include "sim/cache.h"
 
 namespace boson::api {
 
@@ -65,7 +64,6 @@ core::experiment_config session::config_for(const experiment_spec& spec) {
   if (env_string("BOSON_SEED", "").empty()) cfg.seed = spec.seed;
   cfg.litho = spec.litho;
   cfg.eole = spec.eole;
-  cfg.use_operator_cache = spec.use_operator_cache;
   cfg.record_trajectory = spec.record_trajectory;
   cfg.objective_override =
       registry::global().objective(spec.objective).override_metric;
@@ -103,9 +101,6 @@ experiment_result session::run(const experiment_spec& spec, const run_control& c
   started.experiment = label;
   started.message = label;
   emit(started);
-
-  const auto cache_before = sim::engine_cache::global().stats();
-  const auto reuse_before = sim::reuse_statistics();
 
   bool wants_mc = false;
   for (const eval_step& step : out.spec.evaluation)
@@ -212,23 +207,6 @@ experiment_result session::run(const experiment_spec& spec, const run_control& c
       }
     }
     summary["runtime_seconds"] = out.seconds;
-    // This experiment's share of the process-global cache traffic.
-    const auto cache = sim::engine_cache::global().stats();
-    io::json_value& cj = summary["engine_cache"] = io::json_value::object();
-    cj["hits"] = cache.hits - cache_before.hits;
-    cj["misses"] = cache.misses - cache_before.misses;
-    cj["entries"] = cache.entries;
-    cj["reuse_hits"] = cache.reuse_hits - cache_before.reuse_hits;
-    // Nearby-operator reuse and Krylov-recycling traffic of the same window.
-    const auto reuse = sim::reuse_statistics();
-    io::json_value& rj = cj["reuse"] = io::json_value::object();
-    rj["prepares_avoided"] = reuse.prepares_avoided - reuse_before.prepares_avoided;
-    rj["refinement_solves"] = reuse.refinement_solves - reuse_before.refinement_solves;
-    rj["refinement_iterations"] =
-        reuse.refinement_iterations - reuse_before.refinement_iterations;
-    rj["fallbacks"] = reuse.fallbacks - reuse_before.fallbacks;
-    rj["recycle_guesses"] = reuse.recycle_guesses - reuse_before.recycle_guesses;
-    rj["solution_reuses"] = reuse.solution_reuses - reuse_before.solution_reuses;
 
     const fs::path summary_path = dir / "summary.json";
     summary.write_file(summary_path.string());
@@ -284,13 +262,7 @@ std::vector<experiment_result> session::run_all(const std::vector<experiment_spe
                           "' — give them distinct names");
   }
 
-  // One stopwatch and one engine-cache snapshot around the whole batch: the
-  // first experiment's cold misses are the shared warm-up every later
-  // experiment benefits from, so the batch — not each spec independently —
-  // is the meaningful accounting unit.
   const stopwatch batch_sw;
-  const auto cache_before = sim::engine_cache::global().stats();
-  const auto reuse_before = sim::reuse_statistics();
 
   std::vector<experiment_result> results;
   results.reserve(specs.size());
@@ -316,22 +288,6 @@ std::vector<experiment_result> session::run_all(const std::vector<experiment_spe
     }
     batch["total_seconds"] = total_seconds;
     batch["wall_seconds"] = batch_sw.seconds();
-    const auto cache = sim::engine_cache::global().stats();
-    io::json_value& cj = batch["engine_cache"] = io::json_value::object();
-    cj["hits"] = cache.hits - cache_before.hits;
-    cj["misses"] = cache.misses - cache_before.misses;
-    cj["entries"] = cache.entries;
-    cj["reuse_hits"] = cache.reuse_hits - cache_before.reuse_hits;
-    // Nearby-operator reuse and Krylov-recycling traffic of the same window.
-    const auto reuse = sim::reuse_statistics();
-    io::json_value& rj = cj["reuse"] = io::json_value::object();
-    rj["prepares_avoided"] = reuse.prepares_avoided - reuse_before.prepares_avoided;
-    rj["refinement_solves"] = reuse.refinement_solves - reuse_before.refinement_solves;
-    rj["refinement_iterations"] =
-        reuse.refinement_iterations - reuse_before.refinement_iterations;
-    rj["fallbacks"] = reuse.fallbacks - reuse_before.fallbacks;
-    rj["recycle_guesses"] = reuse.recycle_guesses - reuse_before.recycle_guesses;
-    rj["solution_reuses"] = reuse.solution_reuses - reuse_before.solution_reuses;
     const fs::path path = fs::path(options_.output_dir) / "batch_summary.json";
     batch.write_file(path.string());
     progress_event e;

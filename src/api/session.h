@@ -2,7 +2,7 @@
 /// The execution façade of the declarative API: a `session` validates an
 /// `experiment_spec`, resolves it against the registries, runs the
 /// optimization + evaluation plan (single spec or a batch sharing the
-/// process-global engine cache and worker pool), streams progress through an
+/// process-global worker pool), streams progress through an
 /// `observer`, and writes a structured artifact directory per experiment
 /// (summary JSON, trajectory CSV, mask PGM, plus spectrum / process-window
 /// CSVs when those steps are planned).
@@ -68,11 +68,9 @@ class session {
 
   /// Execute a batch sequentially (each spec's corners/samples already
   /// saturate the worker pool). Every spec goes through the same execution
-  /// path as `run`, sharing the process-global engine cache, so batches that
-  /// repeat devices/operators amortize the one warm-up. The batch summary
-  /// JSON written next to the per-experiment directories reports the
-  /// aggregate: per-experiment rows plus batch wall-clock, summed experiment
-  /// seconds, and the batch-level engine-cache traffic.
+  /// path as `run`. The batch summary JSON written next to the
+  /// per-experiment directories reports the aggregate: per-experiment rows
+  /// plus batch wall-clock and summed experiment seconds.
   std::vector<experiment_result> run_all(const std::vector<experiment_spec>& specs);
 
   /// The `experiment_config` a spec resolves to (BOSON_BENCH_SCALE and

@@ -61,7 +61,6 @@ io::json_value experiment_spec::to_json() const {
   run["learning_rate"] = learning_rate;
   run["seed"] = static_cast<double>(seed);
   run["backend"] = backend;
-  run["use_operator_cache"] = use_operator_cache;
   run["record_trajectory"] = record_trajectory;
 
   // litho.pixel is intentionally absent: the fabrication context derives the
@@ -313,7 +312,8 @@ experiment_spec experiment_spec::from_json(const io::json_value& v) {
         else if (rk == "learning_rate") spec.learning_rate = read_number(rv, path);
         else if (rk == "seed") spec.seed = static_cast<std::uint64_t>(read_count(rv, path));
         else if (rk == "backend") spec.backend = read_string(rv, path);
-        else if (rk == "use_operator_cache") spec.use_operator_cache = read_bool(rv, path);
+        // Retired engine-cache switch: still accepted so older specs parse.
+        else if (rk == "use_operator_cache") (void)read_bool(rv, path);
         else if (rk == "record_trajectory") spec.record_trajectory = read_bool(rv, path);
         else spec_fail("unknown key '" + rk + "' in run");
       }

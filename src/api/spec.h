@@ -70,7 +70,6 @@ struct experiment_spec {
   std::uint64_t seed = 7;
   std::string backend = "default";  ///< "default" follows BOSON_BACKEND, else
                                     ///< "banded" | "bicgstab" | "gmres"
-  bool use_operator_cache = true;
   bool record_trajectory = true;
 
   // Fabrication-model settings (the JSON schema exposes the knobs coarse

@@ -28,10 +28,6 @@ namespace boson::sim {
 class simulation_engine;
 }
 
-namespace boson::modes {
-struct slab_mode;
-}
-
 namespace boson::core {
 
 /// Shared, immutable fabrication models for one device: per-corner Hopkins
@@ -77,11 +73,12 @@ struct eval_options {
   /// the default backend).
   sim::engine_settings engine;
 
-  /// Look up / insert the prepared operator in sim::engine_cache::global(),
-  /// so evaluations that repeat an operator state (Monte-Carlo samples,
-  /// sweep points) skip re-assembly and re-factorization. Ignored when
-  /// BOSON_SIM_CACHE=0 disables caching globally.
-  bool use_operator_cache = false;
+  /// When set, this evaluation's operator is not factored: its solves are
+  /// preconditioned by this engine's banded LU (a nearby-operator engine,
+  /// see `sim::make_nearby_backend`). The caller prepares it, typically at
+  /// the nominal corner of the same mask, and it must share this problem's
+  /// grid, PML and k0. `engine` is then ignored.
+  std::shared_ptr<const sim::simulation_engine> nominal_engine;
 };
 
 /// Result of one evaluation: scalar loss, named metrics (including the
@@ -105,15 +102,10 @@ struct eval_result {
 /// during robust optimization.
 class design_problem {
  public:
-  /// `reference_opts` configures the construction-time reference
-  /// normalization solve: its `engine` settings pick the backend and
-  /// `use_operator_cache` opts the reference operator into the global
-  /// engine cache (protocols that rebuild identical problems per scan
-  /// point, e.g. the litho process window, share one factorization that
-  /// way). Every other field is ignored.
+  /// Construction runs the reference normalization solve that fixes the
+  /// launched power of every excitation.
   design_problem(dev::device_spec spec, std::shared_ptr<param::parameterization> param,
-                 fab_context fab, double mfs_blur_radius_cells = 1.6,
-                 const eval_options& reference_opts = {});
+                 fab_context fab, double mfs_blur_radius_cells = 1.6);
 
   const dev::device_spec& spec() const { return spec_; }
   const fab_context& fab() const { return fab_; }
@@ -123,6 +115,13 @@ class design_problem {
 
   /// Launched power per excitation, measured on the reference structure.
   double input_power(std::size_t excitation_index) const;
+
+  /// Prepare (assemble and factor) the operator that `evaluate_pattern`
+  /// would solve for this mask and corner, without solving it. Used as the
+  /// `eval_options::nominal_engine` of nearby evaluations.
+  std::shared_ptr<const sim::simulation_engine> prepare_engine(
+      const array2d<double>& rho_design, const robust::variation_corner& corner,
+      const eval_options& opts) const;
 
   /// Full pipeline from latent variables.
   eval_result evaluate(const dvec& theta, const robust::variation_corner& corner,
@@ -142,6 +141,11 @@ class design_problem {
   /// the operating wavelength); the reference normalization is recomputed.
   /// Enables spectral-response studies of finished designs.
   design_problem at_wavelength(double lambda_um) const;
+
+  /// Clone this problem with a different fabrication context. The reference
+  /// normalization depends on the device alone, so the input powers carry
+  /// over without a new reference solve.
+  design_problem with_fab(fab_context fab) const;
 
   /// Binary occupancy of the fixed geometry around the design window, on the
   /// extended (halo) grid; interior cells are zero. Exposed for mask
@@ -163,24 +167,29 @@ class design_problem {
   solved_excitations solve_excitations(const array2d<double>& eps,
                                        const eval_options& opts) const;
 
+  /// Forward fabrication chain of one evaluation: the (MFS-blurred)
+  /// pattern, and through litho + etch (or the no-fab variants) the
+  /// realized design-region pattern; litho and etch intermediates are kept
+  /// for the backward pass.
+  struct fabricated {
+    array2d<double> rho_b;
+    fab::litho_forward litho_fwd;
+    array2d<double> eta;
+    array2d<double> rho_final;
+  };
+  fabricated fabricate(const array2d<double>& rho, const robust::variation_corner& corner,
+                       const eval_options& opts) const;
+
+  /// Occupancy (background + realized design) and permittivity of one
+  /// evaluation, written into caller-provided grids of the simulation size.
+  void fill_permittivity(const array2d<double>& rho_final, double temperature,
+                         array2d<double>& occ, array2d<double>& eps) const;
+
   eval_result evaluate_impl(const dvec* theta, const array2d<double>* rho_in,
                             const robust::variation_corner& corner,
                             const eval_options& opts) const;
-  void compute_input_powers(const eval_options& reference_opts);
-
-  /// Memoized lithography image of `mask_ext` under corner `corner_index`:
-  /// warm Monte-Carlo samples and repeated corners re-image the same mask,
-  /// and the Hopkins convolution stack dominates the non-solve time. The
-  /// memo is bypassed (straight model call) unless `use_memo`.
-  fab::litho_forward litho_forward_memo(std::size_t corner_index,
-                                        const array2d<double>& mask_ext,
-                                        bool use_memo) const;
-
-  /// Memoized 1-D port mode, keyed on the port geometry, mode order, and the
-  /// exact permittivity samples along the port line (the only eps the slab
-  /// solve sees); same reuse pattern as the litho memo.
-  modes::slab_mode port_mode_memo(const array2d<double>& eps, const dev::port& p,
-                                  double spacing, int order, bool use_memo) const;
+  void compute_halo_occupancy();
+  void compute_input_powers();
 
   dev::device_spec spec_;
   std::shared_ptr<param::parameterization> param_;
@@ -188,13 +197,6 @@ class design_problem {
   param::gaussian_blur mfs_blur_;
   array2d<double> halo_occ_;
   dvec input_power_;
-
-  /// Small FIFO memos behind `litho_forward_memo` / `port_mode_memo`,
-  /// guarded by an internal mutex (evaluations run concurrently). Gated on
-  /// `eval_options::use_operator_cache` and the BOSON_SIM_CACHE switch, so
-  /// uncached evaluations measure the full pipeline honestly.
-  struct memo_state;
-  std::shared_ptr<memo_state> memo_;
 };
 
 }  // namespace boson::core

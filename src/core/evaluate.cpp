@@ -21,24 +21,29 @@ std::map<std::string, double> prefab_metrics(const design_problem& problem,
 }
 
 mc_stats postfab_monte_carlo(const design_problem& problem, const array2d<double>& mask,
-                             std::size_t num_samples, std::uint64_t seed,
-                             bool use_operator_cache) {
+                             std::size_t num_samples, std::uint64_t seed) {
   require(num_samples > 0, "postfab_monte_carlo: need at least one sample");
   const rng base(seed);
+
+  eval_options o;
+  o.fab_aware = true;
+  o.hard_etch = true;
+  o.dense_objectives = false;
+  o.compute_gradient = false;
+  // Every sample perturbs the same mask's nominal operator (boundary pixels
+  // through the litho/etch draw, the silicon permittivity through the
+  // temperature), so one nominal factorization preconditions them all; only
+  // the banded backend has a factorization to share.
+  robust::variation_corner nominal;
+  nominal.xi.assign(problem.fab().space.eole_terms, 0.0);
+  if (o.engine.backend == sim::backend_kind::banded)
+    o.nominal_engine = problem.prepare_engine(mask, nominal, o);
 
   std::vector<std::map<std::string, double>> metric_samples(num_samples);
   parallel_for(num_samples, [&](std::size_t s) {
     rng r = base.fork(s);
     const robust::variation_corner corner =
         robust::random_corner(r, problem.fab().space, "mc" + std::to_string(s));
-    eval_options o;
-    o.fab_aware = true;
-    o.hard_etch = true;
-    o.dense_objectives = false;
-    o.compute_gradient = false;
-    // Hard-binarized samples collide across draws (identical litho corner +
-    // nearby etch fields realize the same pattern); reuse their operators.
-    o.use_operator_cache = use_operator_cache;
     metric_samples[s] = problem.evaluate_pattern(mask, corner, o).metrics;
   });
 
@@ -79,19 +84,15 @@ std::vector<process_window_point> litho_process_window(const design_problem& pro
     const double dose = dose_values[idx % dose_values.size()];
 
     // A fabrication context whose single (nominal-slot) corner is this
-    // process point; EOLE/variation space are shared.
+    // process point; EOLE/variation space are shared, and so are the
+    // reference input powers, which do not depend on the fab context.
     fab_context ctx = problem.fab();
     const std::size_t ext_nx = problem.spec().design.nx + 2 * ctx.halo;
     const std::size_t ext_ny = problem.spec().design.ny + 2 * ctx.halo;
     ctx.litho = {std::make_shared<const fab::hopkins_litho>(
         ctx.litho_cfg, fab::litho_corner_params{defocus, dose}, ext_nx, ext_ny)};
     ctx.space.num_litho_corners = 1;
-    // Every scan point rebuilds the same reference operator; cache it so the
-    // whole window shares one factorization.
-    eval_options reference_opts;
-    reference_opts.use_operator_cache = true;
-    const design_problem scanned(problem.spec(), problem.shared_parameterization(),
-                                 std::move(ctx), 1.6, reference_opts);
+    const design_problem scanned = problem.with_fab(std::move(ctx));
 
     robust::variation_corner nominal;
     nominal.xi.assign(scanned.fab().space.eole_terms, 0.0);
@@ -100,7 +101,6 @@ std::vector<process_window_point> litho_process_window(const design_problem& pro
     o.hard_etch = true;
     o.dense_objectives = false;
     o.compute_gradient = false;
-    o.use_operator_cache = true;
     const auto ev = scanned.evaluate_pattern(mask, nominal, o);
     window[idx] = {defocus, dose, scanned.fom_of(ev.metrics)};
   });
@@ -121,8 +121,6 @@ std::vector<spectrum_point> wavelength_sweep(const design_problem& problem,
     o.hard_etch = true;
     o.dense_objectives = false;
     o.compute_gradient = false;
-    // No operator cache here: every sweep point has a unique k0, so caching
-    // would only insert zero-reuse entries that evict useful ones.
     const auto ev = shifted.evaluate_pattern(mask, nominal, o);
     spectrum[i].lambda_um = wavelengths_um[i];
     spectrum[i].fom = shifted.fom_of(ev.metrics);

@@ -33,14 +33,12 @@ struct mc_stats {
 
 /// Post-fabrication evaluation protocol (Section IV-B): `num_samples` Monte
 /// Carlo draws of (lithography corner, temperature, EOLE etch field), hard
-/// etch binarization, FoM per the device objective. Samples run concurrently.
-/// `use_operator_cache` routes the per-sample operators through the global
-/// engine cache (on by default — the library-wide default; benchmarks switch
-/// it off to measure the uncached baseline, and BOSON_SIM_CACHE=0 disables
-/// caching globally). The statistics are identical either way.
+/// etch binarization, FoM per the device objective. The mask's operator at
+/// the nominal corner is factored once per call and preconditions every
+/// sample's solves (`eval_options::nominal_engine`); samples run
+/// concurrently, and the statistics are a function of the arguments alone.
 mc_stats postfab_monte_carlo(const design_problem& problem, const array2d<double>& mask,
-                             std::size_t num_samples, std::uint64_t seed,
-                             bool use_operator_cache = true);
+                             std::size_t num_samples, std::uint64_t seed);
 
 /// One point of a spectral-response sweep.
 struct spectrum_point {

@@ -247,7 +247,6 @@ run_options resolved_run_options(const method_recipe& recipe,
   ro.objective_override = recipe.objective_override.empty() ? cfg.objective_override
                                                             : recipe.objective_override;
   ro.engine = cfg.engine;
-  ro.use_operator_cache = cfg.use_operator_cache;
   ro.record_trajectory = cfg.record_trajectory;
   return ro;
 }
@@ -314,8 +313,7 @@ method_result run_method(const dev::device_spec& spec, const method_recipe& reci
 
   if (hooks.run_postfab_mc) {
     stage("postfab_monte_carlo");
-    out.postfab = postfab_monte_carlo(problem, out.mask, cfg.scaled_samples(),
-                                      cfg.seed + 3, cfg.use_operator_cache);
+    out.postfab = postfab_monte_carlo(problem, out.mask, cfg.scaled_samples(), cfg.seed + 3);
     log_info("run_method[", spec.name, "]: ", recipe.label, " prefab FoM=",
              out.prefab_fom, " postfab FoM=", out.postfab.fom_mean);
   }

@@ -85,10 +85,6 @@ struct experiment_config {
   /// follow the BOSON_BACKEND environment variable).
   sim::engine_settings engine;
 
-  /// Route repeated operators through the global engine cache (the
-  /// library-wide default; BOSON_SIM_CACHE=0 disables caching globally).
-  bool use_operator_cache = true;
-
   /// Record the per-iteration trajectory in `run_result` (the Fig. 5
   /// series); observers receive the records either way.
   bool record_trajectory = true;

@@ -90,7 +90,6 @@ run_result run_inverse_design(design_problem& problem, const dvec& theta0,
       o.morphology_shift = jobs[ci].morph;
       o.morphology_radius_cells = options.ed_radius_cells;
       o.engine = options.engine;
-      o.use_operator_cache = options.use_operator_cache;
       // Harvest variation gradients on the nominal corner for the one-step
       // worst-case ascent used next iteration.
       o.want_var_grads = wants_worst && ci == 0;
@@ -133,7 +132,6 @@ run_result run_inverse_design(design_problem& problem, const dvec& theta0,
       ideal.compute_gradient = true;
       ideal.objective_override = options.objective_override;
       ideal.engine = options.engine;
-      ideal.use_operator_cache = options.use_operator_cache;
       robust::variation_corner nominal;
       nominal.xi.assign(problem.fab().space.eole_terms, 0.0);
       const eval_result ideal_eval = problem.evaluate(theta, nominal, ideal);

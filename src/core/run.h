@@ -97,14 +97,6 @@ struct run_options {
   /// BOSON_BACKEND environment variable sets the default backend).
   sim::engine_settings engine;
 
-  /// Reuse prepared operators across corners via the global engine cache —
-  /// duplicate corner states (e.g. the warmup worst-case slot, which repeats
-  /// the nominal corner) then skip re-assembly and re-factorization. On by
-  /// default everywhere (the library-wide documented default); setting the
-  /// BOSON_SIM_CACHE environment variable to 0 disables caching globally
-  /// regardless of this flag.
-  bool use_operator_cache = true;
-
   /// Observer hook called after every iteration with the nominal-corner
   /// record; replaces ad-hoc printf progress reporting in drivers.
   iteration_callback on_iteration;

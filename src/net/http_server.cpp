@@ -79,22 +79,27 @@ void http_server::start() {
 
 void http_server::stop() {
   if (!running_.exchange(false)) return;
-  stopping_.store(true);
-
-  // Closing the listener unblocks accept(); shutting down active fds
-  // unblocks workers sitting in recv() on idle keep-alive connections.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  {
+    // Under the queue lock, so a worker between its predicate check and its
+    // wait cannot miss the wake-up.
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    stopping_.store(true);
   }
+  queue_cv_.notify_all();
+
+  // Shutting the listener down unblocks accept(); the fd is closed only
+  // once the acceptor has joined, so accept() never sees a closed (or
+  // reused) descriptor. Shutting down active fds unblocks workers sitting
+  // in recv() on idle keep-alive connections.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   {
     const std::lock_guard<std::mutex> lock(active_mutex_);
     for (int fd : active_) ::shutdown(fd, SHUT_RD);
   }
-  queue_cv_.notify_all();
 
-  if (acceptor_.joinable()) acceptor_.join();
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();
   workers_.clear();

@@ -13,8 +13,6 @@
 
 #include "obs/metrics.h"
 #include "service/service.h"
-#include "sim/backend.h"
-#include "sim/cache.h"
 
 namespace boson::service {
 
@@ -138,25 +136,6 @@ io::json_value metrics_json(const service_metrics& m) {
   jobs["jobs_per_second"] = m.jobs_per_second();
 
   v["requests"] = m.requests;
-
-  // The simulation-layer gauges the paper's reuse optimizations report:
-  // shared-engine cache and nearby-operator reuse, process-wide.
-  const sim::engine_cache::cache_stats cache = sim::engine_cache::global().stats();
-  io::json_value& ec = v["engine_cache"] = io::json_value::object();
-  ec["hits"] = cache.hits;
-  ec["misses"] = cache.misses;
-  ec["evictions"] = cache.evictions;
-  ec["entries"] = cache.entries;
-  ec["reuse_hits"] = cache.reuse_hits;
-
-  const sim::reuse_stats reuse = sim::reuse_statistics();
-  io::json_value& ru = v["nearby_reuse"] = io::json_value::object();
-  ru["prepares_avoided"] = reuse.prepares_avoided;
-  ru["refinement_solves"] = reuse.refinement_solves;
-  ru["refinement_iterations"] = reuse.refinement_iterations;
-  ru["fallbacks"] = reuse.fallbacks;
-  ru["recycle_guesses"] = reuse.recycle_guesses;
-  ru["solution_reuses"] = reuse.solution_reuses;
   return v;
 }
 
@@ -243,10 +222,6 @@ net::http_response campaign_service::route(const net::http_request& req) {
       // Publish the registry-external service counters as gauges at scrape
       // time, then render the whole registry — sim/runtime counters, the
       // request histograms, and these service-level series in one page.
-      // Touch the sim families first so the migrated counters are on the
-      // page even before any simulation has run in this process.
-      (void)sim::engine_cache::global().stats();
-      (void)sim::reuse_statistics();
       const service_metrics m = metrics();
       auto& reg = obs::registry::global();
       reg.get_gauge("service.campaigns_queued").set(static_cast<double>(m.campaigns_queued));

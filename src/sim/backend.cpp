@@ -18,68 +18,30 @@
 
 namespace boson::sim {
 
-bool operator_reuse_enabled() { return env_int("BOSON_SIM_REUSE", 1) != 0; }
-
 namespace {
 
-/// The reuse counters live in the process-wide obs registry (so they appear
-/// in /v1/metrics and the Prometheus exposition); series lookup happens once
-/// and the hot-path cost is one relaxed atomic add.
-struct reuse_counter_block {
-  obs::counter& prepares_avoided;
-  obs::counter& refinement_solves;
+/// The nearby backend's counters live in the process-wide obs registry (so
+/// they appear in /v1/metrics and the Prometheus exposition). They are
+/// registered when the library loads, so the series are on the page before
+/// the first solve; the hot-path cost is one relaxed atomic add.
+struct nearby_counter_block {
   obs::counter& refinement_iterations;
   obs::counter& fallbacks;
-  obs::counter& recycle_guesses;
-  obs::counter& solution_reuses;
 };
 
-reuse_counter_block& counters() {
+nearby_counter_block& counters() {
   auto& reg = obs::registry::global();
-  static reuse_counter_block block{
-      reg.get_counter("sim.reuse.prepares_avoided"),
-      reg.get_counter("sim.reuse.refinement_solves"),
-      reg.get_counter("sim.reuse.refinement_iterations"),
-      reg.get_counter("sim.reuse.fallbacks"),
-      reg.get_counter("sim.reuse.recycle_guesses"),
-      reg.get_counter("sim.reuse.solution_reuses")};
+  static nearby_counter_block block{reg.get_counter("sim.reuse.refinement_iterations"),
+                                    reg.get_counter("sim.reuse.fallbacks")};
   return block;
 }
 
+[[maybe_unused]] const nearby_counter_block& registered_at_load = counters();
+
+/// Outer-iteration cap of the nearby backend before it falls back.
+constexpr std::size_t nearby_max_iterations = 32;
+
 }  // namespace
-
-namespace reuse_counter {
-void prepares_avoided(std::size_t n) { counters().prepares_avoided.inc(n); }
-void refinement(std::size_t solves, std::size_t iterations) {
-  counters().refinement_solves.inc(solves);
-  counters().refinement_iterations.inc(iterations);
-}
-void fallback(std::size_t n) { counters().fallbacks.inc(n); }
-void recycle_guess(std::size_t n) { counters().recycle_guesses.inc(n); }
-void solution_reuse(std::size_t n) { counters().solution_reuses.inc(n); }
-}  // namespace reuse_counter
-
-reuse_stats reuse_statistics() {
-  const reuse_counter_block& c = counters();
-  reuse_stats s;
-  s.prepares_avoided = c.prepares_avoided.value();
-  s.refinement_solves = c.refinement_solves.value();
-  s.refinement_iterations = c.refinement_iterations.value();
-  s.fallbacks = c.fallbacks.value();
-  s.recycle_guesses = c.recycle_guesses.value();
-  s.solution_reuses = c.solution_reuses.value();
-  return s;
-}
-
-void reset_reuse_statistics() {
-  reuse_counter_block& c = counters();
-  c.prepares_avoided.reset();
-  c.refinement_solves.reset();
-  c.refinement_iterations.reset();
-  c.fallbacks.reset();
-  c.recycle_guesses.reset();
-  c.solution_reuses.reset();
-}
 
 const char* to_string(backend_kind kind) {
   switch (kind) {
@@ -127,11 +89,7 @@ class banded_backend final : public linear_backend {
   const fdfd::fdfd_solver& solver_;
 };
 
-/// Iterative path: CSR operator + ILU(0), BiCGSTAB or restarted GMRES. When
-/// reuse is enabled, converged solutions feed a small recycle space whose
-/// least-squares projection warm-starts the next solve — adjacent corners
-/// and samples repeat (or barely perturb) their right-hand sides, so the
-/// iteration often starts at the answer.
+/// Iterative path: CSR operator + ILU(0), BiCGSTAB or restarted GMRES.
 class krylov_backend final : public linear_backend {
  public:
   krylov_backend(const fdfd::fdfd_solver& solver, const engine_settings& settings)
@@ -140,32 +98,17 @@ class krylov_backend final : public linear_backend {
   const char* name() const override { return to_string(settings_.backend); }
 
   std::vector<cvec> solve(const std::vector<cvec>& rhs) const override {
-    const bool recycle = settings_.reuse && operator_reuse_enabled();
     std::vector<cvec> xs(rhs.size());
     for (std::size_t k = 0; k < rhs.size(); ++k) {
-      cvec x;
-      if (recycle) {
-        const std::lock_guard<std::mutex> lock(recycle_mutex_);
-        if (recycle_.size() > 0) {
-          x = recycle_.guess(rhs[k]);
-          reuse_counter::recycle_guess();
-        }
-      }
       const sp::krylov_result res =
           settings_.backend == backend_kind::gmres
-              ? sp::gmres(a_, rhs[k], x, &precond_, settings_.gmres_restart,
+              ? sp::gmres(a_, rhs[k], xs[k], &precond_, settings_.gmres_restart,
                           settings_.tol, settings_.max_iterations)
-              : sp::bicgstab(a_, rhs[k], x, &precond_, settings_.tol,
+              : sp::bicgstab(a_, rhs[k], xs[k], &precond_, settings_.tol,
                              settings_.max_iterations);
       check_numeric(res.converged,
                     std::string(name()) + " backend failed to converge (residual " +
                         std::to_string(res.relative_residual) + ")");
-      if (recycle) {
-        cvec ax = a_.matvec(x);
-        const std::lock_guard<std::mutex> lock(recycle_mutex_);
-        recycle_.add(x, std::move(ax));
-      }
-      xs[k] = std::move(x);
     }
     return xs;
   }
@@ -174,19 +117,17 @@ class krylov_backend final : public linear_backend {
   engine_settings settings_;
   sp::csr_c a_;
   sp::ilu0 precond_;
-  mutable std::mutex recycle_mutex_;
-  mutable sp::recycle_space recycle_{8};
 };
 
 /// Nearby-operator path: the perturbed operator is never factored. The
-/// nominal engine's banded LU substitutes a warm start for the whole batch,
-/// then left-preconditions a short GMRES outer loop on the perturbed CSR
-/// operator (M^{-1} A is a low-rank perturbation of the identity when the
-/// permittivity change is localized, so a handful of iterations reach the
-/// solver tolerance). Acceptance is checked on the *true* residual; any
-/// right-hand side that misses it triggers a one-time fallback to a full
-/// preparation of the perturbed operator, which then serves this and every
-/// later batch.
+/// nominal engine's banded LU left-preconditions a short GMRES outer loop on
+/// the perturbed CSR operator, started from zero so the first Krylov vector
+/// is the nominal solution (M^{-1} A is a low-rank perturbation of the
+/// identity when the permittivity change is localized, so a handful of
+/// iterations reach the solver tolerance). Acceptance is checked on the
+/// *true* residual; any right-hand side that misses it triggers a one-time
+/// fallback to a full preparation of the perturbed operator, which then
+/// serves this and every later batch.
 class nearby_backend final : public linear_backend {
  public:
   nearby_backend(const fdfd::fdfd_solver& solver, const engine_settings& settings,
@@ -203,16 +144,14 @@ class nearby_backend final : public linear_backend {
     if (rhs.empty()) return {};
 
     const sp::banded_lu& lu = nominal_->solver().factorization();
-    std::vector<cvec> xs = lu.solve(rhs);  // blocked warm start for the batch
+    std::vector<cvec> xs(rhs.size());
 
     const sp::linear_op op = [this](const cvec& v) { return a_.matvec(v); };
     const sp::linear_op pre = [&lu](const cvec& r) { return lu.solve(r); };
-    const std::size_t cap = std::max<std::size_t>(2, settings_.reuse_max_iterations);
-
     std::size_t iterations = 0;
     for (std::size_t k = 0; k < rhs.size(); ++k) {
-      const sp::krylov_result res =
-          sp::gmres(op, rhs[k], xs[k], pre, cap, settings_.tol, cap);
+      const sp::krylov_result res = sp::gmres(op, rhs[k], xs[k], pre, nearby_max_iterations,
+                                              settings_.tol, nearby_max_iterations);
       iterations += res.iterations;
       // Accept on the true residual so agreement with the re-prepare path
       // holds regardless of the preconditioned convergence metric.
@@ -221,12 +160,12 @@ class nearby_backend final : public linear_backend {
       const double b_norm = la::nrm2(rhs[k]);
       const double rel = b_norm > 0.0 ? la::nrm2(r) / b_norm : 0.0;
       if (!(rel <= settings_.tol * 100.0)) {
-        reuse_counter::refinement(k, iterations);
-        reuse_counter::fallback();
+        counters().refinement_iterations.inc(iterations);
+        counters().fallbacks.inc();
         return fallback().solve(rhs);
       }
     }
-    reuse_counter::refinement(rhs.size(), iterations);
+    counters().refinement_iterations.inc(iterations);
     return xs;
   }
 

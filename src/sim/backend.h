@@ -44,43 +44,7 @@ struct engine_settings {
   double tol = 1e-10;                ///< iterative relative-residual target
   std::size_t max_iterations = 4000; ///< iterative iteration cap
   std::size_t gmres_restart = 80;    ///< GMRES restart length
-
-  /// Nearby-operator reuse: allow the engine cache to serve a perturbed
-  /// operator from a cached *nominal* preparation (the nominal banded LU
-  /// preconditions a short GMRES outer loop on the perturbed operator), and
-  /// allow the Krylov backends to recycle solutions across adjacent solves.
-  /// Also gated globally by the BOSON_SIM_REUSE environment kill switch.
-  bool reuse = true;
-  /// Perturbation-size heuristic: a cached nominal is only reused when the
-  /// RMS permittivity change relative to the nominal's RMS permittivity is
-  /// at most this fraction; larger perturbations re-prepare from scratch.
-  double reuse_max_delta = 0.5;
-  /// Outer-iteration cap of the reuse path before it falls back to a full
-  /// re-preparation of the perturbed operator.
-  std::size_t reuse_max_iterations = 32;
 };
-
-/// Nearby-operator reuse kill switch: false when the BOSON_SIM_REUSE
-/// environment variable is set to 0, true otherwise (reuse is on by
-/// default). Re-read on every call so drivers and tests can toggle the
-/// reuse path at runtime without rebuilding engines.
-bool operator_reuse_enabled();
-
-/// Process-wide statistics of the nearby-operator reuse and Krylov
-/// recycling paths, surfaced through the engine-cache stats block of
-/// summary.json / batch_summary.json and the solver benchmarks.
-struct reuse_stats {
-  std::size_t prepares_avoided = 0;     ///< perturbed solves served off a nominal LU
-  std::size_t refinement_solves = 0;    ///< right-hand sides pushed through the reuse path
-  std::size_t refinement_iterations = 0;///< total outer iterations across those solves
-  std::size_t fallbacks = 0;            ///< reuse solves that re-prepared after non-convergence
-  std::size_t recycle_guesses = 0;      ///< Krylov warm starts served from a recycle space
-  std::size_t solution_reuses = 0;      ///< identical solve batches answered from an engine memo
-};
-
-/// Snapshot / reset of the global reuse counters (monotonic atomics).
-reuse_stats reuse_statistics();
-void reset_reuse_statistics();
 
 /// A prepared linear solver for one FDFD operator. Preparation (banded
 /// factorization or ILU(0) setup) happens in `make_backend`; `solve` is
@@ -107,23 +71,14 @@ class simulation_engine;
 /// Nearby-operator backend: serves `solver`'s (perturbed) operator without
 /// factoring it, by applying the `nominal` engine's banded LU as a left
 /// preconditioner inside a short GMRES outer loop on the perturbed CSR
-/// operator. Non-convergence within `settings.reuse_max_iterations` falls
-/// back to a full preparation of the perturbed operator (counted in the
-/// reuse statistics); results agree with the re-prepare path to the solver
-/// tolerance either way. The returned backend references `solver` and keeps
-/// `nominal` alive.
+/// operator. A right-hand side that misses the true-residual target within
+/// a fixed iteration cap falls back to a full preparation of the perturbed
+/// operator; both outcomes depend only on the two operators and the
+/// right-hand sides. The outer iterations and fallbacks are counted in the
+/// `sim.reuse.refinement_iterations` / `sim.reuse.fallbacks` metrics. The
+/// returned backend references `solver` and keeps `nominal` alive.
 std::unique_ptr<linear_backend> make_nearby_backend(
     const fdfd::fdfd_solver& solver, const engine_settings& settings,
     std::shared_ptr<const simulation_engine> nominal);
-
-/// Increment helpers for the global reuse counters (internal use by the
-/// backends, the engine cache, and the engine's solved-batch memo).
-namespace reuse_counter {
-void prepares_avoided(std::size_t n = 1);
-void refinement(std::size_t solves, std::size_t iterations);
-void fallback(std::size_t n = 1);
-void recycle_guess(std::size_t n = 1);
-void solution_reuse(std::size_t n = 1);
-}  // namespace reuse_counter
 
 }  // namespace boson::sim

@@ -1,62 +1,30 @@
 #include "sim/engine.h"
 
-#include <deque>
-#include <mutex>
-
 #include "common/error.h"
 #include "obs/trace.h"
 #include "sim/workspace.h"
 
 namespace boson::sim {
 
-/// FIFO of recently solved batches, matched by exact right-hand-side
-/// equality. Warm sweeps re-issue bit-identical batches, so a tiny window
-/// suffices; a miss costs one vector comparison per entry (early-out on the
-/// first differing element).
-struct simulation_engine::batch_memo {
-  struct entry {
-    std::vector<cvec> rhs;
-    std::vector<array2d<cplx>> fields;
-  };
-  static constexpr std::size_t capacity = 4;
-  std::mutex mutex;
-  std::deque<entry> entries;
-};
-
 simulation_engine::simulation_engine(const grid2d& grid, const pml_spec& pml, double k0,
                                      const array2d<double>& eps, engine_settings settings)
     : pml_(pml),
       settings_(settings),
       solver_(grid, pml, k0, eps),
-      backend_(make_backend(solver_, settings_)),
-      memo_(std::make_unique<batch_memo>()) {}
+      backend_(make_backend(solver_, settings_)) {}
 
 simulation_engine::simulation_engine(std::shared_ptr<const simulation_engine> nominal,
                                      const array2d<double>& eps)
     : pml_(nominal->pml_),
       settings_(nominal->settings_),
       solver_(nominal->grid(), pml_, nominal->k0(), eps),
-      nominal_(std::move(nominal)),
-      backend_(make_nearby_backend(solver_, settings_, nominal_)),
-      memo_(std::make_unique<batch_memo>()) {}
+      backend_(make_nearby_backend(solver_, settings_, std::move(nominal))) {}
 
 simulation_engine::~simulation_engine() = default;
 
 std::vector<array2d<cplx>> simulation_engine::solve_batch(std::vector<cvec> rhs) const {
   const grid2d& g = solver_.grid();
   auto& ws = workspace::local();
-
-  const bool memoize = settings_.reuse && operator_reuse_enabled() && !rhs.empty();
-  if (memoize) {
-    const std::lock_guard<std::mutex> lock(memo_->mutex);
-    for (const auto& e : memo_->entries) {
-      if (e.rhs == rhs) {
-        reuse_counter::solution_reuse();
-        for (auto& b : rhs) ws.give_cvec(std::move(b));
-        return e.fields;
-      }
-    }
-  }
 
   std::vector<cvec> xs;
   {
@@ -77,15 +45,7 @@ std::vector<array2d<cplx>> simulation_engine::solve_batch(std::vector<cvec> rhs)
     fields.push_back(std::move(field));
   }
 
-  if (memoize) {
-    // The batch retires into the memo (rhs buffers and all) instead of the
-    // thread-local workspace, so a later identical batch can match it.
-    const std::lock_guard<std::mutex> lock(memo_->mutex);
-    if (memo_->entries.size() >= batch_memo::capacity) memo_->entries.pop_front();
-    memo_->entries.push_back({std::move(rhs), fields});
-  } else {
-    for (auto& b : rhs) ws.give_cvec(std::move(b));
-  }
+  for (auto& b : rhs) ws.give_cvec(std::move(b));
   return fields;
 }
 

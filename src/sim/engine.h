@@ -3,8 +3,7 @@
 /// permittivity) prepared behind a pluggable linear backend. The engine
 /// batches all excitations and adjoints of one variation corner through a
 /// single preparation (multi-RHS substitution on the banded path), and is
-/// immutable after construction so `engine_cache` can share one instance
-/// across threads.
+/// immutable after construction so one instance can serve several threads.
 
 #pragma once
 
@@ -28,11 +27,11 @@ class simulation_engine {
   simulation_engine(const grid2d& grid, const pml_spec& pml, double k0,
                     const array2d<double>& eps, engine_settings settings = {});
 
-  /// Nearby-operator reuse: prepare `eps` without factoring it, serving
-  /// solves through `nominal`'s banded LU as the preconditioner of a short
-  /// GMRES outer loop (see `make_nearby_backend`). Grid, PML, k0 and
-  /// settings are inherited from the nominal engine, which is kept alive
-  /// for the lifetime of this one.
+  /// Nearby operator: prepare `eps` without factoring it, serving solves
+  /// through `nominal`'s banded LU as the preconditioner of a short GMRES
+  /// outer loop (see `make_nearby_backend`). Grid, PML, k0 and settings are
+  /// inherited from the nominal engine, which is kept alive for the lifetime
+  /// of this one.
   simulation_engine(std::shared_ptr<const simulation_engine> nominal,
                     const array2d<double>& eps);
 
@@ -50,13 +49,6 @@ class simulation_engine {
 
   /// The wrapped FDFD solver (stretch profiles, CSR assembly, gradients).
   const fdfd::fdfd_solver& solver() const { return solver_; }
-
-  /// True when this engine serves a perturbed operator off a nominal
-  /// preparation instead of its own factorization.
-  bool is_reuse() const { return nominal_ != nullptr; }
-
-  /// The nominal engine backing the reuse path (null for a full preparation).
-  const std::shared_ptr<const simulation_engine>& nominal() const { return nominal_; }
 
   /// Solve A e = b for one current-density excitation.
   array2d<cplx> solve_excitation(const array2d<cplx>& current_density) const;
@@ -86,15 +78,7 @@ class simulation_engine {
   pml_spec pml_;
   engine_settings settings_;
   fdfd::fdfd_solver solver_;
-  std::shared_ptr<const simulation_engine> nominal_;
   std::unique_ptr<linear_backend> backend_;
-
-  /// Small FIFO memo of recently solved batches: warm Monte-Carlo samples
-  /// and repeated corners re-issue bit-identical right-hand sides on the
-  /// same engine, and the memo answers them without touching the backend.
-  /// Gated on `settings_.reuse` and the BOSON_SIM_REUSE kill switch.
-  struct batch_memo;
-  std::unique_ptr<batch_memo> memo_;
 };
 
 }  // namespace boson::sim

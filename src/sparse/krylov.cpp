@@ -185,11 +185,19 @@ krylov_result gmres(const linear_op& a, const cvec& b, cvec& x, const linear_op&
     return result;
   }
 
+  // A zero initial guess needs no operator application for its residual.
+  bool x_is_zero = true;
+  for (const cplx& v : x) x_is_zero = x_is_zero && v == cplx{};
+
   std::size_t total_iterations = 0;
   while (total_iterations < max_iterations) {
     // Arnoldi basis and Hessenberg factor for this cycle.
-    cvec r = apply(x);
-    for (std::size_t i = 0; i < n; ++i) r[i] = pb[i] - r[i];
+    cvec r = pb;
+    if (!x_is_zero) {
+      const cvec ax = apply(x);
+      for (std::size_t i = 0; i < n; ++i) r[i] -= ax[i];
+    }
+    x_is_zero = false;
     const double beta = la::nrm2(r);
     result.relative_residual = beta / pb_norm;
     if (result.relative_residual < tol) {
@@ -271,60 +279,6 @@ krylov_result gmres(const linear_op& a, const cvec& b, cvec& x, const linear_op&
   result.relative_residual = la::nrm2(r_final) / la::nrm2(b);
   result.converged = result.relative_residual < tol;
   return result;
-}
-
-recycle_space::recycle_space(std::size_t capacity) : capacity_(capacity) {
-  require(capacity >= 1, "recycle_space: capacity must be at least 1");
-}
-
-void recycle_space::clear() {
-  u_.clear();
-  w_.clear();
-}
-
-cvec recycle_space::guess(const cvec& b) const {
-  if (u_.empty() || w_[0].size() != b.size()) return cvec(b.size(), cplx{});
-  cvec x(b.size(), cplx{});
-  for (std::size_t j = 0; j < u_.size(); ++j) {
-    const cplx y = la::dot(w_[j], b);
-    if (y == cplx{}) continue;
-    const cvec& uj = u_[j];
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] += y * uj[i];
-  }
-  return x;
-}
-
-void recycle_space::add(cvec u, cvec w) {
-  require(u.size() == w.size(), "recycle_space::add: size mismatch");
-  if (!u_.empty() && u_[0].size() != u.size()) clear();  // new problem size
-
-  const double w0 = la::nrm2(w);
-  if (w0 == 0.0) return;
-  // Modified Gram-Schmidt against the stored space; the same coefficients
-  // are applied to u so the invariant w_j = A u_j survives.
-  for (std::size_t j = 0; j < w_.size(); ++j) {
-    const cplx h = la::dot(w_[j], w);
-    if (h == cplx{}) continue;
-    const cvec& wj = w_[j];
-    const cvec& uj = u_[j];
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      w[i] -= h * wj[i];
-      u[i] -= h * uj[i];
-    }
-  }
-  const double wn = la::nrm2(w);
-  if (wn < 1e-12 * w0) return;  // direction already represented
-  const double inv = 1.0 / wn;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i] *= inv;
-    u[i] *= inv;
-  }
-  if (u_.size() >= capacity_) {  // drop the oldest pair
-    u_.erase(u_.begin());
-    w_.erase(w_.begin());
-  }
-  u_.push_back(std::move(u));
-  w_.push_back(std::move(w));
 }
 
 }  // namespace boson::sp

@@ -60,37 +60,4 @@ krylov_result gmres(const linear_op& a, const cvec& b, cvec& x, const linear_op&
                     std::size_t restart = 60, double tol = 1e-8,
                     std::size_t max_iterations = 2000);
 
-/// A small recycled subspace carried across the adjacent solves of a
-/// corner/sample sweep. Stores up to `capacity` pairs (u, w = A u) with the
-/// w's kept orthonormal by modified Gram-Schmidt, so `guess` can serve the
-/// least-squares minimizer of ||b - A x|| over the recycled span as a
-/// warm-start: adjacent corners repeat (or barely perturb) their right-hand
-/// sides, and the previous solution then starts the iteration at (or near)
-/// the answer. Not thread-safe; callers serialize access.
-class recycle_space {
- public:
-  explicit recycle_space(std::size_t capacity = 8);
-
-  std::size_t size() const { return u_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  void clear();
-
-  /// Best initial guess for A x = b available in the recycled span:
-  /// x = U y with y = W^H b, which leaves the residual b - A x orthogonal
-  /// to span(W). Returns the zero vector when the space is empty or b has
-  /// a different length than the stored pairs.
-  cvec guess(const cvec& b) const;
-
-  /// Deposit a converged solution pair (u = x, w = A x). The pair is
-  /// orthonormalized against the stored space (the same combination is
-  /// applied to u and w, preserving w = A u); near-dependent directions are
-  /// discarded and the oldest pair is dropped at capacity.
-  void add(cvec u, cvec w);
-
- private:
-  std::size_t capacity_;
-  std::vector<cvec> u_;
-  std::vector<cvec> w_;
-};
-
 }  // namespace boson::sp

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -161,13 +163,24 @@ api::experiment_spec full_plan_spec() {
   spec.relax_epochs = 3;
   spec.seed = 99;
   spec.backend = "gmres";
-  spec.use_operator_cache = false;
   spec.evaluation = {
       api::eval_step::monte_carlo(7),
       api::eval_step::sweep({1.53, 1.55}),
       api::eval_step::window({0.0, 0.08}, {0.95, 1.05}),
   };
   return spec;
+}
+
+TEST(experiment_spec, retired_use_operator_cache_key_is_accepted_and_ignored) {
+  // Older specs still carry the removed engine-cache switch.
+  io::json_value v = full_plan_spec().to_json();
+  const std::string expected = v.dump();
+  for (const bool flag : {true, false}) {
+    v["run"]["use_operator_cache"] = flag;
+    EXPECT_EQ(api::experiment_spec::from_json(v).to_json().dump(), expected);
+  }
+  v["run"]["use_operator_cache"] = "yes";
+  EXPECT_THROW((void)api::experiment_spec::from_json(v), bad_argument);
 }
 
 TEST(experiment_spec, json_round_trip_is_identity) {
@@ -181,7 +194,6 @@ TEST(experiment_spec, json_round_trip_is_identity) {
   EXPECT_EQ(parsed.method, "invfabcor_m_3");
   EXPECT_EQ(parsed.backend, "gmres");
   EXPECT_EQ(parsed.seed, 99u);
-  EXPECT_FALSE(parsed.use_operator_cache);
   ASSERT_EQ(parsed.evaluation.size(), 3u);
   EXPECT_EQ(parsed.evaluation[0].samples, 7u);
   ASSERT_EQ(parsed.evaluation[1].wavelengths_um.size(), 2u);
@@ -417,13 +429,11 @@ struct counting_observer : api::observer {
 TEST(api_session, config_for_maps_spec_fields) {
   api::experiment_spec spec = smoke_spec();
   spec.backend = "gmres";
-  spec.use_operator_cache = false;
   const core::experiment_config cfg = api::session::config_for(spec);
   EXPECT_EQ(cfg.iterations, 4u);
   EXPECT_EQ(cfg.mc_samples, 2u);
   EXPECT_DOUBLE_EQ(cfg.resolution, 0.1);
   EXPECT_EQ(cfg.engine.backend, sim::backend_kind::gmres);
-  EXPECT_FALSE(cfg.use_operator_cache);
   EXPECT_EQ(cfg.litho.kernel_half, 5u);
   EXPECT_EQ(cfg.eole.num_terms, 5u);
 }
@@ -492,12 +502,9 @@ TEST(api_session, batch_shares_a_session_and_writes_batch_summary) {
   EXPECT_EQ(experiments.elements()[0].at("name").as_string(), "api_smoke");
   EXPECT_EQ(experiments.elements()[1].at("name").as_string(), "api_smoke_2");
   // The batch-level aggregate: wall clock dominates the per-experiment sum
-  // (sequential execution) and the shared engine-cache traffic is reported
-  // once for the whole batch instead of sliced per spec.
+  // (sequential execution).
   EXPECT_GE(batch.at("wall_seconds").as_number(), batch.at("total_seconds").as_number() * 0.5);
   EXPECT_GT(batch.at("total_seconds").as_number(), 0.0);
-  EXPECT_TRUE(batch.at("engine_cache").at("hits").is_number());
-  EXPECT_TRUE(batch.at("engine_cache").at("misses").is_number());
 }
 
 TEST(api_session, dot_names_cannot_escape_the_output_directory) {
@@ -730,6 +737,67 @@ TEST(api_session, inline_recipe_runs_bit_identical_to_its_preset_name) {
   for (std::size_t i = 0; i < a.method.mask.size(); ++i)
     EXPECT_EQ(a.method.mask.data()[i], b.method.mask.data()[i]);
   EXPECT_EQ(a.method.postfab.fom_mean, b.method.postfab.fom_mean);
+}
+
+/// Everything a run produces that must be bit-reproducible.
+struct run_bits {
+  std::vector<double> losses, theta, mask;
+  std::map<std::string, double> postfab;
+  double postfab_std = 0.0;
+};
+
+run_bits run_under_threads(api::session& session, const api::experiment_spec& spec,
+                           const char* threads) {
+  EXPECT_EQ(::setenv("BOSON_THREADS", threads, 1), 0);
+  const api::experiment_result r = session.run(spec);
+  run_bits bits;
+  for (const auto& rec : r.method.run.trajectory) bits.losses.push_back(rec.loss);
+  bits.theta = r.method.run.theta;
+  bits.mask.assign(r.method.mask.begin(), r.method.mask.end());
+  bits.postfab = r.method.postfab.metric_means;
+  bits.postfab["fom_mean"] = r.method.postfab.fom_mean;
+  bits.postfab_std = r.method.postfab.fom_std;
+  return bits;
+}
+
+TEST(api_session, same_spec_gives_same_bits_across_threads_and_process_history) {
+  // The central invariant: one spec and seed give the same bits whatever
+  // the thread count, and whatever else ran earlier in the process. The
+  // first three runs see a process that has run nothing else.
+  api::experiment_spec spec = smoke_spec();
+  spec.name = "determinism";
+  spec.evaluation = {api::eval_step::monte_carlo(4)};
+  api::experiment_spec other = smoke_spec();
+  other.name = "determinism_other";
+  other.device = "crossing";
+  other.method = "density";
+  other.seed = 3;
+
+  const char* saved = std::getenv("BOSON_THREADS");
+  const std::string saved_threads = saved != nullptr ? saved : "";
+  api::session_options options;
+  options.write_artifacts = false;
+  api::session session(options);
+  std::vector<run_bits> runs;
+  for (const char* threads : {"1", "2", "4"})
+    runs.push_back(run_under_threads(session, spec, threads));
+  (void)run_under_threads(session, other, "4");
+  for (const char* threads : {"4", "2", "1"})
+    runs.push_back(run_under_threads(session, spec, threads));
+  if (saved != nullptr)
+    ::setenv("BOSON_THREADS", saved_threads.c_str(), 1);
+  else
+    ::unsetenv("BOSON_THREADS");
+
+  ASSERT_EQ(runs[0].losses.size(), 4u);
+  ASSERT_FALSE(runs[0].postfab.empty());
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    EXPECT_EQ(runs[k].losses, runs[0].losses) << "run " << k;
+    EXPECT_EQ(runs[k].theta, runs[0].theta) << "run " << k;
+    EXPECT_EQ(runs[k].mask, runs[0].mask) << "run " << k;
+    EXPECT_EQ(runs[k].postfab, runs[0].postfab) << "run " << k;
+    EXPECT_EQ(runs[k].postfab_std, runs[0].postfab_std) << "run " << k;
+  }
 }
 
 TEST(api_session, summary_records_recipe_provenance) {

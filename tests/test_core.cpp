@@ -648,6 +648,41 @@ TEST(process_window, scan_covers_the_grid) {
   EXPECT_DOUBLE_EQ(window[5].dose, 1.05);
 }
 
+TEST(process_window, foms_match_scan_problems_with_their_own_reference_solve) {
+  // The window reuses the parent's input powers instead of re-solving the
+  // reference per scan point; the reference depends on the device alone, so
+  // the FoMs must equal those of independently built problems.
+  auto& p = bend_problem();
+  const dvec theta = concentrated_init(p);
+  array2d<double> rho;
+  p.parameterization().forward(theta, rho);
+  const array2d<double> mask = binarize(rho);
+
+  const dvec defocus{0.0, 0.15};
+  const dvec dose{0.95, 1.05};
+  const auto window = litho_process_window(p, mask, defocus, dose);
+  ASSERT_EQ(window.size(), 4u);
+
+  eval_options o;
+  o.fab_aware = true;
+  o.hard_etch = true;
+  o.dense_objectives = false;
+  o.compute_gradient = false;
+  for (const auto& pt : window) {
+    fab_context ctx = p.fab();
+    ctx.litho = {std::make_shared<const fab::hopkins_litho>(
+        ctx.litho_cfg, fab::litho_corner_params{pt.defocus_um, pt.dose},
+        p.spec().design.nx + 2 * ctx.halo, p.spec().design.ny + 2 * ctx.halo)};
+    ctx.space.num_litho_corners = 1;
+    const design_problem scanned(p.spec(), p.shared_parameterization(), std::move(ctx));
+    for (std::size_t e = 0; e < p.spec().excitations.size(); ++e)
+      EXPECT_EQ(scanned.input_power(e), p.input_power(e));
+    const auto ev = scanned.evaluate_pattern(mask, nominal_corner(scanned), o);
+    EXPECT_EQ(pt.fom, scanned.fom_of(ev.metrics))
+        << "defocus " << pt.defocus_um << " dose " << pt.dose;
+  }
+}
+
 TEST(run, trajectory_can_be_disabled) {
   auto& p = bend_problem();
   run_options ro;

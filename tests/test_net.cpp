@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -450,6 +451,29 @@ TEST(http_server_lifecycle, ephemeral_ports_do_not_collide) {
   b.start();
   EXPECT_NE(a.port(), b.port());
   EXPECT_NE(a.port(), 0);
+}
+
+TEST(http_server_lifecycle, stop_right_after_start_joins_every_thread) {
+  // stop() straight after start() races workers that may not have reached
+  // their wait yet and an acceptor still entering accept(); every cycle must
+  // join all threads and release the listener. Odd cycles also hold an idle
+  // keep-alive connection open across the stop.
+  const auto noop = [](const http_request&) { return http_response{}; };
+  std::uint16_t last_port = 0;
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    http_server server({}, noop);
+    server.start();
+    std::unique_ptr<http_client> idle;
+    if (cycle % 2 == 1) {
+      idle = std::make_unique<http_client>(server.base_url());
+      EXPECT_EQ(idle->get("/x").status, 200);
+    }
+    server.stop();
+    EXPECT_FALSE(server.running());
+    last_port = server.port();
+  }
+  EXPECT_THROW(http_client("http://127.0.0.1:" + std::to_string(last_port)).get("/x"),
+               io_error);
 }
 
 TEST(http_server_lifecycle, queue_overflow_answers_503) {

@@ -655,8 +655,6 @@ TEST(control_plane, routes_actions_and_rejects_abuse_with_structured_errors) {
   const io::json_value metrics = io::json_value::parse(
       answer(handler, make_request("GET", "/v1/metrics")).body);
   EXPECT_NE(metrics.find("campaigns"), nullptr);
-  EXPECT_NE(metrics.find("engine_cache"), nullptr);
-  EXPECT_NE(metrics.find("nearby_reuse"), nullptr);
   EXPECT_GE(metrics.at("requests").as_number(), 1.0);
 
   // Malformed and invalid submissions: structured 4xx, nothing registered.
@@ -784,9 +782,9 @@ TEST(control_plane, prometheus_exposition_serves_request_series) {
   EXPECT_NE(res.body.find("boson_http_request_seconds_bucket{endpoint=\"healthz\","),
             std::string::npos);
 
-  // The migrated sim counters and the service gauges ride the same page.
-  EXPECT_NE(res.body.find("boson_sim_engine_cache_hits"), std::string::npos);
-  EXPECT_NE(res.body.find("boson_sim_reuse_prepares_avoided"), std::string::npos);
+  // The sim counters and the service gauges ride the same page.
+  EXPECT_NE(res.body.find("boson_sim_reuse_refinement_iterations"), std::string::npos);
+  EXPECT_NE(res.body.find("boson_sim_reuse_fallbacks"), std::string::npos);
   EXPECT_NE(res.body.find("# TYPE boson_service_campaigns_running gauge"),
             std::string::npos);
 

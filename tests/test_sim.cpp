@@ -1,7 +1,7 @@
 // Tests for the simulation-engine layer: backend selection and agreement,
-// batched multi-RHS solves, the LRU operator cache, per-thread workspace
-// reuse, and determinism of the Monte-Carlo protocol under varying
-// BOSON_THREADS.
+// batched multi-RHS solves, nearby-operator engines, per-thread workspace
+// reuse, and the Monte-Carlo protocol's nominal preconditioner and
+// determinism under varying BOSON_THREADS.
 
 #include <gtest/gtest.h>
 
@@ -9,13 +9,16 @@
 #include <cstdlib>
 #include <memory>
 
+#include "common/rng.h"
 #include "core/evaluate.h"
 #include "core/methods.h"
 #include "devices/builders.h"
 #include "fab/temperature.h"
 #include "fdfd/source.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "robust/sampler.h"
 #include "sim/backend.h"
-#include "sim/cache.h"
 #include "sim/engine.h"
 #include "sim/workspace.h"
 
@@ -159,73 +162,11 @@ TEST(engine, iterative_backend_reports_nonconvergence) {
                numeric_error);
 }
 
-// ---------------------------------------------------------------- cache ----
-
-TEST(cache, hit_miss_and_lru_eviction) {
-  const waveguide_fixture f;
-  const auto s = settings_for(sim::backend_kind::banded);
-  sim::engine_cache cache(2);
-
-  array2d<double> eps_a = f.eps;
-  array2d<double> eps_b = f.eps;
-  eps_b(0, 0) += 0.5;
-  array2d<double> eps_c = f.eps;
-  eps_c(1, 1) += 0.5;
-
-  const auto a1 = cache.acquire(f.g, f.pml, k0_default, eps_a, s);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  const auto a2 = cache.acquire(f.g, f.pml, k0_default, eps_a, s);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(a1.get(), a2.get()) << "hit must return the shared engine";
-
-  (void)cache.acquire(f.g, f.pml, k0_default, eps_b, s);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-
-  // Third distinct operator exceeds capacity 2: the least-recently-used
-  // entry (eps_a, acquired before eps_b) is evicted.
-  (void)cache.acquire(f.g, f.pml, k0_default, eps_c, s);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  (void)cache.acquire(f.g, f.pml, k0_default, eps_b, s);
-  EXPECT_EQ(cache.stats().hits, 2u) << "eps_b must still be resident";
-  (void)cache.acquire(f.g, f.pml, k0_default, eps_a, s);
-  EXPECT_EQ(cache.stats().misses, 4u) << "eps_a was evicted and must rebuild";
-
-  cache.clear();
-  const auto st = cache.stats();
-  EXPECT_EQ(st.entries, 0u);
-  EXPECT_EQ(st.hits + st.misses + st.evictions, 0u);
-}
-
-TEST(cache, key_separates_k0_and_backend_settings) {
-  const waveguide_fixture f;
-  sim::engine_cache cache(8);
-  (void)cache.acquire(f.g, f.pml, k0_default, f.eps,
-                      settings_for(sim::backend_kind::banded));
-  (void)cache.acquire(f.g, f.pml, 1.1 * k0_default, f.eps,
-                      settings_for(sim::backend_kind::banded));
-  (void)cache.acquire(f.g, f.pml, k0_default, f.eps,
-                      settings_for(sim::backend_kind::bicgstab));
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(cache, cached_engine_reproduces_fresh_solution) {
-  const waveguide_fixture f;
-  sim::engine_cache cache(2);
-  const auto s = settings_for(sim::backend_kind::banded);
-  const auto cached = cache.acquire(f.g, f.pml, k0_default, f.eps, s);
-  const auto again = cache.acquire(f.g, f.pml, k0_default, f.eps, s);
-  const sim::simulation_engine fresh(f.g, f.pml, k0_default, f.eps, s);
-  const auto current = f.point_source(14, f.g.ny / 2);
-  const auto a = again->solve_excitation(current);
-  const auto b = fresh.solve_excitation(current);
-  EXPECT_LT(max_diff(a, b), 1e-12 * (1.0 + max_abs(b)));
-}
-
 // ---------------------------------------------------- nearby-operator reuse ----
+
+std::uint64_t counter_total(const char* name) {
+  return obs::registry::global().counter_total(name);
+}
 
 TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
   const waveguide_fixture f;
@@ -256,9 +197,11 @@ TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
     corners.push_back(both);
   }
 
-  const auto before = sim::reuse_statistics();
+  const std::uint64_t iterations_before = counter_total("sim.reuse.refinement_iterations");
+  const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
   for (std::size_t k = 0; k < corners.size(); ++k) {
     const sim::simulation_engine reused(nominal, corners[k]);
+    EXPECT_STREQ(reused.backend_name(), "banded-reuse");
     const sim::simulation_engine fresh(f.g, f.pml, k0_default, corners[k], s);
     const auto a = reused.solve_excitation(current);
     const auto b = fresh.solve_excitation(current);
@@ -266,124 +209,32 @@ TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
     ASSERT_GT(scale, 0.0);
     EXPECT_LT(max_diff(a, b), 1e-6 * scale) << "corner " << k;
   }
-  const auto after = sim::reuse_statistics();
-  EXPECT_GE(after.refinement_solves - before.refinement_solves, corners.size());
-  EXPECT_EQ(after.fallbacks - before.fallbacks, 0u)
+  EXPECT_GE(counter_total("sim.reuse.refinement_iterations") - iterations_before,
+            corners.size());
+  EXPECT_EQ(counter_total("sim.reuse.fallbacks") - fallbacks_before, 0u)
       << "every corner must be served by the nominal factorization";
 }
 
 TEST(reuse, large_perturbation_triggers_counted_fallback_and_still_agrees) {
   const waveguide_fixture f;
-  auto s = settings_for(sim::backend_kind::banded);
-  s.reuse_max_iterations = 2;  // starve the outer loop so refinement cannot win
+  const auto s = settings_for(sim::backend_kind::banded);
   const auto nominal = std::make_shared<const sim::simulation_engine>(
       f.g, f.pml, k0_default, f.eps, s);
 
+  // A distant operator: the nominal LU no longer clusters the spectrum
+  // enough for the outer loop's iteration cap.
   array2d<double> eps2 = f.eps;
-  const double eps_si = fab::eps_si(300.0);
-  for (std::size_t ix = 4; ix < f.g.nx - 4; ix += 2)  // many full-contrast flips
-    eps2(ix, f.g.ny / 2 - 7) = eps_si;
+  for (auto& v : eps2) v += 6.0;
 
-  const auto before = sim::reuse_statistics();
+  const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
   const sim::simulation_engine reused(nominal, eps2);
   const auto current = f.point_source(14, f.g.ny / 2);
   const auto a = reused.solve_excitation(current);
-  const auto after = sim::reuse_statistics();
-  EXPECT_GE(after.fallbacks - before.fallbacks, 1u);
+  EXPECT_GE(counter_total("sim.reuse.fallbacks") - fallbacks_before, 1u);
 
   const sim::simulation_engine fresh(f.g, f.pml, k0_default, eps2, s);
   const auto b = fresh.solve_excitation(current);
-  EXPECT_LT(max_diff(a, b), 1e-10 * (1.0 + max_abs(b)))
-      << "the fallback path is a full re-prepare and must match it";
-}
-
-TEST(reuse, cache_serves_perturbed_operator_from_nominal_factorization) {
-  const waveguide_fixture f;
-  const auto s = settings_for(sim::backend_kind::banded);
-  sim::engine_cache cache(4);
-
-  const auto nom = cache.acquire(f.g, f.pml, k0_default, f.eps, s);
-  EXPECT_FALSE(nom->is_reuse());
-
-  array2d<double> eps2 = f.eps;
-  eps2(12, f.g.ny / 2 - 6) += 0.4;
-  const auto e2 = cache.acquire(f.g, f.pml, k0_default, eps2, s);
-  ASSERT_TRUE(e2->is_reuse());
-  EXPECT_EQ(e2->nominal().get(), nom.get());
-  EXPECT_EQ(cache.stats().reuse_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u) << "a reuse build is still a cache miss";
-
-  // A third perturbation whose best family match is the reuse engine must be
-  // rooted at that engine's nominal — preconditioners never stack.
-  array2d<double> eps3 = f.eps;
-  eps3(13, f.g.ny / 2 - 6) += 0.4;
-  const auto e3 = cache.acquire(f.g, f.pml, k0_default, eps3, s);
-  ASSERT_TRUE(e3->is_reuse());
-  EXPECT_EQ(e3->nominal().get(), nom.get());
-  EXPECT_EQ(cache.stats().reuse_hits, 2u);
-}
-
-TEST(reuse, perturbation_heuristic_rejects_distant_operators) {
-  const waveguide_fixture f;
-  const auto s = settings_for(sim::backend_kind::banded);
-  sim::engine_cache cache(4);
-  (void)cache.acquire(f.g, f.pml, k0_default, f.eps, s);
-
-  array2d<double> far = f.eps;
-  for (auto& v : far) v += 6.0;  // rms delta well above reuse_max_delta
-  const auto e = cache.acquire(f.g, f.pml, k0_default, far, s);
-  EXPECT_FALSE(e->is_reuse()) << "distant operators must get a full prepare";
-  EXPECT_EQ(cache.stats().reuse_hits, 0u);
-}
-
-TEST(reuse, boson_sim_reuse_env_disables_the_nearby_path) {
-  const waveguide_fixture f;
-  const auto s = settings_for(sim::backend_kind::banded);
-  array2d<double> eps2 = f.eps;
-  eps2(12, f.g.ny / 2 - 6) += 0.4;
-
-  ASSERT_EQ(setenv("BOSON_SIM_REUSE", "0", 1), 0);
-  EXPECT_FALSE(sim::operator_reuse_enabled());
-  {
-    sim::engine_cache cache(4);
-    (void)cache.acquire(f.g, f.pml, k0_default, f.eps, s);
-    const auto e = cache.acquire(f.g, f.pml, k0_default, eps2, s);
-    EXPECT_FALSE(e->is_reuse());
-    EXPECT_EQ(cache.stats().reuse_hits, 0u);
-  }
-  unsetenv("BOSON_SIM_REUSE");
-  EXPECT_TRUE(sim::operator_reuse_enabled());
-  {
-    sim::engine_cache cache(4);
-    (void)cache.acquire(f.g, f.pml, k0_default, f.eps, s);
-    const auto e = cache.acquire(f.g, f.pml, k0_default, eps2, s);
-    EXPECT_TRUE(e->is_reuse());
-  }
-}
-
-TEST(reuse, repeated_excitation_batch_is_served_from_the_solution_memo) {
-  const waveguide_fixture f;
-  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps,
-                                      settings_for(sim::backend_kind::banded));
-  const auto current = f.point_source(14, f.g.ny / 2);
-  const auto before = sim::reuse_statistics();
-  const auto a = engine.solve_excitation(current);
-  const auto b = engine.solve_excitation(current);
-  const auto after = sim::reuse_statistics();
-  EXPECT_EQ(after.solution_reuses - before.solution_reuses, 1u);
-  EXPECT_EQ(max_diff(a, b), 0.0) << "memoized fields must be bit-identical";
-}
-
-TEST(reuse, krylov_backend_recycles_solutions_across_solves) {
-  const waveguide_fixture f;
-  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps,
-                                      settings_for(sim::backend_kind::gmres));
-  const auto before = sim::reuse_statistics();
-  (void)engine.solve_excitation(f.point_source(14, f.g.ny / 2));
-  (void)engine.solve_excitation(f.point_source(20, f.g.ny / 2 + 2));
-  const auto after = sim::reuse_statistics();
-  EXPECT_GE(after.recycle_guesses - before.recycle_guesses, 1u)
-      << "the second solve must start from the recycled subspace";
+  EXPECT_EQ(max_diff(a, b), 0.0) << "the fallback path is a full re-prepare and must match it";
 }
 
 // ------------------------------------------------------------ workspace ----
@@ -453,17 +304,58 @@ TEST(integration, postfab_monte_carlo_is_deterministic_across_thread_counts) {
 
   ASSERT_EQ(setenv("BOSON_THREADS", "1", 1), 0);
   const core::mc_stats serial = core::postfab_monte_carlo(problem, mask, 6, 99);
-  ASSERT_EQ(setenv("BOSON_THREADS", "4", 1), 0);
-  const core::mc_stats threaded = core::postfab_monte_carlo(problem, mask, 6, 99);
+  for (const char* threads : {"2", "4"}) {
+    ASSERT_EQ(setenv("BOSON_THREADS", threads, 1), 0);
+    const core::mc_stats threaded = core::postfab_monte_carlo(problem, mask, 6, 99);
+    EXPECT_DOUBLE_EQ(serial.fom_mean, threaded.fom_mean) << threads;
+    EXPECT_DOUBLE_EQ(serial.fom_std, threaded.fom_std) << threads;
+    EXPECT_DOUBLE_EQ(serial.fom_min, threaded.fom_min) << threads;
+    EXPECT_DOUBLE_EQ(serial.fom_max, threaded.fom_max) << threads;
+    ASSERT_EQ(serial.metric_means.size(), threaded.metric_means.size());
+    for (const auto& [name, value] : serial.metric_means)
+      EXPECT_DOUBLE_EQ(value, threaded.metric_means.at(name)) << name << " " << threads;
+  }
   unsetenv("BOSON_THREADS");
+}
 
-  EXPECT_DOUBLE_EQ(serial.fom_mean, threaded.fom_mean);
-  EXPECT_DOUBLE_EQ(serial.fom_std, threaded.fom_std);
-  EXPECT_DOUBLE_EQ(serial.fom_min, threaded.fom_min);
-  EXPECT_DOUBLE_EQ(serial.fom_max, threaded.fom_max);
-  ASSERT_EQ(serial.metric_means.size(), threaded.metric_means.size());
-  for (const auto& [name, value] : serial.metric_means)
-    EXPECT_DOUBLE_EQ(value, threaded.metric_means.at(name)) << name;
+TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
+  const core::design_problem problem =
+      core::make_problem(dev::make_bend(0.1), true, fast_config());
+  array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
+  for (std::size_t i = 0; i < mask.nx(); ++i)
+    for (std::size_t j = mask.ny() / 3; j < 2 * mask.ny() / 3; ++j) mask(i, j) = 1.0;
+  constexpr std::size_t samples = 5;
+  constexpr std::uint64_t seed = 17;
+
+  obs::trace_collector collector;
+  obs::set_global_trace(&collector);
+  const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
+  const core::mc_stats mc = core::postfab_monte_carlo(problem, mask, samples, seed);
+  obs::set_global_trace(nullptr);
+  std::size_t factorizations = 0;
+  std::size_t nearby = 0;
+  for (const auto& e : collector.events()) {
+    factorizations += e.name == "sim.factorize";
+    for (const auto& [key, value] : e.args)
+      nearby += e.name == "sim.solve" && key == "backend" && value == "banded-reuse";
+  }
+  EXPECT_EQ(nearby, samples) << "every sample solves through the nominal factorization";
+  EXPECT_EQ(factorizations, 1 + counter_total("sim.reuse.fallbacks") - fallbacks_before);
+
+  // The samples agree with fully factored evaluations of the same draws.
+  const rng base(seed);
+  double fom_sum = 0.0;
+  for (std::size_t s = 0; s < samples; ++s) {
+    rng r = base.fork(s);
+    const robust::variation_corner corner =
+        robust::random_corner(r, problem.fab().space, "mc" + std::to_string(s));
+    core::eval_options o;
+    o.hard_etch = true;
+    o.dense_objectives = false;
+    o.compute_gradient = false;
+    fom_sum += problem.fom_of(problem.evaluate_pattern(mask, corner, o).metrics);
+  }
+  EXPECT_NEAR(mc.fom_mean, fom_sum / samples, 1e-8);
 }
 
 TEST(integration, evaluate_agrees_across_backends) {

@@ -516,88 +516,5 @@ TEST(krylov, nominal_lu_preconditioner_resolves_diagonal_perturbation_quickly) {
   EXPECT_LT(worst, 1e-8 * (1.0 + la::nrm2(b)));
 }
 
-// --------------------------------------------------------- recycle space ----
-
-TEST(recycle, empty_or_mismatched_space_guesses_zero) {
-  recycle_space space(4);
-  EXPECT_EQ(space.size(), 0u);
-  EXPECT_EQ(space.capacity(), 4u);
-  const cvec g0 = space.guess(cvec(10, cplx{1.0}));
-  ASSERT_EQ(g0.size(), 10u);
-  for (const auto& v : g0) EXPECT_EQ(v, cplx{});
-
-  const auto a = random_banded_csr(10, 2, 930, 5.0);
-  cvec u(10, cplx{1.0});
-  space.add(u, a.matvec(u));
-  EXPECT_EQ(space.size(), 1u);
-  const cvec g1 = space.guess(cvec(7, cplx{1.0}));  // wrong length
-  ASSERT_EQ(g1.size(), 7u);
-  for (const auto& v : g1) EXPECT_EQ(v, cplx{});
-}
-
-TEST(recycle, repeated_rhs_is_served_from_the_space) {
-  const std::size_t n = 40;
-  const auto a = random_banded_csr(n, 3, 940, 6.0);
-  rng r(941);
-  cvec b(n);
-  for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  cvec x;
-  ASSERT_TRUE(gmres(a, b, x, nullptr, 40, 1e-12, 4000).converged);
-
-  recycle_space space(4);
-  space.add(x, a.matvec(x));
-  const cvec guess = space.guess(b);
-  cvec residual = a.matvec(guess);
-  for (std::size_t i = 0; i < n; ++i) residual[i] = b[i] - residual[i];
-  // The recycled projection leaves the residual orthogonal to span(w); for a
-  // repeated right-hand side it starts essentially at the answer.
-  EXPECT_LT(la::nrm2(residual), 1e-9 * la::nrm2(b));
-}
-
-TEST(recycle, orthonormalization_discards_dependent_directions_and_evicts_fifo) {
-  const std::size_t n = 20;
-  const auto a = random_banded_csr(n, 2, 950, 5.0);
-  rng r(951);
-  recycle_space space(2);
-
-  cvec u1(n);
-  for (auto& v : u1) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  space.add(u1, a.matvec(u1));
-  EXPECT_EQ(space.size(), 1u);
-  space.add(u1, a.matvec(u1));  // same direction again: discarded
-  EXPECT_EQ(space.size(), 1u);
-
-  cvec u2(n), u3(n);
-  for (auto& v : u2) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  for (auto& v : u3) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  space.add(u2, a.matvec(u2));
-  EXPECT_EQ(space.size(), 2u);
-  space.add(u3, a.matvec(u3));  // capacity 2: the oldest pair is dropped
-  EXPECT_EQ(space.size(), 2u);
-
-  space.clear();
-  EXPECT_EQ(space.size(), 0u);
-}
-
-TEST(recycle, guess_warm_start_cuts_gmres_iterations_on_a_nearby_rhs) {
-  const std::size_t n = 80;
-  const auto a = random_banded_csr(n, 4, 960, 4.0);
-  rng r(961);
-  cvec b(n);
-  for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  cvec x_cold;
-  const auto cold = gmres(a, b, x_cold, nullptr, 60, 1e-10, 4000);
-  ASSERT_TRUE(cold.converged);
-
-  recycle_space space(4);
-  space.add(x_cold, a.matvec(x_cold));
-  cvec b2 = b;  // a small perturbation of the previous right-hand side
-  for (auto& v : b2) v += cplx(1e-3 * r.uniform(-1, 1), 1e-3 * r.uniform(-1, 1));
-  cvec x_warm = space.guess(b2);
-  const auto warm = gmres(a, b2, x_warm, nullptr, 60, 1e-10, 4000);
-  ASSERT_TRUE(warm.converged);
-  EXPECT_LT(warm.iterations, cold.iterations);
-}
-
 }  // namespace
 }  // namespace boson::sp

@@ -29,8 +29,8 @@
 // writes one artifact directory per experiment (summary.json,
 // trajectory.csv, mask.pgm, plus spectrum / process-window CSVs when those
 // evaluation steps are planned). Progress streams through common/log on
-// stderr; result tables go to stdout. BOSON_BENCH_SCALE, BOSON_THREADS,
-// BOSON_BACKEND and BOSON_SIM_CACHE apply as everywhere else.
+// stderr; result tables go to stdout. BOSON_BENCH_SCALE, BOSON_THREADS and
+// BOSON_BACKEND apply as everywhere else.
 
 #include <chrono>
 #include <cstdio>
