@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.h"
@@ -143,15 +144,21 @@ TEST(corners, nominal_detection) {
   EXPECT_FALSE(c.is_nominal());
 }
 
+// GoogleTest names each case by the raw bytes of its parameter; the explicit
+// tag fills what would otherwise be uninitialized padding, so the case names
+// are the same on every run (see device_case in test_devices_io.cpp).
 struct strategy_case {
   robust::sampling_strategy strategy;
+  std::uint32_t name_tag;
   std::size_t expected_count;
 };
+static_assert(sizeof(strategy_case) == 16, "strategy_case must have no padding");
 
 class sampler_strategies : public ::testing::TestWithParam<strategy_case> {};
 
 TEST_P(sampler_strategies, corner_count_matches_cost_model) {
-  const auto [strategy, expected] = GetParam();
+  const auto strategy = GetParam().strategy;
+  const std::size_t expected = GetParam().expected_count;
   robust::corner_sampler sampler(strategy, test_space());
   rng r(4);
   const auto corners = sampler.sample(r, std::nullopt);
@@ -163,12 +170,12 @@ TEST_P(sampler_strategies, corner_count_matches_cost_model) {
 
 INSTANTIATE_TEST_SUITE_P(
     strategies, sampler_strategies,
-    ::testing::Values(strategy_case{robust::sampling_strategy::nominal_only, 1},
-                      strategy_case{robust::sampling_strategy::axial_single, 4},
-                      strategy_case{robust::sampling_strategy::axial_double, 7},
-                      strategy_case{robust::sampling_strategy::exhaustive, 27},
-                      strategy_case{robust::sampling_strategy::axial_plus_random, 8},
-                      strategy_case{robust::sampling_strategy::axial_plus_worst, 8}));
+    ::testing::Values(strategy_case{robust::sampling_strategy::nominal_only, 0x55ec, 1},
+                      strategy_case{robust::sampling_strategy::axial_single, 0x55ec, 4},
+                      strategy_case{robust::sampling_strategy::axial_double, 0x55ec, 7},
+                      strategy_case{robust::sampling_strategy::exhaustive, 0, 27},
+                      strategy_case{robust::sampling_strategy::axial_plus_random, 0, 8},
+                      strategy_case{robust::sampling_strategy::axial_plus_worst, 0, 8}));
 
 TEST(sampler, axial_double_covers_all_axes_both_sides) {
   robust::corner_sampler sampler(robust::sampling_strategy::axial_double, test_space());
