@@ -1,16 +1,17 @@
 // Microbenchmarks (google-benchmark) of the computational kernels behind the
-// inverse-design loop: banded LU factorization/solve (the FDFD direct
-// solver), single- vs multi-RHS substitution, the direct and iterative
-// simulation-engine backends, the FFT convolution engine, the Hopkins
-// lithography model's forward/backward passes, slab mode solving and one
-// full pipeline evaluation. These quantify where an optimization iteration's
-// time goes. After the google-benchmark run the driver times the solver
-// comparisons (single vs multi RHS, backend split) with a wall clock and
-// writes them to BENCH_solvers.json so the performance trajectory is
-// recorded run over run.
+// inverse-design loop: the nested-dissection LU (the FDFD direct solver)
+// against the banded LU test oracle, single- vs multi-RHS substitution, the
+// simulation engine's prepare/solve split, the FFT convolution engine, the
+// Hopkins lithography model's forward/backward passes, slab mode solving and
+// one full pipeline evaluation. These quantify where an optimization
+// iteration's time goes. After the google-benchmark run the program times the
+// solver comparisons (factorization scaling, single vs multi RHS, engine
+// split) with a wall clock and writes them to BENCH_solvers.json so the
+// performance trajectory is recorded run over run.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -32,10 +33,10 @@
 #include "runtime/journal.h"
 #include "runtime/lease.h"
 #include "runtime/scheduler.h"
-#include "sim/backend.h"
 #include "sim/engine.h"
 #include "store/segment_log.h"
 #include "sparse/banded.h"
+#include "sparse/multifrontal.h"
 
 namespace {
 
@@ -67,6 +68,39 @@ void bm_banded_lu(benchmark::State& state) {
 }
 BENCHMARK(bm_banded_lu)->Arg(32)->Arg(48)->Arg(64)->Arg(88)->Unit(benchmark::kMillisecond);
 
+// ------------------------------------------------- nested-dissection LU ----
+
+/// Random complex 5-point operator on a side x side grid (unknown ix*side+iy).
+sp::csr_c random_grid_operator(std::size_t side, rng& r) {
+  std::vector<sp::triplet<cplx>> t;
+  for (std::size_t ix = 0; ix < side; ++ix) {
+    for (std::size_t iy = 0; iy < side; ++iy) {
+      const std::size_t i = ix * side + iy;
+      t.push_back({i, i, cplx(4.0 + r.uniform(0, 1), 1.0)});
+      if (iy + 1 < side) t.push_back({i, i + 1, cplx(-1.0, 0.0)});
+      if (iy >= 1) t.push_back({i, i - 1, cplx(-1.0, 0.0)});
+      if (ix + 1 < side) t.push_back({i, i + side, cplx(-1.0, 0.0)});
+      if (ix >= 1) t.push_back({i, i - side, cplx(-1.0, 0.0)});
+    }
+  }
+  return sp::csr_c(side * side, side * side, std::move(t));
+}
+
+/// Factor + one solve, like bm_banded_lu; 176 is the 0.025 um-resolution
+/// scaling point of the 88x88 bend.
+void bm_grid_lu(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  rng r(7);
+  const sp::csr_c a = random_grid_operator(side, r);
+  const cvec b(side * side, cplx{1.0});
+  for (auto _ : state) {
+    const sp::grid_lu lu(side, side, a);
+    benchmark::DoNotOptimize(lu.solve(b));
+  }
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(side * side));
+}
+BENCHMARK(bm_grid_lu)->Arg(44)->Arg(88)->Arg(176)->Unit(benchmark::kMillisecond);
+
 // ----------------------------------------------- single vs multi RHS -------
 
 /// FDFD waveguide operator, factored once, plus a pool of right-hand sides.
@@ -94,55 +128,43 @@ struct solver_fixture {
   }
 };
 
-void bm_banded_solve_single_rhs(benchmark::State& state) {
+void bm_solve_single_rhs(benchmark::State& state) {
   static solver_fixture f;
   const auto nrhs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
     for (std::size_t k = 0; k < nrhs; ++k)
       benchmark::DoNotOptimize(f.solver->factorization().solve(f.rhs[k]));
 }
-BENCHMARK(bm_banded_solve_single_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_solve_single_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-void bm_banded_solve_multi_rhs(benchmark::State& state) {
+void bm_solve_multi_rhs(benchmark::State& state) {
   static solver_fixture f;
   const auto nrhs = static_cast<std::size_t>(state.range(0));
   const std::vector<cvec> batch(f.rhs.begin(),
                                 f.rhs.begin() + static_cast<std::ptrdiff_t>(nrhs));
   for (auto _ : state) benchmark::DoNotOptimize(f.solver->factorization().solve(batch));
 }
-BENCHMARK(bm_banded_solve_multi_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_solve_multi_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------------- engine backends ---------
+// ------------------------------------------------------ engine split ------
 
 void bm_engine_prepare(benchmark::State& state) {
   static solver_fixture f(64);
-  sim::engine_settings s;
-  s.backend = static_cast<sim::backend_kind>(state.range(0));
   for (auto _ : state) {
-    const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps, s);
+    const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps);
     benchmark::DoNotOptimize(engine.backend_name());
   }
 }
-BENCHMARK(bm_engine_prepare)
-    ->Arg(static_cast<int>(sim::backend_kind::banded))
-    ->Arg(static_cast<int>(sim::backend_kind::bicgstab))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_engine_prepare)->Unit(benchmark::kMillisecond);
 
 void bm_engine_solve(benchmark::State& state) {
   static solver_fixture f(64);
-  sim::engine_settings s;
-  s.backend = static_cast<sim::backend_kind>(state.range(0));
-  s.tol = 1e-8;
-  const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps, s);
+  const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps);
   array2d<cplx> current(f.g.nx, f.g.ny, cplx{});
   current(f.g.nx / 4, f.g.ny / 2) = cplx{1.0};
   for (auto _ : state) benchmark::DoNotOptimize(engine.solve_excitation(current));
 }
-BENCHMARK(bm_engine_solve)
-    ->Arg(static_cast<int>(sim::backend_kind::banded))
-    ->Arg(static_cast<int>(sim::backend_kind::bicgstab))
-    ->Arg(static_cast<int>(sim::backend_kind::gmres))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_engine_solve)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------- FDFD solve ----
 
@@ -275,14 +297,44 @@ BENCHMARK(bm_pipeline_evaluate)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- BENCH_solvers.json report ----
 
-/// Wall-clock the solver-level comparisons the microbenchmarks sample —
-/// single vs multi RHS through one factorization and the prepare/solve split
-/// of every backend — and write them to BENCH_solvers.json so the perf
-/// trajectory is recorded run to run.
+/// Wall-clock the solver-level comparisons the microbenchmarks sample — the
+/// FDFD factorization at 88x88 and 176x176, single vs multi RHS through one
+/// factorization, and the engine's prepare/solve split — and write them to
+/// BENCH_solvers.json so the perf trajectory is recorded run to run.
 io::json_value time_solvers() {
   io::json_value report = io::json_value::object();
 
-  {  // single- vs multi-RHS substitution through one banded factorization.
+  {  // factor + one solve of the FDFD waveguide operator (median of 5).
+    io::json_value sizes = io::json_value::object();
+    for (const std::size_t side : {std::size_t{88}, std::size_t{176}}) {
+      solver_fixture f(side, 1);
+      const sp::csr_c a = f.solver->assemble_csr();
+      dvec factor_s, solve_s;
+      std::size_t fill = 0;
+      for (int rep = 0; rep < 5; ++rep) {
+        stopwatch sw;
+        const sp::grid_lu lu(side, side, a);
+        factor_s.push_back(sw.seconds());
+        fill = lu.fill();
+        sw.reset();
+        benchmark::DoNotOptimize(lu.solve(f.rhs[0]));
+        solve_s.push_back(sw.seconds());
+      }
+      std::sort(factor_s.begin(), factor_s.end());
+      std::sort(solve_s.begin(), solve_s.end());
+      io::json_value j = io::json_value::object();
+      j["factor_seconds"] = factor_s[2];
+      j["solve_seconds"] = solve_s[2];
+      j["fill_entries"] = fill;
+      const std::string grid = std::to_string(side) + "x" + std::to_string(side);
+      sizes[grid] = std::move(j);
+      std::printf("nested-dissection LU (%s): factor %.3f ms, solve %.3f ms\n", grid.c_str(),
+                  1e3 * factor_s[2], 1e3 * solve_s[2]);
+    }
+    report["factorization"] = std::move(sizes);
+  }
+
+  {  // single- vs multi-RHS substitution through one factorization.
     solver_fixture f(88, 8);
     constexpr int reps = 10;
     stopwatch sw;
@@ -300,37 +352,30 @@ io::json_value time_solvers() {
     j["single_rhs_seconds"] = single_s;
     j["multi_rhs_seconds"] = multi_s;
     j["speedup"] = single_s / multi_s;
-    report["banded_multi_rhs"] = std::move(j);
+    report["multi_rhs"] = std::move(j);
     std::printf("multi-RHS (8 rhs, 88x88): %.3f ms vs %.3f ms single => %.2fx\n",
                 1e3 * multi_s, 1e3 * single_s, single_s / multi_s);
   }
 
-  {  // prepare + solve per backend on the same operator.
+  {  // engine prepare + solve on one operator.
     solver_fixture f(64);
     array2d<cplx> current(f.g.nx, f.g.ny, cplx{});
     current(f.g.nx / 4, f.g.ny / 2) = cplx{1.0};
+    stopwatch sw;
+    const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps);
+    const double prepare_s = sw.seconds();
+    constexpr int reps = 5;
+    sw.reset();
+    for (int rep = 0; rep < reps; ++rep) benchmark::DoNotOptimize(engine.solve_excitation(current));
+    const double solve_s = sw.seconds() / reps;
+    io::json_value j = io::json_value::object();
+    j["prepare_seconds"] = prepare_s;
+    j["solve_seconds"] = solve_s;
     io::json_value backends = io::json_value::object();
-    for (const auto kind : {sim::backend_kind::banded, sim::backend_kind::bicgstab,
-                            sim::backend_kind::gmres}) {
-      sim::engine_settings s;
-      s.backend = kind;
-      s.tol = 1e-8;
-      stopwatch sw;
-      const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps, s);
-      const double prepare_s = sw.seconds();
-      constexpr int reps = 5;
-      sw.reset();
-      for (int rep = 0; rep < reps; ++rep)
-        benchmark::DoNotOptimize(engine.solve_excitation(current));
-      const double solve_s = sw.seconds() / reps;
-      io::json_value j = io::json_value::object();
-      j["prepare_seconds"] = prepare_s;
-      j["solve_seconds"] = solve_s;
-      backends[sim::to_string(kind)] = std::move(j);
-      std::printf("backend %-9s (64x64): prepare %.3f ms, solve %.3f ms\n",
-                  sim::to_string(kind), 1e3 * prepare_s, 1e3 * solve_s);
-    }
+    backends[engine.backend_name()] = std::move(j);
     report["backends"] = std::move(backends);
+    std::printf("backend %-9s (64x64): prepare %.3f ms, solve %.3f ms\n", engine.backend_name(),
+                1e3 * prepare_s, 1e3 * solve_s);
   }
 
   return report;

@@ -12,7 +12,6 @@
 #include "common/timer.h"
 #include "io/csv.h"
 #include "io/pgm.h"
-#include "sim/backend.h"
 
 namespace boson::api {
 
@@ -67,8 +66,6 @@ core::experiment_config session::config_for(const experiment_spec& spec) {
   cfg.record_trajectory = spec.record_trajectory;
   cfg.objective_override =
       registry::global().objective(spec.objective).override_metric;
-  if (spec.backend != "default")
-    cfg.engine.backend = sim::backend_from_string(spec.backend);
   for (const eval_step& step : spec.evaluation)
     if (step.kind == eval_step::step_kind::postfab_monte_carlo)
       cfg.mc_samples = step.samples;

@@ -1,11 +1,11 @@
 #include "api/spec.h"
 
+#include <cctype>
 #include <cmath>
 
 #include "api/registry.h"
 #include "common/error.h"
 #include "common/text.h"
-#include "sim/backend.h"
 
 namespace boson::api {
 
@@ -60,7 +60,6 @@ io::json_value experiment_spec::to_json() const {
   run["relax_epochs"] = relax_epochs;
   run["learning_rate"] = learning_rate;
   run["seed"] = static_cast<double>(seed);
-  run["backend"] = backend;
   run["record_trajectory"] = record_trajectory;
 
   // litho.pixel is intentionally absent: the fabrication context derives the
@@ -150,6 +149,17 @@ dvec read_number_array(const io::json_value& v, const std::string& path) {
   for (std::size_t i = 0; i < v.elements().size(); ++i)
     out.push_back(read_number(v.elements()[i], path + "[" + std::to_string(i) + "]"));
   return out;
+}
+
+/// `run.backend` once chose among the banded direct solver and two Krylov
+/// methods; it is still validated against those names, then ignored.
+void check_retired_backend(const std::string& name) {
+  std::string lower = name;
+  for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (const char* known : {"default", "banded", "direct", "lu", "bicgstab", "gmres"})
+    if (lower == known) return;
+  spec_fail("'run.backend' must be one of default, banded, bicgstab, gmres (got '" + name +
+            "')");
 }
 
 const io::json_value& expect_object(const io::json_value& v, const std::string& path) {
@@ -311,7 +321,7 @@ experiment_spec experiment_spec::from_json(const io::json_value& v) {
         else if (rk == "relax_epochs") spec.relax_epochs = read_count(rv, path);
         else if (rk == "learning_rate") spec.learning_rate = read_number(rv, path);
         else if (rk == "seed") spec.seed = static_cast<std::uint64_t>(read_count(rv, path));
-        else if (rk == "backend") spec.backend = read_string(rv, path);
+        else if (rk == "backend") check_retired_backend(read_string(rv, path));
         // Retired engine-cache switch: still accepted so older specs parse.
         else if (rk == "use_operator_cache") (void)read_bool(rv, path);
         else if (rk == "record_trajectory") spec.record_trajectory = read_bool(rv, path);
@@ -385,14 +395,6 @@ void validate(const experiment_spec& spec) {
   if (!(spec.learning_rate > 0.0))
     spec_fail("'run.learning_rate' must be positive, got " +
               io::json_value(spec.learning_rate).dump(-1));
-  if (spec.backend != "default") {
-    try {
-      (void)sim::backend_from_string(spec.backend);
-    } catch (const bad_argument&) {
-      spec_fail("'run.backend' must be one of default, banded, bicgstab, gmres (got '" +
-                spec.backend + "')");
-    }
-  }
 
   if (!(spec.litho.wavelength > 0.0)) spec_fail("'litho.wavelength' must be positive");
   if (!(spec.litho.energy_capture > 0.0) || spec.litho.energy_capture > 1.0)

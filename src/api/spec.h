@@ -68,8 +68,6 @@ struct experiment_spec {
   std::size_t relax_epochs = 20;
   double learning_rate = 0.05;
   std::uint64_t seed = 7;
-  std::string backend = "default";  ///< "default" follows BOSON_BACKEND, else
-                                    ///< "banded" | "bicgstab" | "gmres"
   bool record_trajectory = true;
 
   // Fabrication-model settings (the JSON schema exposes the knobs coarse

@@ -212,7 +212,7 @@ design_problem::solved_excitations design_problem::solve_excitations(
   }
 
   // All excitations of the corner share the prepared operator through one
-  // blocked multi-RHS substitution (direct backend) or one ILU setup.
+  // blocked multi-RHS substitution.
   out.fields = out.engine->solve_excitations(currents);
   for (auto& c : currents) ws.give_cgrid(std::move(c));
   return out;

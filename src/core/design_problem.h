@@ -68,13 +68,11 @@ struct eval_options {
   int morphology_shift = 0;
   double morphology_radius_cells = 1.2;
 
-  /// Linear-backend selection and iterative-solver controls for the FDFD
-  /// solves of this evaluation (the BOSON_BACKEND environment variable sets
-  /// the default backend).
+  /// Solver settings for the FDFD solves of this evaluation.
   sim::engine_settings engine;
 
   /// When set, this evaluation's operator is not factored: its solves are
-  /// preconditioned by this engine's banded LU (a nearby-operator engine,
+  /// preconditioned by this engine's LU (a nearby-operator engine,
   /// see `sim::make_nearby_backend`). The caller prepares it, typically at
   /// the nominal corner of the same mask, and it must share this problem's
   /// grid, PML and k0. `engine` is then ignored.

@@ -32,12 +32,10 @@ mc_stats postfab_monte_carlo(const design_problem& problem, const array2d<double
   o.compute_gradient = false;
   // Every sample perturbs the same mask's nominal operator (boundary pixels
   // through the litho/etch draw, the silicon permittivity through the
-  // temperature), so one nominal factorization preconditions them all; only
-  // the banded backend has a factorization to share.
+  // temperature), so one nominal factorization preconditions them all.
   robust::variation_corner nominal;
   nominal.xi.assign(problem.fab().space.eole_terms, 0.0);
-  if (o.engine.backend == sim::backend_kind::banded)
-    o.nominal_engine = problem.prepare_engine(mask, nominal, o);
+  o.nominal_engine = problem.prepare_engine(mask, nominal, o);
 
   std::vector<std::map<std::string, double>> metric_samples(num_samples);
   parallel_for(num_samples, [&](std::size_t s) {

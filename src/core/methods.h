@@ -81,8 +81,7 @@ struct experiment_config {
   fab::eole_settings eole;
   robust::variation_space space;
 
-  /// Linear-backend selection for the optimization's FDFD solves (defaults
-  /// follow the BOSON_BACKEND environment variable).
+  /// Solver settings for the optimization's FDFD solves.
   sim::engine_settings engine;
 
   /// Record the per-iteration trajectory in `run_result` (the Fig. 5

@@ -93,8 +93,7 @@ struct run_options {
   std::string objective_override;  ///< e.g. "fwd_transmission" for '-eff'
   bool record_trajectory = true;
 
-  /// Linear-backend selection for every FDFD solve of the run (the
-  /// BOSON_BACKEND environment variable sets the default backend).
+  /// Solver settings for every FDFD solve of the run.
   sim::engine_settings engine;
 
   /// Observer hook called after every iteration with the nominal-corner

@@ -46,26 +46,10 @@ stencil stencil_at(const grid2d& g, double k0, const array2d<double>& eps,
 }  // namespace
 
 void fdfd_solver::assemble_and_factor() const {
-  const std::size_t n = grid_.cell_count();
-  const std::size_t band = grid_.ny;
-  auto lu = std::make_unique<sp::banded_lu>(n, band, band);
-
-  for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
-    for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
-      const stencil st = stencil_at(grid_, k0_, eps_, sx_, sy_, ix, iy);
-      const std::size_t row = flat(ix, iy);
-      lu->add(row, row, st.diag);
-      if (ix + 1 < grid_.nx) lu->add(row, flat(ix + 1, iy), st.east);
-      if (ix > 0) lu->add(row, flat(ix - 1, iy), st.west);
-      if (iy + 1 < grid_.ny) lu->add(row, flat(ix, iy + 1), st.north);
-      if (iy > 0) lu->add(row, flat(ix, iy - 1), st.south);
-    }
-  }
-  lu->factor();
-  lu_ = std::move(lu);
+  lu_ = std::make_unique<sp::grid_lu>(grid_.nx, grid_.ny, assemble_csr());
 }
 
-const sp::banded_lu& fdfd_solver::factorization() const {
+const sp::grid_lu& fdfd_solver::factorization() const {
   if (!lu_) assemble_and_factor();
   return *lu_;
 }
@@ -135,11 +119,12 @@ sp::csr_c fdfd_solver::assemble_csr() const {
     for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
       const stencil st = stencil_at(grid_, k0_, eps_, sx_, sy_, ix, iy);
       const std::size_t row = flat(ix, iy);
-      entries.push_back({row, row, st.diag});
-      if (ix + 1 < grid_.nx) entries.push_back({row, flat(ix + 1, iy), st.east});
+      // Column order within the row, so the CSR build skips its sort.
       if (ix > 0) entries.push_back({row, flat(ix - 1, iy), st.west});
-      if (iy + 1 < grid_.ny) entries.push_back({row, flat(ix, iy + 1), st.north});
       if (iy > 0) entries.push_back({row, flat(ix, iy - 1), st.south});
+      entries.push_back({row, row, st.diag});
+      if (iy + 1 < grid_.ny) entries.push_back({row, flat(ix, iy + 1), st.north});
+      if (ix + 1 < grid_.nx) entries.push_back({row, flat(ix + 1, iy), st.east});
     }
   }
   return sp::csr_c(n, n, std::move(entries));

@@ -9,8 +9,8 @@
 #include "common/types.h"
 #include "grid/grid2d.h"
 #include "grid/pml.h"
-#include "sparse/banded.h"
 #include "sparse/csr.h"
+#include "sparse/multifrontal.h"
 
 namespace boson::fdfd {
 
@@ -23,10 +23,9 @@ using field_gradient = std::vector<std::pair<std::size_t, cplx>>;
 /// stretched-coordinate PML.
 ///
 /// The discrete operator is scaled by s_x(i) s_y(j) per row, which makes it
-/// *complex symmetric*; a single banded LU factorization therefore serves
-/// both the forward solve A e = b and every adjoint solve A lambda = g.
-/// Unknowns are ordered ix * ny + iy, so the bandwidth equals ny: build
-/// domains with the transverse (y) extent as the shorter axis when possible.
+/// *complex symmetric*; a single LU factorization (nested dissection, see
+/// `sp::grid_lu`) therefore serves both the forward solve A e = b and every
+/// adjoint solve A lambda = g. Unknowns are ordered ix * ny + iy.
 ///
 /// Units: lengths in um, c = eps0 = mu0 = 1, k0 = omega = 2 pi / lambda.
 class fdfd_solver {
@@ -61,14 +60,14 @@ class fdfd_solver {
                                const array2d<cplx>& adjoint_field,
                                array2d<double>& grad) const;
 
-  /// Assemble the same (scaled) operator in CSR form — used by tests to
-  /// verify residuals/symmetry and by the iterative solve path.
+  /// Assemble the same (scaled) operator in CSR form — the input of the
+  /// factorization, the nearby backend's operator, and the tests' residuals.
   sp::csr_c assemble_csr() const;
 
-  /// Banded LU of the scaled operator, assembling and factoring on first
-  /// use. Not thread-safe on the first call; sim::simulation_engine forces
-  /// the factorization eagerly before sharing a solver across threads.
-  const sp::banded_lu& factorization() const;
+  /// Nested-dissection LU of the scaled operator, assembling and factoring
+  /// on first use. Not thread-safe on the first call; sim::simulation_engine
+  /// forces the factorization eagerly before sharing a solver across threads.
+  const sp::grid_lu& factorization() const;
 
   /// Per-axis complex stretch profiles (exposed for monitors and tests).
   const stretch_profile& stretch_x() const { return sx_; }
@@ -84,7 +83,7 @@ class fdfd_solver {
   array2d<double> eps_;
   stretch_profile sx_;
   stretch_profile sy_;
-  mutable std::unique_ptr<sp::banded_lu> lu_;  // lazily factored
+  mutable std::unique_ptr<sp::grid_lu> lu_;  // lazily factored
 };
 
 }  // namespace boson::fdfd

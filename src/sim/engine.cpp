@@ -11,7 +11,7 @@ simulation_engine::simulation_engine(const grid2d& grid, const pml_spec& pml, do
     : pml_(pml),
       settings_(settings),
       solver_(grid, pml, k0, eps),
-      backend_(make_backend(solver_, settings_)) {}
+      backend_(make_backend(solver_)) {}
 
 simulation_engine::simulation_engine(std::shared_ptr<const simulation_engine> nominal,
                                      const array2d<double>& eps)

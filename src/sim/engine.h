@@ -1,8 +1,8 @@
 /// \file engine.h
 /// The simulation engine: one assembled FDFD operator (grid + PML + k0 +
-/// permittivity) prepared behind a pluggable linear backend. The engine
-/// batches all excitations and adjoints of one variation corner through a
-/// single preparation (multi-RHS substitution on the banded path), and is
+/// permittivity) prepared behind a linear backend. The engine batches all
+/// excitations and adjoints of one variation corner through a single
+/// factorization (blocked multi-RHS substitution), and is
 /// immutable after construction so one instance can serve several threads.
 
 #pragma once
@@ -21,14 +21,14 @@ namespace boson::sim {
 
 /// One prepared FDFD simulation: operator state plus a ready linear backend.
 /// All solve methods are const and thread-safe; construction does the
-/// expensive work (assembly + factorization / ILU setup) eagerly.
+/// expensive work (assembly + factorization) eagerly.
 class simulation_engine {
  public:
   simulation_engine(const grid2d& grid, const pml_spec& pml, double k0,
                     const array2d<double>& eps, engine_settings settings = {});
 
   /// Nearby operator: prepare `eps` without factoring it, serving solves
-  /// through `nominal`'s banded LU as the preconditioner of a short GMRES
+  /// through `nominal`'s LU as the preconditioner of a short GMRES
   /// outer loop (see `make_nearby_backend`). Grid, PML, k0 and settings are
   /// inherited from the nominal engine, which is kept alive for the lifetime
   /// of this one.

@@ -4,31 +4,9 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "sparse/kernels.h"
 
 namespace boson::sp {
-
-namespace {
-
-/// c[t] -= s[t] * a for t in [0, n): the shared inner loop of the
-/// factorization's rank-1 updates and of forward/back substitution. Written
-/// in explicit real arithmetic — the same products and sums as the complex
-/// expression, so results are bit-identical for finite values — because
-/// std::complex multiplies compile to scalar code with a NaN-recovery
-/// branch that blocks vectorization.
-inline void sub_scaled(cplx* dst, const cplx* src, cplx a, std::size_t n) {
-  double* __restrict__ d = reinterpret_cast<double*>(dst);
-  const double* __restrict__ s = reinterpret_cast<const double*>(src);
-  const double ar = a.real();
-  const double ai = a.imag();
-  for (std::size_t t = 0; t < n; ++t) {
-    const double sr = s[2 * t];
-    const double si = s[2 * t + 1];
-    d[2 * t] -= sr * ar - si * ai;
-    d[2 * t + 1] -= sr * ai + si * ar;
-  }
-}
-
-}  // namespace
 
 banded_lu::banded_lu(std::size_t n, std::size_t kl, std::size_t ku)
     : n_(n), kl_(kl), ku_(ku), ab_(n, 2 * kl + ku + 1, cplx{}), pivot_(n, 0) {

@@ -9,10 +9,10 @@
 namespace boson::sp {
 
 /// Complex banded matrix with LU factorization and partial pivoting, in the
-/// style of LAPACK's gbtrf/gbtrs. This is the direct solver behind every
-/// FDFD simulation: the 2-D Helmholtz operator with unknowns ordered along
-/// the shorter grid axis is banded with kl = ku = (transverse extent), and a
-/// banded LU factors it in O(n * kl * (kl + ku)) time.
+/// style of LAPACK's gbtrf/gbtrs. The test oracle of the nested-dissection
+/// `grid_lu` (and the `bm_banded_lu` microbenchmark): a 2-D grid operator
+/// with unknowns ix * ny + iy is banded with kl = ku = ny, and a banded LU
+/// factors it in O(n * kl * (kl + ku)) time.
 ///
 /// Storage reserves kl extra superdiagonals for pivoting fill, so entries may
 /// be set for column offsets j - i in [-kl, ku] and the factorization can

@@ -19,7 +19,7 @@ struct triplet {
 };
 
 /// Compressed-sparse-row matrix. Built once from triplets (duplicates are
-/// summed), then used for matvecs, ILU(0) and iterative solves.
+/// summed), then used for matvecs, factorization input and iterative solves.
 template <class T>
 class csr_matrix {
  public:
@@ -29,9 +29,11 @@ class csr_matrix {
       : rows_(rows), cols_(cols) {
     for (const auto& t : entries)
       require(t.row < rows && t.col < cols, "csr_matrix: entry out of range");
-    std::sort(entries.begin(), entries.end(), [](const triplet<T>& a, const triplet<T>& b) {
+    const auto row_major = [](const triplet<T>& a, const triplet<T>& b) {
       return a.row != b.row ? a.row < b.row : a.col < b.col;
-    });
+    };
+    if (!std::is_sorted(entries.begin(), entries.end(), row_major))
+      std::sort(entries.begin(), entries.end(), row_major);
     row_ptr_.assign(rows + 1, 0);
     col_.reserve(entries.size());
     val_.reserve(entries.size());

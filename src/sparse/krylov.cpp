@@ -7,164 +7,6 @@
 
 namespace boson::sp {
 
-ilu0::ilu0(const csr_c& a) : factors_(a), diag_(a.rows(), 0) {
-  require(a.rows() == a.cols(), "ilu0: matrix must be square");
-  const auto& row_ptr = factors_.row_ptr();
-  const auto& col = factors_.col_index();
-  auto& val = factors_.values();
-  const std::size_t n = factors_.rows();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    bool found = false;
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      if (col[k] == i) {
-        diag_[i] = k;
-        found = true;
-        break;
-      }
-    }
-    check_numeric(found, "ilu0: missing diagonal entry");
-  }
-
-  // IKJ-variant incomplete factorization restricted to the pattern of A.
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1] && col[k] < i; ++k) {
-      const std::size_t j = col[k];
-      const cplx pivot = val[diag_[j]];
-      check_numeric(std::abs(pivot) > 1e-300, "ilu0: zero pivot");
-      const cplx lij = val[k] / pivot;
-      val[k] = lij;
-      // Subtract lij * U(j, *) from row i, only where row i has entries.
-      std::size_t pj = diag_[j] + 1;
-      std::size_t pi = k + 1;
-      while (pj < row_ptr[j + 1] && pi < row_ptr[i + 1]) {
-        if (col[pj] == col[pi]) {
-          val[pi] -= lij * val[pj];
-          ++pj;
-          ++pi;
-        } else if (col[pj] < col[pi]) {
-          ++pj;
-        } else {
-          ++pi;
-        }
-      }
-    }
-  }
-}
-
-cvec ilu0::apply(const cvec& r) const {
-  const auto& row_ptr = factors_.row_ptr();
-  const auto& col = factors_.col_index();
-  const auto& val = factors_.values();
-  const std::size_t n = factors_.rows();
-  require(r.size() == n, "ilu0::apply: size mismatch");
-
-  cvec z = r;
-  // L z = r (unit lower triangular)
-  for (std::size_t i = 0; i < n; ++i) {
-    cplx acc = z[i];
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1] && col[k] < i; ++k)
-      acc -= val[k] * z[col[k]];
-    z[i] = acc;
-  }
-  // U x = z
-  for (std::size_t ii = n; ii-- > 0;) {
-    cplx acc = z[ii];
-    for (std::size_t k = diag_[ii] + 1; k < row_ptr[ii + 1]; ++k)
-      acc -= val[k] * z[col[k]];
-    z[ii] = acc / val[diag_[ii]];
-  }
-  return z;
-}
-
-krylov_result bicgstab(const csr_c& a, const cvec& b, cvec& x, const ilu0* precond,
-                       double tol, std::size_t max_iterations) {
-  require(a.rows() == a.cols(), "bicgstab: matrix must be square");
-  require(b.size() == a.rows(), "bicgstab: rhs size mismatch");
-  if (x.size() != b.size()) x.assign(b.size(), cplx{});
-
-  const double b_norm = la::nrm2(b);
-  krylov_result result;
-  if (b_norm == 0.0) {
-    x.assign(b.size(), cplx{});
-    result.converged = true;
-    return result;
-  }
-
-  cvec r = a.matvec(x);
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-  cvec r_hat = r;
-  cvec p(r.size(), cplx{});
-  cvec v(r.size(), cplx{});
-  cplx rho_prev{1.0};
-  cplx alpha{1.0};
-  cplx omega{1.0};
-
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    const cplx rho = la::dot(r_hat, r);
-    if (std::abs(rho) < 1e-300) break;  // breakdown
-    if (iter == 0) {
-      p = r;
-    } else {
-      const cplx beta = (rho / rho_prev) * (alpha / omega);
-      for (std::size_t i = 0; i < p.size(); ++i)
-        p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    const cvec p_hat = precond ? precond->apply(p) : p;
-    v = a.matvec(p_hat);
-    const cplx denom = la::dot(r_hat, v);
-    if (std::abs(denom) < 1e-300) break;
-    alpha = rho / denom;
-
-    cvec s = r;
-    for (std::size_t i = 0; i < s.size(); ++i) s[i] -= alpha * v[i];
-    if (la::nrm2(s) / b_norm < tol) {
-      for (std::size_t i = 0; i < x.size(); ++i) x[i] += alpha * p_hat[i];
-      result.converged = true;
-      result.iterations = iter + 1;
-      result.relative_residual = la::nrm2(s) / b_norm;
-      return result;
-    }
-
-    const cvec s_hat = precond ? precond->apply(s) : s;
-    const cvec t = a.matvec(s_hat);
-    const double t_norm2 = la::nrm2(t);
-    if (t_norm2 < 1e-300) break;
-    omega = la::dot(t, s) / (t_norm2 * t_norm2);
-
-    for (std::size_t i = 0; i < x.size(); ++i)
-      x[i] += alpha * p_hat[i] + omega * s_hat[i];
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = s[i] - omega * t[i];
-
-    const double rel = la::nrm2(r) / b_norm;
-    result.iterations = iter + 1;
-    result.relative_residual = rel;
-    if (rel < tol) {
-      result.converged = true;
-      return result;
-    }
-    if (std::abs(omega) < 1e-300) break;
-    rho_prev = rho;
-  }
-
-  // Report the final residual even when not converged.
-  cvec r_final = a.matvec(x);
-  for (std::size_t i = 0; i < r_final.size(); ++i) r_final[i] = b[i] - r_final[i];
-  result.relative_residual = la::nrm2(r_final) / b_norm;
-  result.converged = result.relative_residual < tol;
-  return result;
-}
-
-krylov_result gmres(const csr_c& a, const cvec& b, cvec& x, const ilu0* precond,
-                    std::size_t restart, double tol, std::size_t max_iterations) {
-  require(a.rows() == a.cols(), "gmres: matrix must be square");
-  require(b.size() == a.rows(), "gmres: rhs size mismatch");
-  const linear_op op = [&a](const cvec& v) { return a.matvec(v); };
-  linear_op m;
-  if (precond != nullptr) m = [precond](const cvec& r) { return precond->apply(r); };
-  return gmres(op, b, x, m, restart, tol, max_iterations);
-}
-
 krylov_result gmres(const linear_op& a, const cvec& b, cvec& x, const linear_op& precond,
                     std::size_t restart, double tol, std::size_t max_iterations) {
   require(static_cast<bool>(a), "gmres: operator required");

@@ -162,7 +162,6 @@ api::experiment_spec full_plan_spec() {
   spec.iterations = 12;
   spec.relax_epochs = 3;
   spec.seed = 99;
-  spec.backend = "gmres";
   spec.evaluation = {
       api::eval_step::monte_carlo(7),
       api::eval_step::sweep({1.53, 1.55}),
@@ -183,6 +182,18 @@ TEST(experiment_spec, retired_use_operator_cache_key_is_accepted_and_ignored) {
   EXPECT_THROW((void)api::experiment_spec::from_json(v), bad_argument);
 }
 
+TEST(experiment_spec, retired_backend_key_is_accepted_and_ignored) {
+  // Older specs still name one of the removed solver backends.
+  io::json_value v = full_plan_spec().to_json();
+  const std::string expected = v.dump();
+  for (const char* name : {"default", "banded", "direct", "LU", "BiCGSTAB", "gmres"}) {
+    v["run"]["backend"] = std::string(name);
+    EXPECT_EQ(api::experiment_spec::from_json(v).to_json().dump(), expected) << name;
+  }
+  v["run"]["backend"] = true;
+  EXPECT_THROW((void)api::experiment_spec::from_json(v), bad_argument);
+}
+
 TEST(experiment_spec, json_round_trip_is_identity) {
   const api::experiment_spec spec = full_plan_spec();
   const auto first = spec.to_json();
@@ -192,7 +203,6 @@ TEST(experiment_spec, json_round_trip_is_identity) {
 
   EXPECT_EQ(parsed.device, "isolator");
   EXPECT_EQ(parsed.method, "invfabcor_m_3");
-  EXPECT_EQ(parsed.backend, "gmres");
   EXPECT_EQ(parsed.seed, 99u);
   ASSERT_EQ(parsed.evaluation.size(), 3u);
   EXPECT_EQ(parsed.evaluation[0].samples, 7u);
@@ -427,13 +437,10 @@ struct counting_observer : api::observer {
 };
 
 TEST(api_session, config_for_maps_spec_fields) {
-  api::experiment_spec spec = smoke_spec();
-  spec.backend = "gmres";
-  const core::experiment_config cfg = api::session::config_for(spec);
+  const core::experiment_config cfg = api::session::config_for(smoke_spec());
   EXPECT_EQ(cfg.iterations, 4u);
   EXPECT_EQ(cfg.mc_samples, 2u);
   EXPECT_DOUBLE_EQ(cfg.resolution, 0.1);
-  EXPECT_EQ(cfg.engine.backend, sim::backend_kind::gmres);
   EXPECT_EQ(cfg.litho.kernel_half, 5u);
   EXPECT_EQ(cfg.eole.num_terms, 5u);
 }

@@ -1,4 +1,4 @@
-// Tests for the simulation-engine layer: backend selection and agreement,
+// Tests for the simulation-engine layer: direct/nearby backend agreement,
 // batched multi-RHS solves, nearby-operator engines, per-thread workspace
 // reuse, and the Monte-Carlo protocol's nominal preconditioner and
 // determinism under varying BOSON_THREADS.
@@ -52,12 +52,6 @@ struct waveguide_fixture {
   }
 };
 
-sim::engine_settings settings_for(sim::backend_kind kind) {
-  sim::engine_settings s;
-  s.backend = kind;
-  return s;
-}
-
 double max_abs(const array2d<cplx>& f) {
   double m = 0.0;
   for (const auto& v : f) m = std::max(m, std::abs(v));
@@ -71,57 +65,30 @@ double max_diff(const array2d<cplx>& a, const array2d<cplx>& b) {
   return m;
 }
 
-// -------------------------------------------------------------- backend ----
-
-TEST(backend, names_round_trip_and_aliases_parse) {
-  EXPECT_EQ(sim::backend_from_string("banded"), sim::backend_kind::banded);
-  EXPECT_EQ(sim::backend_from_string("direct"), sim::backend_kind::banded);
-  EXPECT_EQ(sim::backend_from_string("LU"), sim::backend_kind::banded);
-  EXPECT_EQ(sim::backend_from_string("BiCGSTAB"), sim::backend_kind::bicgstab);
-  EXPECT_EQ(sim::backend_from_string("gmres"), sim::backend_kind::gmres);
-  EXPECT_THROW(sim::backend_from_string("sparta"), bad_argument);
-  for (const auto kind : {sim::backend_kind::banded, sim::backend_kind::bicgstab,
-                          sim::backend_kind::gmres})
-    EXPECT_EQ(sim::backend_from_string(sim::to_string(kind)), kind);
-}
-
-TEST(backend, boson_backend_env_selects_default) {
-  unsetenv("BOSON_BACKEND");
-  EXPECT_EQ(sim::default_backend(), sim::backend_kind::banded);
-  ASSERT_EQ(setenv("BOSON_BACKEND", "gmres", 1), 0);
-  EXPECT_EQ(sim::default_backend(), sim::backend_kind::gmres);
-  EXPECT_EQ(sim::engine_settings{}.backend, sim::backend_kind::gmres);
-  ASSERT_EQ(setenv("BOSON_BACKEND", "bicgstab", 1), 0);
-  EXPECT_EQ(sim::default_backend(), sim::backend_kind::bicgstab);
-  unsetenv("BOSON_BACKEND");
-  EXPECT_EQ(sim::default_backend(), sim::backend_kind::banded);
-}
-
 // --------------------------------------------------------------- engine ----
 
 TEST(engine, all_backends_agree_on_pml_helmholtz_system) {
+  // The direct backend and the nearby backend (serving the nominal operator
+  // itself) solve one PML Helmholtz system; test_fdfd checks the direct
+  // factorization against the banded-LU oracle.
   const waveguide_fixture f;
   const auto current = f.point_source(14, f.g.ny / 2);
 
-  const sim::simulation_engine direct(f.g, f.pml, k0_default, f.eps,
-                                      settings_for(sim::backend_kind::banded));
-  const auto reference = direct.solve_excitation(current);
+  const auto direct =
+      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
+  EXPECT_STREQ(direct->backend_name(), "direct");
+  const auto reference = direct->solve_excitation(current);
   const double scale = max_abs(reference);
   ASSERT_GT(scale, 0.0);
 
-  for (const auto kind : {sim::backend_kind::bicgstab, sim::backend_kind::gmres}) {
-    const sim::simulation_engine iterative(f.g, f.pml, k0_default, f.eps,
-                                           settings_for(kind));
-    const auto field = iterative.solve_excitation(current);
-    EXPECT_LT(max_diff(field, reference), 1e-6 * scale)
-        << "backend " << sim::to_string(kind);
-  }
+  const sim::simulation_engine nearby(direct, f.eps);
+  EXPECT_STREQ(nearby.backend_name(), "nearby");
+  EXPECT_LT(max_diff(nearby.solve_excitation(current), reference), 1e-8 * scale);
 }
 
 TEST(engine, batched_excitations_match_individual_solves) {
   const waveguide_fixture f;
-  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps,
-                                      settings_for(sim::backend_kind::banded));
+  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps);
   const std::vector<array2d<cplx>> currents{f.point_source(12, f.g.ny / 2),
                                             f.point_source(20, f.g.ny / 2 + 2),
                                             f.point_source(27, f.g.ny / 2 - 3)};
@@ -136,8 +103,7 @@ TEST(engine, batched_excitations_match_individual_solves) {
 
 TEST(engine, batched_adjoints_match_fdfd_solver) {
   const waveguide_fixture f;
-  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps,
-                                      settings_for(sim::backend_kind::banded));
+  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps);
   const std::vector<fdfd::field_gradient> gradients{
       {{200, cplx{1.0, 0.5}}},
       {{310, cplx{-0.25, 0.0}}, {311, cplx{0.0, 1.0}}},
@@ -152,16 +118,6 @@ TEST(engine, batched_adjoints_match_fdfd_solver) {
   }
 }
 
-TEST(engine, iterative_backend_reports_nonconvergence) {
-  const waveguide_fixture f;
-  sim::engine_settings s = settings_for(sim::backend_kind::bicgstab);
-  s.tol = 1e-14;
-  s.max_iterations = 1;
-  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps, s);
-  EXPECT_THROW((void)engine.solve_excitation(f.point_source(14, f.g.ny / 2)),
-               numeric_error);
-}
-
 // ---------------------------------------------------- nearby-operator reuse ----
 
 std::uint64_t counter_total(const char* name) {
@@ -170,9 +126,8 @@ std::uint64_t counter_total(const char* name) {
 
 TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
   const waveguide_fixture f;
-  const auto s = settings_for(sim::backend_kind::banded);
-  const auto nominal = std::make_shared<const sim::simulation_engine>(
-      f.g, f.pml, k0_default, f.eps, s);
+  const auto nominal =
+      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
   const auto current = f.point_source(14, f.g.ny / 2);
   const double eps_si = fab::eps_si(300.0);
 
@@ -201,8 +156,8 @@ TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
   const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
   for (std::size_t k = 0; k < corners.size(); ++k) {
     const sim::simulation_engine reused(nominal, corners[k]);
-    EXPECT_STREQ(reused.backend_name(), "banded-reuse");
-    const sim::simulation_engine fresh(f.g, f.pml, k0_default, corners[k], s);
+    EXPECT_STREQ(reused.backend_name(), "nearby");
+    const sim::simulation_engine fresh(f.g, f.pml, k0_default, corners[k]);
     const auto a = reused.solve_excitation(current);
     const auto b = fresh.solve_excitation(current);
     const double scale = max_abs(b);
@@ -217,9 +172,8 @@ TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
 
 TEST(reuse, large_perturbation_triggers_counted_fallback_and_still_agrees) {
   const waveguide_fixture f;
-  const auto s = settings_for(sim::backend_kind::banded);
-  const auto nominal = std::make_shared<const sim::simulation_engine>(
-      f.g, f.pml, k0_default, f.eps, s);
+  const auto nominal =
+      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
 
   // A distant operator: the nominal LU no longer clusters the spectrum
   // enough for the outer loop's iteration cap.
@@ -232,7 +186,7 @@ TEST(reuse, large_perturbation_triggers_counted_fallback_and_still_agrees) {
   const auto a = reused.solve_excitation(current);
   EXPECT_GE(counter_total("sim.reuse.fallbacks") - fallbacks_before, 1u);
 
-  const sim::simulation_engine fresh(f.g, f.pml, k0_default, eps2, s);
+  const sim::simulation_engine fresh(f.g, f.pml, k0_default, eps2);
   const auto b = fresh.solve_excitation(current);
   EXPECT_EQ(max_diff(a, b), 0.0) << "the fallback path is a full re-prepare and must match it";
 }
@@ -337,7 +291,7 @@ TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
   for (const auto& e : collector.events()) {
     factorizations += e.name == "sim.factorize";
     for (const auto& [key, value] : e.args)
-      nearby += e.name == "sim.solve" && key == "backend" && value == "banded-reuse";
+      nearby += e.name == "sim.solve" && key == "backend" && value == "nearby";
   }
   EXPECT_EQ(nearby, samples) << "every sample solves through the nominal factorization";
   EXPECT_EQ(factorizations, 1 + counter_total("sim.reuse.fallbacks") - fallbacks_before);
@@ -359,34 +313,31 @@ TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
 }
 
 TEST(integration, evaluate_agrees_across_backends) {
+  // A warm corner evaluated through its own factorization (direct backend)
+  // and through the nominal corner's factorization (nearby backend).
   const core::design_problem problem =
       core::make_problem(dev::make_bend(0.1), true, fast_config());
-  const dvec theta = core::concentrated_init(problem);
+  array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
+  for (std::size_t i = 0; i < mask.nx(); ++i)
+    for (std::size_t j = mask.ny() / 3; j < 2 * mask.ny() / 3; ++j) mask(i, j) = 1.0;
   robust::variation_corner nominal;
   nominal.xi.assign(problem.fab().space.eole_terms, 0.0);
+  robust::variation_corner warm = nominal;
+  warm.temperature = 320.0;
+  warm.name = "warm";
 
   core::eval_options o;
-  o.fab_aware = true;
-  o.compute_gradient = true;
-  o.engine = settings_for(sim::backend_kind::banded);
-  const auto direct = problem.evaluate(theta, nominal, o);
+  o.hard_etch = true;
+  o.dense_objectives = false;
+  o.compute_gradient = false;
+  const auto direct = problem.evaluate_pattern(mask, warm, o);
+  o.nominal_engine = problem.prepare_engine(mask, nominal, o);
+  const auto nearby = problem.evaluate_pattern(mask, warm, o);
 
-  for (const auto kind : {sim::backend_kind::bicgstab, sim::backend_kind::gmres}) {
-    o.engine = settings_for(kind);
-    // Left-preconditioned GMRES reports the preconditioned residual, which
-    // can understate the true one; tighten the target for the comparison.
-    o.engine.tol = 1e-12;
-    const auto ev = problem.evaluate(theta, nominal, o);
-    EXPECT_NEAR(ev.loss, direct.loss, 1e-6 * (1.0 + std::abs(direct.loss)))
-        << sim::to_string(kind);
-    ASSERT_EQ(ev.grad.size(), direct.grad.size());
-    double worst = 0.0, scale = 0.0;
-    for (std::size_t i = 0; i < ev.grad.size(); ++i) {
-      worst = std::max(worst, std::abs(ev.grad[i] - direct.grad[i]));
-      scale = std::max(scale, std::abs(direct.grad[i]));
-    }
-    EXPECT_LT(worst, 1e-5 * (1.0 + scale)) << sim::to_string(kind);
-  }
+  EXPECT_NEAR(nearby.loss, direct.loss, 1e-8 * (1.0 + std::abs(direct.loss)));
+  ASSERT_EQ(nearby.metrics.size(), direct.metrics.size());
+  for (const auto& [name, value] : direct.metrics)
+    EXPECT_NEAR(nearby.metrics.at(name), value, 1e-8 * (1.0 + std::abs(value))) << name;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "sparse/banded.h"
 #include "sparse/csr.h"
 #include "sparse/krylov.h"
+#include "sparse/multifrontal.h"
 
 namespace boson::sp {
 namespace {
@@ -255,68 +256,23 @@ csr_c random_banded_csr(std::size_t n, std::size_t band, std::uint64_t seed,
   return csr_c(n, n, t);
 }
 
-TEST(krylov, bicgstab_unpreconditioned_converges) {
-  const std::size_t n = 60;
-  const auto a = random_banded_csr(n, 2, 31, 6.0);
-  rng r(32);
-  cvec x_true(n);
-  for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const auto b = a.matvec(x_true);
-  cvec x;
-  const auto res = bicgstab(a, b, x, nullptr, 1e-10, 500);
-  EXPECT_TRUE(res.converged);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-6);
-}
-
-TEST(krylov, ilu0_preconditioning_reduces_iterations) {
-  const std::size_t n = 150;
-  const auto a = random_banded_csr(n, 3, 77, 4.0);
-  rng r(78);
-  cvec x_true(n);
-  for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const auto b = a.matvec(x_true);
-
-  cvec x_plain, x_prec;
-  const auto plain = bicgstab(a, b, x_plain, nullptr, 1e-10, 2000);
-  const ilu0 prec(a);
-  const auto preconditioned = bicgstab(a, b, x_prec, &prec, 1e-10, 2000);
-  ASSERT_TRUE(plain.converged);
-  ASSERT_TRUE(preconditioned.converged);
-  EXPECT_LT(preconditioned.iterations, plain.iterations);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x_prec[i] - x_true[i]), 0.0, 1e-6);
-}
-
-TEST(krylov, ilu0_exact_for_triangular_pattern) {
-  // For a lower-triangular matrix ILU(0) is an exact factorization, so one
-  // application solves the system.
-  const std::size_t n = 20;
-  rng r(55);
-  std::vector<triplet<cplx>> t;
-  for (std::size_t i = 0; i < n; ++i) {
-    t.push_back({i, i, cplx(3.0 + r.uniform(0, 1), r.uniform(-1, 1))});
-    if (i > 0) t.push_back({i, i - 1, cplx(r.uniform(-1, 1), 0.0)});
-  }
-  csr_c a(n, n, t);
-  cvec x_true(n);
-  for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const auto b = a.matvec(x_true);
-  const ilu0 prec(a);
-  const auto x = prec.apply(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-10);
+/// The operator as a matrix-free linear_op.
+linear_op as_op(const csr_c& a) {
+  return [&a](const cvec& v) { return a.matvec(v); };
 }
 
 TEST(krylov, zero_rhs_returns_zero) {
+  // A zero right-hand side stays zero through the preconditioner too.
   const auto a = random_banded_csr(10, 2, 3, 5.0);
   cvec x(10, cplx{1.0});
-  const auto res = bicgstab(a, cvec(10), x, nullptr);
+  const linear_op jacobi = [&a](const cvec& r) {
+    cvec z(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] / a.at(i, i);
+    return z;
+  };
+  const auto res = gmres(as_op(a), cvec(10), x, jacobi);
   EXPECT_TRUE(res.converged);
   for (const auto& v : x) EXPECT_EQ(v, cplx{});
-}
-
-TEST(krylov, ilu0_requires_diagonal) {
-  std::vector<triplet<cplx>> t{{0, 1, cplx{1.0}}, {1, 0, cplx{1.0}}};
-  csr_c a(2, 2, t);
-  EXPECT_THROW(ilu0 prec(a), numeric_error);
 }
 
 class gmres_systems : public ::testing::TestWithParam<std::size_t> {};
@@ -329,27 +285,41 @@ TEST_P(gmres_systems, converges_and_matches_truth) {
   for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
   const auto b = a.matvec(x_true);
   cvec x;
-  const auto res = gmres(a, b, x, nullptr, 40, 1e-10, 2000);
+  const auto res = gmres(as_op(a), b, x, linear_op{}, 40, 1e-10, 2000);
   ASSERT_TRUE(res.converged) << "residual " << res.relative_residual;
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(sizes, gmres_systems, ::testing::Values(10, 50, 120));
 
-TEST(krylov, gmres_with_ilu0_preconditioning) {
+TEST(krylov, gmres_left_preconditioning_reduces_iterations) {
+  // A strongly varying diagonal slows plain GMRES; Jacobi left
+  // preconditioning clusters the spectrum.
   const std::size_t n = 150;
-  const auto a = random_banded_csr(n, 3, 501, 4.0);
-  rng r(502);
+  std::vector<triplet<cplx>> t;
+  rng r(501);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = (i > 3 ? i - 3 : 0); j <= std::min(i + 3, n - 1); ++j) {
+      cplx v(r.uniform(-1, 1), r.uniform(-1, 1));
+      if (i == j) v += cplx(8.0 * (1.0 + static_cast<double>(i % 17)), 0.0);
+      t.push_back({i, j, v});
+    }
+  }
+  const csr_c a(n, n, t);
   cvec x_true(n);
   for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
   const auto b = a.matvec(x_true);
-  const ilu0 prec(a);
+  const linear_op jacobi = [&a](const cvec& v) {
+    cvec z(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) z[i] = v[i] / a.at(i, i);
+    return z;
+  };
   cvec x_plain, x_prec;
-  const auto plain = gmres(a, b, x_plain, nullptr, 30, 1e-10, 2000);
-  const auto preconditioned = gmres(a, b, x_prec, &prec, 30, 1e-10, 2000);
+  const auto plain = gmres(as_op(a), b, x_plain, linear_op{}, 30, 1e-10, 2000);
+  const auto preconditioned = gmres(as_op(a), b, x_prec, jacobi, 30, 1e-10, 2000);
   ASSERT_TRUE(plain.converged);
   ASSERT_TRUE(preconditioned.converged);
-  EXPECT_LE(preconditioned.iterations, plain.iterations);
+  EXPECT_LT(preconditioned.iterations, plain.iterations);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x_prec[i] - x_true[i]), 0.0, 1e-6);
 }
 
@@ -363,29 +333,18 @@ TEST(krylov, gmres_restart_still_converges) {
   for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
   const auto b = a.matvec(x_true);
   cvec x;
-  const auto res = gmres(a, b, x, nullptr, 5, 1e-9, 4000);
+  const auto res = gmres(as_op(a), b, x, linear_op{}, 5, 1e-9, 4000);
   ASSERT_TRUE(res.converged);
+  EXPECT_GT(res.iterations, 5u) << "the solve must span more than one restart cycle";
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-5);
 }
 
 TEST(krylov, gmres_zero_rhs_returns_zero) {
   const auto a = random_banded_csr(12, 2, 700, 5.0);
   cvec x(12, cplx{1.0});
-  const auto res = gmres(a, cvec(12), x, nullptr);
+  const auto res = gmres(as_op(a), cvec(12), x, linear_op{});
   EXPECT_TRUE(res.converged);
   for (const auto& v : x) EXPECT_EQ(v, cplx{});
-}
-
-TEST(krylov, gmres_and_bicgstab_agree) {
-  const std::size_t n = 60;
-  const auto a = random_banded_csr(n, 3, 800, 5.0);
-  rng r(801);
-  cvec b(n);
-  for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  cvec xg, xb;
-  ASSERT_TRUE(gmres(a, b, xg, nullptr, 40, 1e-11, 2000).converged);
-  ASSERT_TRUE(bicgstab(a, b, xb, nullptr, 1e-11, 2000).converged);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(xg[i] - xb[i]), 0.0, 1e-6);
 }
 
 // ------------------------------------------------ batched solve identities ----
@@ -443,24 +402,161 @@ TEST(banded, packed_batch_matches_scalar_solves_to_rounding) {
   }
 }
 
-// -------------------------------------------------- matrix-free gmres ------
+// ------------------------------------------------ nested-dissection LU ----
 
-TEST(krylov, matrix_free_gmres_matches_csr_overload) {
-  const std::size_t n = 50;
-  const auto a = random_banded_csr(n, 3, 900, 5.0);
-  rng r(901);
-  cvec b(n);
-  for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-
-  cvec x_csr, x_op;
-  const auto res_csr = gmres(a, b, x_csr, nullptr, 30, 1e-10, 2000);
-  const linear_op op = [&a](const cvec& v) { return a.matvec(v); };
-  const auto res_op = gmres(op, b, x_op, linear_op{}, 30, 1e-10, 2000);
-  ASSERT_TRUE(res_csr.converged);
-  ASSERT_TRUE(res_op.converged);
-  EXPECT_EQ(res_op.iterations, res_csr.iterations);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x_op[i], x_csr[i]) << "row " << i;
+/// Complex-symmetric 5-point operator on an nx x ny grid (unknown ix*ny+iy),
+/// Helmholtz-like: an indefinite real part and a positive imaginary diagonal
+/// (which keeps it nonsingular), with real symmetric couplings.
+csr_c random_grid_operator(std::size_t nx, std::size_t ny, std::uint64_t seed) {
+  rng r(seed);
+  std::vector<triplet<cplx>> t;
+  const auto couple = [&](std::size_t i, std::size_t j) {
+    const cplx v(-1.0 + 0.3 * r.uniform(-1, 1), 0.0);
+    t.push_back({i, j, v});
+    t.push_back({j, i, v});
+  };
+  for (std::size_t ix = 0; ix < nx; ++ix) {
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      const std::size_t i = ix * ny + iy;
+      t.push_back({i, i, cplx(r.uniform(-4.0, 4.0), r.uniform(0.1, 1.0))});
+      if (iy + 1 < ny) couple(i, i + 1);
+      if (ix + 1 < nx) couple(i, i + ny);
+    }
+  }
+  return csr_c(nx * ny, nx * ny, std::move(t));
 }
+
+/// The banded LU of the same operator (bandwidth ny): the test oracle.
+banded_lu banded_oracle(const csr_c& a, std::size_t ny) {
+  banded_lu lu(a.rows(), ny, ny);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)
+      lu.add(i, a.col_index()[k], a.values()[k]);
+  lu.factor();
+  return lu;
+}
+
+cvec random_cvec(std::size_t n, std::uint64_t seed) {
+  rng r(seed);
+  cvec v(n);
+  for (auto& x : v) x = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
+  return v;
+}
+
+/// Relative 2-norm distance |x - y| / |y|.
+double rel_diff(const cvec& x, const cvec& y) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    num += std::norm(x[i] - y[i]);
+    den += std::norm(y[i]);
+  }
+  return std::sqrt(num / den);
+}
+
+struct grid_case {
+  std::size_t nx;
+  std::size_t ny;
+};
+
+class grid_lu_grids : public ::testing::TestWithParam<grid_case> {};
+
+TEST_P(grid_lu_grids, matches_banded_oracle) {
+  const auto [nx, ny] = GetParam();
+  const csr_c a = random_grid_operator(nx, ny, 1000 + nx * ny);
+  const grid_lu lu(nx, ny, a);
+  EXPECT_EQ(lu.size(), nx * ny);
+  const cvec b = random_cvec(nx * ny, 7 + nx);
+  const cvec x = lu.solve(b);
+  const cvec oracle = banded_oracle(a, ny).solve(b);
+  EXPECT_LT(rel_diff(x, oracle), 1e-10);
+  EXPECT_LT(rel_diff(a.matvec(x), b), 1e-12);
+}
+
+INSTANTIATE_TEST_SUITE_P(shapes, grid_lu_grids,
+                         ::testing::Values(grid_case{8, 8}, grid_case{9, 13}, grid_case{17, 64},
+                                           grid_case{56, 36}, grid_case{44, 44}),
+                         [](const ::testing::TestParamInfo<grid_case>& info) {
+                           return std::to_string(info.param.nx) + "x" +
+                                  std::to_string(info.param.ny);
+                         });
+
+TEST(grid_lu, singleton_batch_is_bit_identical_to_scalar_solve) {
+  const csr_c a = random_grid_operator(20, 16, 41);
+  const grid_lu lu(20, 16, a);
+  const cvec b = random_cvec(a.rows(), 42);
+  const cvec scalar = lu.solve(b);
+  const auto batch = lu.solve(std::vector<cvec>{b});
+  ASSERT_EQ(batch.size(), 1u);
+  for (std::size_t i = 0; i < scalar.size(); ++i)
+    EXPECT_EQ(batch[0][i], scalar[i]) << "row " << i;
+}
+
+TEST(grid_lu, batch_is_bit_identical_to_scalar_solves) {
+  const csr_c a = random_grid_operator(24, 19, 43);
+  const grid_lu lu(24, 19, a);
+  std::vector<cvec> bs;
+  for (std::uint64_t k = 0; k < 5; ++k) bs.push_back(random_cvec(a.rows(), 44 + k));
+  const auto batch = lu.solve(bs);
+  ASSERT_EQ(batch.size(), bs.size());
+  for (std::size_t k = 0; k < bs.size(); ++k) {
+    const cvec scalar = lu.solve(bs[k]);
+    for (std::size_t i = 0; i < scalar.size(); ++i)
+      ASSERT_EQ(batch[k][i], scalar[i]) << "rhs " << k << " row " << i;
+  }
+}
+
+TEST(grid_lu, empty_batch_returns_empty_batch) {
+  const csr_c a = random_grid_operator(8, 8, 45);
+  const grid_lu lu(8, 8, a);
+  EXPECT_TRUE(lu.solve(std::vector<cvec>{}).empty());
+}
+
+TEST(grid_lu, singular_operator_throws) {
+  // Zero every entry of one cell's row: the matrix is singular, and the
+  // restricted pivoting reaches an exactly-zero pivot.
+  const csr_c good = random_grid_operator(12, 10, 46);
+  std::vector<triplet<cplx>> t;
+  for (std::size_t i = 0; i < good.rows(); ++i)
+    for (std::size_t k = good.row_ptr()[i]; k < good.row_ptr()[i + 1]; ++k)
+      t.push_back({i, good.col_index()[k], i == 57 ? cplx{} : good.values()[k]});
+  const csr_c a(good.rows(), good.cols(), std::move(t));
+  EXPECT_THROW(grid_lu(12, 10, a), numeric_error);
+}
+
+TEST(grid_lu, pivoting_handles_zero_leading_diagonal) {
+  const csr_c good = random_grid_operator(10, 9, 47);
+  std::vector<triplet<cplx>> t;
+  for (std::size_t i = 0; i < good.rows(); ++i)
+    for (std::size_t k = good.row_ptr()[i]; k < good.row_ptr()[i + 1]; ++k)
+      t.push_back({i, good.col_index()[k], good.col_index()[k] == 0 && i == 0
+                                               ? cplx{}
+                                               : good.values()[k]});
+  const csr_c a(good.rows(), good.cols(), std::move(t));
+  ASSERT_EQ(a.at(0, 0), cplx{});
+  const grid_lu lu(10, 9, a);
+  const cvec b = random_cvec(a.rows(), 48);
+  EXPECT_LT(rel_diff(lu.solve(b), banded_oracle(a, 9).solve(b)), 1e-10);
+}
+
+TEST(grid_lu, rejects_operators_outside_the_stencil) {
+  // Unknowns ny - 1 and ny are adjacent in the flat order, but they are
+  // cells (0, ny - 1) and (1, 0), which are not grid neighbours.
+  const std::size_t nx = 8, ny = 8;
+  std::vector<triplet<cplx>> t{{ny - 1, ny, cplx{1.0}}};
+  for (std::size_t i = 0; i < nx * ny; ++i) t.push_back({i, i, cplx{2.0}});
+  EXPECT_THROW(grid_lu(nx, ny, csr_c(nx * ny, nx * ny, t)), bad_argument);
+  const csr_c empty(nx * ny, nx * ny, std::vector<triplet<cplx>>{});
+  EXPECT_THROW(grid_lu(nx, ny + 1, empty), bad_argument);
+}
+
+TEST(grid_lu, stores_far_less_than_the_banded_factors) {
+  const std::size_t side = 88;
+  const grid_lu lu(side, side, random_grid_operator(side, side, 49));
+  const std::size_t banded_storage = side * side * (3 * side + 1);
+  EXPECT_LT(lu.fill(), banded_storage / 4);
+}
+
+// -------------------------------------------------- matrix-free gmres ------
 
 TEST(krylov, gmres_accepts_converged_initial_guess_without_touching_x) {
   const std::size_t n = 40;
@@ -470,8 +566,7 @@ TEST(krylov, gmres_accepts_converged_initial_guess_without_touching_x) {
   for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
   const cvec b = a.matvec(x_true);
   cvec x = x_true;  // start at the answer
-  const linear_op op = [&a](const cvec& v) { return a.matvec(v); };
-  const auto res = gmres(op, b, x, linear_op{}, 30, 1e-10, 2000);
+  const auto res = gmres(as_op(a), b, x, linear_op{}, 30, 1e-10, 2000);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0u);
   for (std::size_t i = 0; i < n; ++i)
