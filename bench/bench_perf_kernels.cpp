@@ -431,10 +431,8 @@ io::json_value time_runtime() {
     report["scheduler_throughput"] = std::move(workers_json);
   }
 
-  {  // journal append + replay rates.
-    const fs::path dir = root / "journal";
-    fs::create_directories(dir);
-    const std::string path = (dir / "journal.jsonl").string();
+  {  // journal append + replay rates (a campaign journal's store).
+    const std::string path = runtime::journal_path((root / "journal").string());
     constexpr std::size_t appends = 20000;
     stopwatch sw;
     {
@@ -520,9 +518,7 @@ io::json_value time_runtime() {
   {  // lease claim / renew throughput — the elastic scheduler's hot path
      // (each claim is an append + incremental re-fold of the shared journal,
      // each renew an append + verify).
-    const fs::path dir = root / "lease";
-    fs::create_directories(dir);
-    runtime::journal log((dir / "journal.jsonl").string());
+    runtime::journal log(runtime::journal_path((root / "lease").string()));
     double now = 0.0;
     runtime::lease_manager manager(log, "bench", 1e9, [&now] { return now; });
     constexpr std::size_t jobs = 5000;

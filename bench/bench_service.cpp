@@ -134,7 +134,6 @@ json_value time_journal_cursor(const fs::path& root) {
   using namespace boson;
 
   const fs::path dir = root / "journal";
-  fs::create_directories(dir);
   const std::size_t entries = scaled(20000);
   const std::size_t batches = 100;
 
@@ -156,7 +155,7 @@ json_value time_journal_cursor(const fs::path& root) {
   report["polls"] = batches;
 
   {  // a poller that folds with journal::since pays only for the growth.
-    const std::string path = (dir / "since.jsonl").string();
+    const std::string path = runtime::journal_path((dir / "since").string());
     runtime::journal_cursor cursor;
     runtime::journal log(path);
     runtime::journal_entry e;
@@ -181,7 +180,7 @@ json_value time_journal_cursor(const fs::path& root) {
   }
 
   {  // the naive poller replays the whole file every time (O(n^2) total).
-    const std::string path = (dir / "replay.jsonl").string();
+    const std::string path = runtime::journal_path((dir / "replay").string());
     runtime::journal log(path);
     runtime::journal_entry e;
     e.job_name = "bench_job";
@@ -206,7 +205,7 @@ json_value time_journal_cursor(const fs::path& root) {
   }
 
   {  // one-shot drain of a finished journal: since and replay should tie.
-    const std::string path = (dir / "drain.jsonl").string();
+    const std::string path = runtime::journal_path((dir / "drain").string());
     grow(path, entries);
     stopwatch sw;
     const std::size_t replayed = runtime::journal::replay(path).size();

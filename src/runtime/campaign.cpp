@@ -71,38 +71,6 @@ bool patchable_spec_key(const std::string& key) {
 
 }  // namespace
 
-// --------------------------------------------------------------- sharding --
-
-shard_range shard_range::parse(const std::string& text) {
-  const std::size_t slash = text.find('/');
-  const auto malformed = [&text]() {
-    return bad_argument("shard_range: expected the form 'i/N' (e.g. '0/2'), got '" +
-                        text + "'");
-  };
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size())
-    throw malformed();
-  // Digits only: std::stoul would silently wrap "-2" to 2^64-2, turning a
-  // typo into a shard that owns almost nothing.
-  for (std::size_t i = 0; i < text.size(); ++i)
-    if (i != slash && (text[i] < '0' || text[i] > '9')) throw malformed();
-  shard_range shard;
-  try {
-    shard.index = std::stoul(text.substr(0, slash));
-    shard.count = std::stoul(text.substr(slash + 1));
-  } catch (const std::logic_error&) {
-    throw malformed();
-  }
-  require(shard.count >= 1, "shard_range: shard count must be at least 1 (got '" +
-                                text + "')");
-  require(shard.index < shard.count,
-          "shard_range: shard index must be below the count (got '" + text + "')");
-  return shard;
-}
-
-std::string shard_range::to_string() const {
-  return std::to_string(index) + "/" + std::to_string(count);
-}
-
 // -------------------------------------------------------------- expansion --
 
 namespace {

@@ -3,9 +3,7 @@
 /// `experiment_spec` plus axes (devices x methods x seeds x named overrides)
 /// and expands into the cross product of jobs with deterministic indices and
 /// names — the paper's "15 methods x 3 devices x variation corners" sweeps
-/// as one JSON file. `shard_range` partitions the expansion round-robin for
-/// multi-machine fan-out: shards of the same campaign are disjoint and
-/// together cover every job, whatever N is.
+/// as one JSON file.
 
 #pragma once
 
@@ -17,20 +15,6 @@
 #include "io/json.h"
 
 namespace boson::runtime {
-
-/// Deterministic "i/N" partition of a campaign's job list. Job j belongs to
-/// shard i iff j % N == i, so shards are disjoint, cover every index, and do
-/// not depend on which jobs have already completed.
-struct shard_range {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  bool contains(std::size_t job_index) const { return job_index % count == index; }
-
-  /// Parse the CLI form "i/N" (e.g. "0/2"); requires i < N and N >= 1.
-  static shard_range parse(const std::string& text);
-  std::string to_string() const;
-};
 
 /// One expanded job: its position in the deterministic expansion order, a
 /// unique filesystem-safe name, and the fully-resolved experiment spec.

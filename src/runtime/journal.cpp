@@ -1,13 +1,17 @@
 #include "runtime/journal.h"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <utility>
 
-#include "common/env.h"
 #include "common/error.h"
+#include "common/log.h"
+#include "runtime/jsonl.h"
 #include "runtime/lease.h"
 #include "store/segment_log.h"
 
@@ -17,7 +21,6 @@ namespace boson::runtime {
 
 const char* to_string(job_state state) {
   switch (state) {
-    case job_state::scheduled: return "scheduled";
     case job_state::leased: return "leased";
     case job_state::lease_renewed: return "lease_renewed";
     case job_state::lease_released: return "lease_released";
@@ -32,7 +35,6 @@ const char* to_string(job_state state) {
 }
 
 job_state job_state_from_string(const std::string& text) {
-  if (text == "scheduled") return job_state::scheduled;
   if (text == "leased") return job_state::leased;
   if (text == "lease_renewed") return job_state::lease_renewed;
   if (text == "lease_released") return job_state::lease_released;
@@ -76,189 +78,156 @@ journal_entry journal_entry::from_json(const io::json_value& v) {
   return e;
 }
 
-journal_options journal_options::with_env_defaults() const {
-  journal_options o = *this;
-  auto from_env = [](const char* name) {
-    const long v = env_int(name, 0);
-    return v > 0 ? static_cast<std::size_t>(v) : std::size_t{0};
-  };
-  if (o.segment_bytes == 0) o.segment_bytes = from_env("BOSON_JOURNAL_SEGMENT_BYTES");
-  if (o.segment_records == 0)
-    o.segment_records = from_env("BOSON_JOURNAL_SEGMENT_RECORDS");
-  if (o.compact_segments == 0)
-    o.compact_segments = from_env("BOSON_JOURNAL_COMPACT_SEGMENTS");
-  return o;
-}
+namespace {
 
-void journal::open_legacy(const std::string& file) {
-  out_ = std::make_unique<jsonl_appender>(file, "journal");
-  path_ = out_->path();
-}
-
-void journal::open_store(const std::string& dir, const journal_options& opts) {
-  store::log_options lo;
-  lo.segment_bytes = opts.segment_bytes;
-  lo.segment_records = opts.segment_records;
-  lo.compact_segments = opts.compact_segments;
-  store_ = std::make_unique<store::segment_log>(dir, lo, "journal");
-  path_ = dir;
-}
-
-journal::journal(std::string path) {
-  if (store::segment_log::is_store_dir(path))
-    open_store(path, journal_options{}.with_env_defaults());
-  else
-    open_legacy(path);
-}
-
-journal::journal(const std::string& campaign_dir, const journal_options& opts) {
-  const journal_options eff = opts.with_env_defaults();
-  const std::string seg_dir = (fs::path(campaign_dir) / "journal").string();
-  const std::string legacy = (fs::path(campaign_dir) / "journal.jsonl").string();
-  std::error_code ec;
-  if (store::segment_log::is_store_dir(seg_dir)) {
-    open_store(seg_dir, eff);  // existing segmented campaign
-  } else if (fs::exists(legacy, ec) && fs::file_size(legacy, ec) > 0) {
-    open_legacy(legacy);  // existing legacy campaign keeps its layout
-  } else if (eff.segmented()) {
-    open_store(seg_dir, eff);
-  } else {
-    open_legacy(legacy);
+/// Serializes migrators of one campaign through an exclusive flock on the
+/// single file itself; the kernel drops it when a migrator dies, so a
+/// crashed migration never wedges the next one.
+class file_lock {
+ public:
+  explicit file_lock(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) return;  // moved aside already
+    while (::flock(fd_, LOCK_EX) != 0)
+      if (errno != EINTR) throw io_error("journal: cannot lock '" + path + "'");
   }
+  ~file_lock() {
+    if (fd_ >= 0) ::close(fd_);  // closing drops the flock
+  }
+  file_lock(const file_lock&) = delete;
+  file_lock& operator=(const file_lock&) = delete;
+
+  bool held() const { return fd_ >= 0; }
+
+ private:
+  int fd_;
+};
+
+/// One-shot migration of a single-file journal into the store at `dir`:
+/// copy its complete records verbatim (dropping retired `scheduled`
+/// records) into a fresh store built beside `dir`, rename that store into
+/// place, then move the file aside. Each rename is atomic, so a crash
+/// leaves the file untouched (and a half-built copy the next migrator
+/// discards) or one complete store (and a file the next call moves aside).
+void migrate_single_file(const std::string& file, const std::string& dir) {
+  const file_lock lock(file);
+  if (!lock.held()) return;  // a concurrent migrator finished first
+  std::error_code ec;
+  if (!store::segment_log::is_store_dir(dir)) {
+    // Replay first, write after: the torn-tail contract only forgives a
+    // malformed *final* line, so a corrupt record must fail the migration
+    // before anything is written.
+    std::vector<std::string> lines;
+    replay_jsonl_lines(file, "journal", [&lines](const std::string& line) {
+      const io::json_value record = io::json_value::parse(line);
+      if (record.at("state").as_string() == "scheduled") return;
+      (void)journal_entry::from_json(record);
+      lines.push_back(line);
+    });
+    const std::string draft = dir + ".migrating";
+    fs::remove_all(draft);  // a crashed migrator's half-built copy
+    {
+      store::segment_log out(draft, store::default_log_options, "journal");
+      for (const std::string& line : lines) out.append(line);
+    }
+    store::crash_point("migrate:before_rename");
+    fs::rename(draft, dir, ec);
+    if (ec) {
+      fs::remove_all(draft);
+      throw io_error("journal: cannot move the migrated store to '" + dir +
+                     "': " + ec.message());
+    }
+    store::crash_point("migrate:after_rename");
+    log_info("journal: migrated ", lines.size(), " records from '", file, "' to '",
+             dir, "'");
+  }
+  fs::rename(file, file + ".migrated", ec);
+  if (ec && fs::exists(file))
+    throw io_error("journal: cannot move '" + file + "' aside: " + ec.message());
 }
+
+}  // namespace
+
+std::string journal_path(const std::string& campaign_dir) {
+  const std::string dir = (fs::path(campaign_dir) / "journal").string();
+  const std::string file = (fs::path(campaign_dir) / "journal.jsonl").string();
+  std::error_code ec;
+  if (fs::exists(file, ec)) migrate_single_file(file, dir);
+  return dir;
+}
+
+journal::journal(std::string dir)
+    : path_(std::move(dir)),
+      store_(std::make_unique<store::segment_log>(path_, store::default_log_options,
+                                                  "journal")) {}
 
 journal::~journal() = default;
 
 void journal::append(const journal_entry& entry) {
-  if (store_) {
-    store_->append(entry.to_json().dump(-1));
-    // Opportunistic compaction: cheap threshold probe every 64th append so
-    // long-running appenders bound their own history even when no scheduler
-    // pass (maybe_compact) is running in this process.
-    if (((appends_.fetch_add(1) + 1) & 63) == 0) maybe_compact();
-  } else {
-    out_->append(entry.to_json());
-  }
+  store_->append(entry.to_json().dump(-1));
+  // Opportunistic compaction: cheap threshold probe every 64th append so
+  // long-running appenders bound their own history even when no scheduler
+  // pass (maybe_compact) is running in this process.
+  if (((appends_.fetch_add(1) + 1) & 63) == 0) maybe_compact();
 }
 
 std::size_t journal::maybe_compact() {
-  if (!store_ || !store_->should_compact()) return 0;
+  if (!store_->should_compact()) return 0;
   return compact();
 }
 
-std::size_t journal::compact() {
-  if (!store_) return 0;
-  return store_->compact(&journal::compaction_fold);
-}
+std::size_t journal::compact() { return store_->compact(&journal::compaction_fold); }
 
-std::vector<journal_entry> journal::replay(const std::string& path) {
+namespace {
+
+/// Parse a read batch into entries, advancing `cursor` past each one. Per-line
+/// cursors carry the deferred-failure contract over: a malformed line only
+/// becomes fatal once a successor proves the store kept going; as the batch
+/// tail it stays ahead of the cursor for the next poll.
+std::vector<journal_entry> parse_batch(const std::string& path,
+                                       const store::read_batch& batch,
+                                       journal_cursor& cursor) {
   std::vector<journal_entry> entries;
-  if (store::segment_log::is_store_dir(path)) {
-    const std::vector<std::string> lines = store::segment_log::read_all(path, "journal");
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      try {
-        entries.push_back(journal_entry::from_json(io::json_value::parse(lines[i])));
-      } catch (const error& e) {
-        // Same deferred-failure contract as replay_jsonl: a malformed final
-        // line is a racing writer's in-flight record, corruption with a
-        // successor is fatal.
-        if (i + 1 == lines.size()) break;
-        throw io_error("journal: '" + path + "' line " + std::to_string(i + 1) +
-                       ": " + e.what());
-      }
+  std::string pending_error;
+  for (std::size_t i = 0; i < batch.lines.size(); ++i) {
+    if (!pending_error.empty()) throw io_error(pending_error);
+    try {
+      entries.push_back(journal_entry::from_json(io::json_value::parse(batch.lines[i])));
+    } catch (const error& e) {
+      pending_error = "journal: '" + path + "' line " + std::to_string(cursor.line + 1) +
+                      ": " + e.what();
+      continue;  // cursor stays before the suspect line
     }
-    return entries;
+    cursor.offset = batch.cursors[i];
+    cursor.line += 1;
   }
-  replay_jsonl(path, "journal", [&entries](const io::json_value& record) {
-    entries.push_back(journal_entry::from_json(record));
-  });
   return entries;
 }
+
+}  // namespace
 
 std::vector<journal_entry> journal::since(const std::string& path,
                                           journal_cursor& cursor) {
-  std::vector<journal_entry> entries;
-  if (store::segment_log::is_store_dir(path)) {
-    const store::read_batch batch = store::segment_log::read_since_dir(
-        path, "journal", static_cast<std::uint64_t>(cursor.offset));
-    // Per-line cursors let the deferred-failure contract carry over: a
-    // malformed line only becomes fatal once a successor proves the store
-    // kept going; as the batch tail it stays ahead of the cursor for the
-    // next poll (segment appends are line-atomic, so this never resolves to
-    // a half-record the way a racing legacy flush can — but the uniform
-    // contract keeps the two layouts interchangeable for callers).
-    std::string pending_error;
-    for (std::size_t i = 0; i < batch.lines.size(); ++i) {
-      if (!pending_error.empty()) throw io_error(pending_error);
-      try {
-        entries.push_back(
-            journal_entry::from_json(io::json_value::parse(batch.lines[i])));
-      } catch (const error& e) {
-        pending_error = "journal: '" + path + "' line " +
-                        std::to_string(cursor.line + 1) + ": " + e.what();
-        continue;  // cursor stays before the suspect line
-      }
-      cursor.offset = static_cast<std::streamoff>(batch.cursors[i]);
-      cursor.line += 1;
-    }
-    return entries;
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return entries;  // no journal yet
-  in.seekg(cursor.offset);
+  return parse_batch(
+      path, store::segment_log::read_since_dir(path, "journal", cursor.offset), cursor);
+}
 
-  // Mirrors replay_jsonl's deferred-failure contract, incrementally: a
-  // malformed line is fatal only once a later line proves the file kept
-  // going. Until then it is indistinguishable from a racing writer's append
-  // observed mid-flush, so it stays *ahead* of the cursor and the next poll
-  // re-reads it.
-  std::string pending_error;
-  std::string line;
-  while (std::getline(in, line)) {
-    // A line without its trailing newline is a torn tail or another
-    // process's append racing our read: leave it for the next poll.
-    if (in.eof()) break;
-    if (!pending_error.empty()) throw io_error(pending_error);
-    const std::streamoff consumed =
-        cursor.offset + static_cast<std::streamoff>(line.size()) + 1;
-    const std::size_t line_number = cursor.line + 1;
-    if (line.find_first_not_of(" \t\r") != std::string::npos) {
-      try {
-        entries.push_back(journal_entry::from_json(io::json_value::parse(line)));
-      } catch (const error& e) {
-        pending_error = "journal: '" + path + "' line " +
-                        std::to_string(line_number) + ": " + e.what();
-        continue;  // cursor stays before the suspect line
-      }
-    }
-    cursor.offset = consumed;
-    cursor.line = line_number;
-  }
-  return entries;
+std::vector<journal_entry> journal::poll(journal_cursor& cursor) {
+  return parse_batch(path_, store_->read_since(cursor.offset), cursor);
+}
+
+std::vector<journal_entry> journal::replay(const std::string& path) {
+  journal_cursor from_start;
+  return since(path, from_start);
 }
 
 std::vector<std::string> journal::raw_since(const std::string& path,
                                             std::uint64_t& cursor,
                                             std::size_t max_lines) {
-  if (store::segment_log::is_store_dir(path)) {
-    store::read_batch batch =
-        store::segment_log::read_since_dir(path, "journal", cursor, max_lines);
-    cursor = batch.end_cursor;
-    return std::move(batch.lines);
-  }
-  std::vector<std::string> lines;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return lines;
-  in.seekg(static_cast<std::streamoff>(cursor));
-  std::string line;
-  while (std::getline(in, line)) {
-    if (in.eof()) break;  // torn tail / racing writer: leave for next poll
-    cursor += static_cast<std::uint64_t>(line.size()) + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    lines.push_back(line);
-    if (max_lines != 0 && lines.size() >= max_lines) break;
-  }
-  return lines;
+  store::read_batch batch =
+      store::segment_log::read_since_dir(path, "journal", cursor, max_lines);
+  cursor = batch.end_cursor;
+  return std::move(batch.lines);
 }
 
 namespace {
@@ -337,12 +306,14 @@ std::vector<std::string> journal::compaction_fold(
     // Self-verify: the kept subsequence must fold to the same lease view,
     // and re-applying it onto the final state must change nothing (a poller
     // whose cursor fell inside a compacted segment gets the snapshot
-    // re-delivered into its already-folded table).
+    // re-delivered into its already-folded table). Jobs fold independently,
+    // so `walk` — this job's final state alone — stands in for the full
+    // table at O(1) copy cost per job.
     lease_table kept_fold;
     for (const std::size_t i : chosen) kept_fold.apply(entries[i]);
     bool ok = same_view(kept_fold.view(job), ref);
     if (ok) {
-      lease_table redelivered = full;
+      lease_table redelivered = walk;
       for (const std::size_t i : chosen) redelivered.apply(entries[i]);
       ok = same_view(redelivered.view(job), ref);
     }

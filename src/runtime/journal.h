@@ -1,28 +1,23 @@
 /// \file journal.h
 /// Append-only durability log of a campaign: every job state transition
 /// (leased, running, checkpointed, completed, failed, cancelled, ...) is one
-/// JSON line. Appends are mutex-serialized within a process and
-/// line-buffered into a single O_APPEND write, so concurrent worker
-/// processes sharing one campaign directory interleave whole lines only.
-/// Replay reconstructs the latest state per job — the scheduler's
-/// crash-recovery source of truth — and tolerates a torn (crash-truncated)
-/// final line.
+/// JSON line in the campaign's `journal/` directory, a `store::segment_log`
+/// that rotates, compacts and garbage-collects its segments. Appends are
+/// single O_APPEND writes, so concurrent worker processes sharing one
+/// campaign directory interleave whole lines only. Replay reconstructs the
+/// latest state per job — the scheduler's crash-recovery source of truth —
+/// and tolerates a torn (crash-truncated) final line.
 ///
-/// Since the elastic-scheduling rewrite the journal is also the
-/// *coordination* medium: workers claim jobs by appending `leased` records,
-/// keep them alive with `lease_renewed` heartbeats, and take over a dead
-/// worker's jobs by appending `lease_expired` + a fresh claim. Because every
-/// appender shares one file, replay order is a total order and resolves
-/// every claim race deterministically (see `lease.h`).
+/// The journal is also the *coordination* medium: workers claim jobs by
+/// appending `leased` records, keep them alive with `lease_renewed`
+/// heartbeats, and take over a dead worker's jobs by appending
+/// `lease_expired` + a fresh claim. Because every appender shares one store,
+/// replay order is a total order and resolves every claim race
+/// deterministically (see `lease.h`).
 ///
-/// Two on-disk layouts, one API:
-///  - legacy: a single ever-growing `journal.jsonl` (the default);
-///  - segmented: a `journal/` store directory (`store::segment_log`) with
-///    rotation, compaction, and GC, for campaigns whose histories outgrow a
-///    single file. Chosen at campaign creation via `journal_options`
-///    (or the BOSON_JOURNAL_* environment variables) and auto-detected
-///    thereafter: `journal_path` and the `journal(path)` constructor attach
-///    to whichever layout exists.
+/// `journal_path(campaign_dir)` names the store and migrates a campaign
+/// written before the store existed (a single `journal.jsonl` file) once,
+/// so every reader sees the whole history.
 
 #pragma once
 
@@ -35,7 +30,6 @@
 #include <vector>
 
 #include "io/json.h"
-#include "runtime/jsonl.h"
 
 namespace boson::store {
 class segment_log;
@@ -45,7 +39,6 @@ namespace boson::runtime {
 
 /// Lifecycle states a job moves through in the journal.
 enum class job_state {
-  scheduled,      ///< admitted to a scheduler run's queue (legacy; informational)
   leased,         ///< a worker claimed the job (winner decided by replay order)
   lease_renewed,  ///< heartbeat: the owner extended its lease deadline
   lease_released, ///< the owner gave the job back without finishing it
@@ -66,8 +59,8 @@ job_state job_state_from_string(const std::string& text);
 struct journal_entry {
   std::size_t job_index = 0;
   std::string job_name;
-  job_state state = job_state::scheduled;
-  std::size_t attempt = 0;   ///< 1-based attempt number; 0 for scheduled
+  job_state state = job_state::leased;
+  std::size_t attempt = 0;   ///< 1-based attempt number
   std::string detail;        ///< state-dependent payload (error, iteration, ...)
   double seconds = 0.0;      ///< wall-clock of the attempt (completed/failed)
 
@@ -84,79 +77,55 @@ struct journal_entry {
 /// Resumable position in a journal: how much has been consumed so far.
 /// Pollers — the event stream, the lease manager — keep one per journal and
 /// fold only what appended since, so poll cost tracks journal *growth*
-/// instead of journal size. The offset is also the control plane's wire
-/// cursor (`?cursor=N`): in the legacy layout it is a byte offset into the
-/// shared O_APPEND file (< 2^33); in the segmented layout it is a
-/// `store::segment_log` cursor (seq+offset encoded above 2^33), so the two
-/// ranges never collide and a cursor is self-describing. Segmented cursors
-/// survive rotation and compaction: a cursor into a compacted-away segment
-/// resumes at the covering snapshot (at-least-once re-delivery — safe for
-/// the latest-wins / lease-fold consumers, see `compaction_fold`).
+/// instead of journal size. The offset is a `store::segment_log` cursor and
+/// doubles as the control plane's wire cursor (`?cursor=N`). Cursors survive
+/// rotation and compaction: a cursor into a compacted-away segment resumes
+/// at the covering snapshot (at-least-once re-delivery — safe for the
+/// latest-wins / lease-fold consumers, see `compaction_fold`).
 struct journal_cursor {
-  std::streamoff offset = 0;  ///< bytes (legacy) or encoded cursor (segmented)
-  std::size_t line = 0;       ///< complete lines already consumed
+  std::uint64_t offset = 0;  ///< store cursor; 0 = start of the journal
+  std::size_t line = 0;      ///< complete lines already consumed
 };
 
-/// Segmented-layout knobs for a *new* campaign journal. All zero (the
-/// default) keeps the legacy single-file layout; any nonzero value creates
-/// a `journal/` store directory instead. Existing campaigns auto-detect and
-/// keep their layout regardless of these options.
-struct journal_options {
-  std::size_t segment_bytes = 0;    ///< rotate the active segment at >= bytes
-  std::size_t segment_records = 0;  ///< rotate at >= records
-  std::size_t compact_segments = 0; ///< compact once sealed segments reach this
+/// The campaign journal's store directory (`<campaign_dir>/journal`). A
+/// campaign still holding a single-file `journal.jsonl` is migrated into
+/// the store first: its complete records are copied verbatim (minus the
+/// retired `scheduled` records) into a fresh store that is renamed into
+/// place, and the file is renamed to `journal.jsonl.migrated`. A crash at
+/// any point leaves either the untouched file or one complete store.
+std::string journal_path(const std::string& campaign_dir);
 
-  /// Copy with zero-valued fields filled from BOSON_JOURNAL_SEGMENT_BYTES,
-  /// BOSON_JOURNAL_SEGMENT_RECORDS, and BOSON_JOURNAL_COMPACT_SEGMENTS.
-  journal_options with_env_defaults() const;
-
-  bool segmented() const {
-    return segment_bytes != 0 || segment_records != 0 || compact_segments != 0;
-  }
-};
-
-/// Append-only JSONL writer + replayer over either layout.
+/// Append-only JSONL writer + replayer over one store directory.
 class journal {
  public:
-  /// Attach to an existing journal at `path`: a store directory opens in
-  /// segmented mode, anything else opens (creating if needed) the legacy
-  /// single file, healing any crash-torn trailing fragment first (see
-  /// `jsonl_appender`). `journal_path` produces the right `path` value.
-  explicit journal(std::string path);
-
-  /// Layout-deciding constructor for a campaign directory: attaches to
-  /// whichever layout already exists; for a fresh campaign creates the
-  /// segmented store when `opts` (after environment defaults) asks for it,
-  /// the legacy file otherwise.
-  journal(const std::string& campaign_dir, const journal_options& opts);
+  /// Open (creating if needed) the journal store at `dir` — the value
+  /// `journal_path` returns — healing a crash-torn active-segment tail.
+  explicit journal(std::string dir);
 
   ~journal();
 
   /// Append one record; thread-safe, flushed before returning so a crash
-  /// after `append` never loses the record. In segmented mode this also
-  /// rotates the active segment past its thresholds and opportunistically
-  /// compacts (every 64th append) once enough sealed segments accumulate.
+  /// after `append` never loses the record. Rotates the active segment past
+  /// its thresholds and opportunistically compacts (every 64th append) once
+  /// enough sealed segments accumulate.
   void append(const journal_entry& entry);
 
-  /// Legacy: the journal file. Segmented: the store directory.
+  /// The store directory.
   const std::string& path() const { return path_; }
 
-  /// True when this journal writes the segmented store layout.
-  bool segmented() const { return store_ != nullptr; }
-
-  /// Segmented mode: compact now if the sealed-segment threshold is
-  /// reached. Returns the number of records folded away (0 otherwise or in
-  /// legacy mode). The scheduler calls this once per scheduling pass.
+  /// Compact now if the sealed-segment threshold is reached. Returns the
+  /// number of records folded away (0 otherwise). The scheduler calls this
+  /// once per scheduling pass.
   std::size_t maybe_compact();
 
-  /// Segmented mode: compact unconditionally (still a no-op with fewer than
-  /// two sealed segments). Returns the number of records folded away.
+  /// Compact unconditionally (still a no-op with fewer than two sealed
+  /// segments). Returns the number of records folded away.
   std::size_t compact();
 
-  /// Parse every complete line of a journal file, in order. A torn trailing
-  /// line (the single-line tail a crash mid-write can leave) is ignored; a
+  /// Parse every complete line of a journal, in order. A malformed final
+  /// line (a racing writer's record seen mid-append) is ignored; a
   /// malformed line anywhere else throws `io_error` naming the line number.
-  /// A missing file replays to an empty history.
+  /// A missing journal replays to an empty history.
   static std::vector<journal_entry> replay(const std::string& path);
 
   /// Incremental replay: parse the records appended after `cursor` and
@@ -164,17 +133,23 @@ class journal {
   /// over — an unterminated final fragment, or a malformed final line (a
   /// racing writer's flush seen mid-append), is left *before* the cursor for
   /// the next poll; a malformed line with a successor throws `io_error`
-  /// naming the line. A missing file returns no records and leaves the
-  /// cursor untouched.
+  /// naming the line. A missing journal returns no records and leaves the
+  /// cursor untouched; a cursor that names no segment throws `bad_argument`.
   static std::vector<journal_entry> since(const std::string& path,
                                           journal_cursor& cursor);
+
+  /// `since` through this journal's open store handle, which keeps its lock
+  /// file open and its manifest fold cached between calls — the lease
+  /// manager's claim/verify loop polls this way.
+  std::vector<journal_entry> poll(journal_cursor& cursor);
 
   /// Raw-line incremental read for consumers that forward journal lines
   /// verbatim (the control plane's NDJSON event stream): complete non-blank
   /// lines after `cursor`, advancing it, without parsing. `max_lines` 0 = no
   /// cap — the event stream passes its page size so one slow consumer never
-  /// buffers an unbounded backlog. Works on both layouts; a missing journal
-  /// returns no lines and leaves the cursor untouched.
+  /// buffers an unbounded backlog. A missing journal returns no lines and
+  /// leaves the cursor untouched; a cursor that names no segment throws
+  /// `bad_argument`.
   static std::vector<std::string> raw_since(const std::string& path,
                                             std::uint64_t& cursor,
                                             std::size_t max_lines = 0);
@@ -201,13 +176,9 @@ class journal {
       const std::vector<std::string>& lines);
 
  private:
-  void open_legacy(const std::string& file);
-  void open_store(const std::string& dir, const journal_options& opts);
-
   std::string path_;
-  std::unique_ptr<jsonl_appender> out_;          ///< legacy layout
-  std::unique_ptr<store::segment_log> store_;    ///< segmented layout
-  std::atomic<std::size_t> appends_{0};          ///< compaction-check pacing
+  std::unique_ptr<store::segment_log> store_;
+  std::atomic<std::size_t> appends_{0};  ///< compaction-check pacing
 };
 
 }  // namespace boson::runtime

@@ -15,10 +15,9 @@ namespace {
 /// Drop a torn trailing fragment (what a crash mid-append leaves behind)
 /// before appending: without this, the first record of a resumed run would
 /// merge into the fragment and turn the tolerated torn tail into permanent
-/// mid-file corruption. Concurrent shards opening one file heal to the same
-/// boundary; only resuming *several* shards at the exact moment one of them
-/// has already healed and appended could race — resume shards of a crashed
-/// campaign one at a time.
+/// mid-file corruption. Concurrent workers opening one file heal to the same
+/// boundary; only resuming *several* workers at the exact moment one of them
+/// has already healed and appended could race.
 void drop_torn_tail(const std::string& path, const std::string& label) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return;  // nothing to heal
@@ -75,7 +74,7 @@ void replay_jsonl(const std::string& path, const std::string& label,
 
 void jsonl_appender::append(const io::json_value& record) {
   // Render the whole line first: one write syscall per record under the
-  // lock, so concurrent shard processes appending to the same file (append
+  // lock, so concurrent worker processes appending to the same file (append
   // mode -> O_APPEND) interleave whole lines only.
   const std::string line = record.dump(-1) + "\n";
   const std::lock_guard<std::mutex> lock(mutex_);

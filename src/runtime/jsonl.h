@@ -1,10 +1,12 @@
 /// \file jsonl.h
-/// The one JSONL append mechanism both durability files (journal.jsonl,
-/// results.jsonl) share: heal-on-open (a crash-torn trailing fragment is
-/// truncated away so fresh appends cannot merge into it) and line-atomic
+/// Single-file JSONL durability: the result store's `results.jsonl` appends
+/// through `jsonl_appender` — heal-on-open (a crash-torn trailing fragment
+/// is truncated away so fresh appends cannot merge into it) and line-atomic
 /// appends (each record rendered into a single write under a mutex, flushed
-/// before returning) so concurrent shard processes interleave whole lines
-/// only.
+/// before returning) so concurrent worker processes interleave whole lines
+/// only. The replay functions also read the single files that the one-shot
+/// migrations move into `store::segment_log` directories (the registry's
+/// `registry.jsonl`, a campaign's `journal.jsonl`).
 
 #pragma once
 

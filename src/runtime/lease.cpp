@@ -63,7 +63,6 @@ void lease_table::apply(const journal_entry& e) {
       // worker (the pre-lease flow), so they release whatever is live.
       if (owner_matches || e.worker.empty()) to_pending();
       break;
-    case job_state::scheduled:
     case job_state::running:
     case job_state::checkpointed:
       break;  // informational
@@ -92,7 +91,7 @@ lease_manager::lease_manager(journal& log, std::string worker_id, double ttl,
 }
 
 void lease_manager::refresh_locked() {
-  for (const journal_entry& e : journal::since(log_.path(), cursor_))
+  for (const journal_entry& e : log_.poll(cursor_))
     table_.apply(e);
 }
 

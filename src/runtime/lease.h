@@ -1,9 +1,9 @@
 /// \file lease.h
 /// Dynamic job leases over the shared campaign journal — the coordination
-/// layer that replaced static `--shard i/N` partitioning. Workers *claim*
-/// pending jobs by appending a `leased` record and then re-reading the
-/// journal: because every worker appends to one O_APPEND file, replay order
-/// is a total order, and the first claim to land wins (append-then-verify).
+/// layer of elastic campaigns. Workers *claim* pending jobs by appending a
+/// `leased` record and then re-reading the journal: because every worker
+/// appends to one store with O_APPEND writes, replay order is a total order,
+/// and the first claim to land wins (append-then-verify).
 /// Live leases are kept alive with `lease_renewed` heartbeats; a lease whose
 /// deadline passed can be taken over by any worker, which appends an
 /// explicit `lease_expired` record (naming the victim lease) followed by its
@@ -115,8 +115,8 @@ struct job_lease {
 /// size.
 class lease_manager {
  public:
-  /// `log` is the journal this manager appends through; it must be open on
-  /// `log.path()`. `ttl` is the lease duration granted by claims/renewals.
+  /// `log` is the journal this manager appends through and polls.
+  /// `ttl` is the lease duration granted by claims/renewals.
   /// An empty `clock` uses `wall_clock_seconds`.
   lease_manager(journal& log, std::string worker_id, double ttl, clock_fn clock = {});
 

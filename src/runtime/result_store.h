@@ -45,8 +45,8 @@ class result_store {
   /// Opens (and heals, see `jsonl_appender`) the store for appending.
   explicit result_store(const std::string& campaign_dir);
 
-  /// Append one row; thread-safe and flushed (same line-atomic contract as
-  /// the journal, so concurrent shards share one store).
+  /// Append one row; thread-safe and flushed (line-atomic, so concurrent
+  /// worker processes share one store).
   void append(const job_result_row& row);
 
   const std::string& path() const { return out_.path(); }

@@ -18,7 +18,6 @@
 #include "obs/trace.h"
 #include "runtime/checkpoint.h"
 #include "runtime/journal.h"
-#include "store/segment_log.h"
 
 namespace boson::runtime {
 
@@ -118,15 +117,6 @@ job_result_row make_row(const campaign_job& job, const api::experiment_result& r
 
 std::string default_worker_id() { return "w" + std::to_string(::getpid()); }
 
-std::string journal_path(const std::string& campaign_dir) {
-  // Layout auto-detection: a campaign created with segmented-journal options
-  // has a `journal/` store directory; everything else (including every
-  // pre-existing campaign) uses the legacy single file.
-  const std::string segmented = (fs::path(campaign_dir) / "journal").string();
-  if (store::segment_log::is_store_dir(segmented)) return segmented;
-  return (fs::path(campaign_dir) / "journal.jsonl").string();
-}
-
 std::string campaign_spec_path(const std::string& campaign_dir) {
   return (fs::path(campaign_dir) / "campaign.json").string();
 }
@@ -167,24 +157,18 @@ scheduler_report scheduler::run() {
 
   const std::vector<campaign_job> all_jobs = spec_.expand();
 
-  journal_options jopts;
-  jopts.segment_bytes = options_.segment_bytes;
-  jopts.segment_records = options_.segment_records;
-  jopts.compact_segments = options_.compact_segments;
-  journal log(options_.campaign_dir, jopts);
+  journal log(journal_path(options_.campaign_dir));
   result_store store(options_.campaign_dir);
   lease_manager manager(log, worker_id(), settings.lease_ttl, options_.clock);
   fault_injector* const faults = options_.faults;
 
-  // The jobs this worker considers (the shard filter survives as a
-  // deprecated alias), minus everything the journal already proved done.
+  // Every job, minus what the journal already proved done.
   scheduler_report report;
+  report.jobs = all_jobs.size();
   std::vector<const campaign_job*> pending;
   {
     const lease_table table = manager.snapshot();
     for (const campaign_job& job : all_jobs) {
-      if (!options_.shard.contains(job.index)) continue;
-      ++report.shard_jobs;
       if (table.done(job.index)) {
         ++report.skipped;
         continue;
@@ -483,9 +467,9 @@ scheduler_report scheduler::run() {
   for (std::thread& t : workers) t.join();
   sched_metrics().queue_depth.set(0.0);
 
-  // Segmented journals: fold finished history once per scheduling pass, so
-  // replay/poll cost at the next resume tracks live state, not the full
-  // lease/heartbeat churn this run appended.
+  // Fold finished history once per scheduling pass, so replay/poll cost at
+  // the next resume tracks live state, not the full lease/heartbeat churn
+  // this run appended.
   const std::size_t folded = log.maybe_compact();
   if (folded > 0)
     log_info("scheduler[", spec_.name, "]: journal compaction folded away ",

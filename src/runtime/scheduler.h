@@ -10,11 +10,6 @@
 /// every completed job in the result store; a killed scheduler resumes by
 /// replaying the journal, restarting mid-flight jobs from their last
 /// persisted checkpoint instead of iteration zero.
-///
-/// The static `--shard i/N` partition survives as a deprecated *filter*: a
-/// sharded worker only considers its slice, but coverage no longer depends
-/// on every shard index being served — any worker can finish any unleased
-/// job it is allowed to see.
 
 #pragma once
 
@@ -74,11 +69,6 @@ struct scheduler_options {
   /// share it by design).
   std::string worker_id;
 
-  /// Deprecated static filter: this worker only considers its `i/N` slice of
-  /// the job list (default: everything). Leases make this unnecessary —
-  /// prefer pointing several unsharded workers at one campaign directory.
-  shard_range shard;
-
   /// Overrides of the campaign's scheduler settings (unset: use the spec's).
   std::optional<std::size_t> workers;
   std::optional<std::size_t> max_retries;
@@ -105,19 +95,11 @@ struct scheduler_options {
 
   /// Deterministic kill points (tests / `--fault`); nullptr: none.
   fault_injector* faults = nullptr;
-
-  /// Segmented-journal layout for *new* campaigns (see `journal_options`):
-  /// all zero keeps the legacy single `journal.jsonl`; any nonzero value
-  /// creates a rotating/compacting `journal/` store directory instead.
-  /// Existing campaigns keep whichever layout they were created with.
-  std::size_t segment_bytes = 0;
-  std::size_t segment_records = 0;
-  std::size_t compact_segments = 0;
 };
 
 /// What one `scheduler::run` call did to the jobs it considered.
 struct scheduler_report {
-  std::size_t shard_jobs = 0;   ///< jobs this worker was allowed to consider
+  std::size_t jobs = 0;         ///< jobs in the campaign
   std::size_t completed = 0;    ///< finished during this run
   std::size_t skipped = 0;      ///< already completed per the journal
   std::size_t failed = 0;       ///< exhausted their retry budget
@@ -169,8 +151,8 @@ class scheduler {
   std::atomic<bool> cancel_{false};
 };
 
-/// Path helpers shared by the scheduler and the CLI.
-std::string journal_path(const std::string& campaign_dir);
+/// Path helpers shared by the scheduler and the CLI (`journal_path` lives
+/// in journal.h).
 std::string campaign_spec_path(const std::string& campaign_dir);
 std::string job_directory(const std::string& campaign_dir, const std::string& job_name);
 

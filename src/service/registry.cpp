@@ -105,14 +105,8 @@ campaign_registry::campaign_registry(options opts) : options_(std::move(opts)) {
   require(options_.tenant_quota >= 1, "campaign_registry: tenant quota must be >= 1");
   std::filesystem::create_directories(options_.data_dir);
 
-  // Modest rotation keeps the ledger's replay cost proportional to live
-  // campaigns (every state flip is one more line until the fold runs).
-  store::log_options lo;
-  lo.segment_bytes = 256 * 1024;
-  lo.segment_records = 1024;
-  lo.compact_segments = 4;
-  log_ = std::make_unique<store::segment_log>(ledger_dir(options_.data_dir), lo,
-                                              "registry");
+  log_ = std::make_unique<store::segment_log>(ledger_dir(options_.data_dir),
+                                              store::default_log_options, "registry");
 
   // One-shot migration of a pre-store data root: fold the legacy file's
   // complete records into the ledger, then move it aside. Idempotent — a

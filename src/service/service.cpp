@@ -143,9 +143,6 @@ void campaign_service::run_campaign(const campaign_record& record) {
   so.write_artifacts = options_.write_artifacts;
   so.executor = options_.executor;
   so.clock = options_.clock;
-  so.segment_bytes = options_.segment_bytes;
-  so.segment_records = options_.segment_records;
-  so.compact_segments = options_.compact_segments;
   runtime::scheduler scheduler(spec, std::move(so));
 
   {

@@ -66,14 +66,6 @@ struct service_options {
   /// hold live leases, and the floor of the events long-poll granularity.
   double poll_interval = 0.2;
 
-  /// Segmented-journal layout for campaigns this service creates (see
-  /// `runtime::journal_options`): all zero keeps the legacy single-file
-  /// journal; any nonzero value gives new campaigns a rotating/compacting
-  /// `journal/` store directory.
-  std::size_t segment_bytes = 0;
-  std::size_t segment_records = 0;
-  std::size_t compact_segments = 0;
-
   /// Max journal lines one events() poll returns (backpressure: a slow
   /// consumer pages through history instead of buffering it all at once).
   std::size_t event_page_lines = 512;

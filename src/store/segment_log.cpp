@@ -8,9 +8,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "common/error.h"
@@ -30,15 +33,6 @@ constexpr std::uint64_t kOffsetMask = (std::uint64_t(1) << kOffsetBits) - 1;
 
 std::function<void(const char*)> g_crash_hook;
 std::mutex g_crash_mutex;
-
-void crash_point(const char* point) {
-  std::function<void(const char*)> hook;
-  {
-    const std::lock_guard<std::mutex> lock(g_crash_mutex);
-    hook = g_crash_hook;
-  }
-  if (hook) hook(point);
-}
 
 std::string manifest_file(const std::string& dir) {
   return (fs::path(dir) / "manifest.jsonl").string();
@@ -102,6 +96,15 @@ void set_crash_hook(std::function<void(const char*)> hook) {
   g_crash_hook = std::move(hook);
 }
 
+void crash_point(const char* point) {
+  std::function<void(const char*)> hook;
+  {
+    const std::lock_guard<std::mutex> lock(g_crash_mutex);
+    hook = g_crash_hook;
+  }
+  if (hook) hook(point);
+}
+
 std::uint64_t encode_cursor(std::uint64_t seq, std::uint64_t offset) {
   return ((seq + 1) << kOffsetBits) | (offset & kOffsetMask);
 }
@@ -119,6 +122,7 @@ void decode_cursor(std::uint64_t cursor, std::uint64_t& seq, std::uint64_t& offs
 struct manifest_state {
   std::vector<std::uint64_t> chain;
   std::map<std::uint64_t, std::uint64_t> compacted;  ///< seq -> covering snapshot
+  std::set<std::uint64_t> snapshots;                 ///< seqs written by compaction
   std::uint64_t next_seq = 0;
   log_options config;
   bool has_config = false;
@@ -130,15 +134,18 @@ struct manifest_state {
   /// Resolve a cursor's seq to its chain position: the seq itself when it
   /// still exists, else the snapshot that covers it (transitively). Returns
   /// the chain index, with `restart` set when the caller must re-read from
-  /// the segment's start (at-least-once re-delivery after compaction).
-  std::size_t resolve(std::uint64_t seq, bool& restart, const std::string& label) const {
+  /// the segment's start (at-least-once re-delivery after compaction). A
+  /// cursor naming a segment this log never had (a stale or made-up value)
+  /// is the caller's mistake: `bad_argument`.
+  std::size_t resolve(std::uint64_t cursor, std::uint64_t seq, bool& restart,
+                      const std::string& label) const {
     restart = false;
     std::uint64_t s = seq;
     while (!in_chain(s)) {
       const auto it = compacted.find(s);
       if (it == compacted.end())
-        throw io_error(label + ": cursor references unknown segment " +
-                       std::to_string(seq));
+        throw bad_argument(label + ": cursor " + std::to_string(cursor) +
+                           " names no segment of this log");
       s = it->second;
       restart = true;
     }
@@ -186,6 +193,7 @@ manifest_state fold_manifest(const std::string& dir, const std::string& label) {
         const auto first = static_cast<std::uint64_t>(v.at("first").as_number());
         const auto last = static_cast<std::uint64_t>(v.at("last").as_number());
         state.next_seq = std::max(state.next_seq, snap + 1);
+        state.snapshots.insert(snap);
         const auto a = std::find(state.chain.begin(), state.chain.end(), first);
         const auto b = std::find(state.chain.begin(), state.chain.end(), last);
         if (a != state.chain.end() && b != state.chain.end() && a <= b) {
@@ -204,11 +212,54 @@ manifest_state fold_manifest(const std::string& dir, const std::string& label) {
   return state;
 }
 
+/// Append the complete, non-blank lines of segment `seq` (open on `fd`)
+/// from byte `consumed` to `batch`, advancing `consumed` and the cursors.
+/// Returns false when the caller must stop here: `max_lines` was reached,
+/// or the segment ends in an unterminated fragment (a torn tail or a racing
+/// writer's append seen mid-flush) that stays ahead of the cursor for the
+/// next poll.
+bool scan_segment(int fd, std::uint64_t seq, std::uint64_t& consumed,
+                  std::size_t max_lines, read_batch& batch, const std::string& label) {
+  char buf[16384];
+  std::string line;
+  std::uint64_t pos = consumed;
+  for (;;) {
+    const ssize_t n = ::pread(fd, buf, sizeof buf, static_cast<off_t>(pos));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw io_error(label + ": cannot read segment " + std::to_string(seq));
+    }
+    if (n == 0) return line.empty();
+    pos += static_cast<std::uint64_t>(n);
+    const char* p = buf;
+    const char* const end = buf + n;
+    while (p < end) {
+      const auto* nl = static_cast<const char*>(std::memchr(p, '\n', end - p));
+      if (nl == nullptr) {
+        line.append(p, end);
+        break;
+      }
+      line.append(p, nl);
+      p = nl + 1;
+      consumed += static_cast<std::uint64_t>(line.size()) + 1;
+      batch.end_cursor = encode_cursor(seq, consumed);
+      if (!blank(line)) {
+        batch.lines.push_back(std::move(line));
+        batch.cursors.push_back(batch.end_cursor);
+        if (max_lines != 0 && batch.lines.size() >= max_lines) return false;
+      }
+      line.clear();
+    }
+  }
+}
+
 /// Read complete, non-blank lines of the chain after `cursor`, advancing a
-/// per-line cursor. The shared core of the static and instance readers.
+/// per-line cursor. The shared core of the static and instance readers;
+/// `tail_fd`, when valid, is a read fd already open on the chain's last
+/// segment (the instance keeps one so a poll costs no open(2)).
 read_batch read_chain(const std::string& dir, const std::string& label,
                       const manifest_state& state, std::uint64_t cursor,
-                      std::size_t max_lines) {
+                      std::size_t max_lines, int tail_fd = -1) {
   read_batch batch;
   batch.end_cursor = cursor;
   if (state.chain.empty()) return batch;
@@ -219,36 +270,36 @@ read_batch read_chain(const std::string& dir, const std::string& label,
     std::uint64_t seq = 0;
     bool restart = false;
     decode_cursor(cursor, seq, offset);
-    index = state.resolve(seq, restart, label);
+    index = state.resolve(cursor, seq, restart, label);
     if (restart) offset = 0;  // compacted away: re-read the covering snapshot
   }
 
   for (; index < state.chain.size(); ++index) {
     const std::uint64_t seq = state.chain[index];
+    const bool tail = index + 1 == state.chain.size();
     std::uint64_t consumed = offset;
     offset = 0;
-    std::ifstream in(segment_file(dir, seq), std::ios::binary);
-    if (in) {
-      in.seekg(static_cast<std::streamoff>(consumed));
-      std::string line;
-      while (std::getline(in, line)) {
-        // No trailing newline: a torn tail or a racing writer's append seen
-        // mid-flush — it stays ahead of the cursor for the next poll.
-        if (in.eof()) return batch;
-        consumed += static_cast<std::uint64_t>(line.size()) + 1;
-        batch.end_cursor = encode_cursor(seq, consumed);
-        if (blank(line)) continue;
-        batch.lines.push_back(line);
-        batch.cursors.push_back(batch.end_cursor);
-        if (max_lines != 0 && batch.lines.size() >= max_lines) return batch;
+    bool drained = true;
+    if (tail && tail_fd >= 0) {
+      drained = scan_segment(tail_fd, seq, consumed, max_lines, batch, label);
+    } else {
+      // A missing file is an empty segment that was never written to.
+      const int fd = ::open(segment_file(dir, seq).c_str(), O_RDONLY | O_CLOEXEC);
+      if (fd >= 0) {
+        try {
+          drained = scan_segment(fd, seq, consumed, max_lines, batch, label);
+        } catch (...) {
+          ::close(fd);
+          throw;
+        }
+        ::close(fd);
       }
     }
+    if (!drained) return batch;
     // Segment drained cleanly. A sealed segment hands over to its successor;
     // the active (last) one is simply the end of the log for now.
-    if (index + 1 < state.chain.size())
-      batch.end_cursor = encode_cursor(state.chain[index + 1], 0);
-    else
-      batch.end_cursor = encode_cursor(seq, consumed);
+    batch.end_cursor =
+        tail ? encode_cursor(seq, consumed) : encode_cursor(state.chain[index + 1], 0);
   }
   return batch;
 }
@@ -283,7 +334,10 @@ bool segment_log::is_store_dir(const std::string& path) {
 }
 
 segment_log::segment_log(std::string dir, log_options opts, std::string label)
-    : dir_(std::move(dir)), label_(std::move(label)), opts_(opts) {
+    : dir_(std::move(dir)),
+      label_(std::move(label)),
+      opts_(opts),
+      appends_(&obs::registry::global().get_counter("store.appends", {{"log", label_}})) {
   require(!dir_.empty(), label_ + ": store directory must not be empty");
   fs::create_directories(dir_);
   lock_fd_ = ::open(lock_file(dir_).c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
@@ -293,35 +347,40 @@ segment_log::segment_log(std::string dir, log_options opts, std::string label)
   const std::lock_guard<std::recursive_mutex> guard(mutex_);
   acquire(true);
   try {
-    if (!is_store_dir(dir_)) {
-      // Creator: record the configuration for attachers, then open segment 0.
-      state_ = std::make_unique<manifest_state>();
+    // Kept open for the instance's lifetime: the manifest is only ever
+    // appended to (or healed in place), so an fstat of this fd is the
+    // cheap "did the chain change?" probe of every append and read.
+    // O_RDWR, not O_WRONLY: the manifest append verification reads back
+    // through it.
+    const std::string manifest = manifest_file(dir_);
+    manifest_fd_ = ::open(manifest.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+    if (manifest_fd_ < 0) throw io_error(label_ + ": cannot open '" + manifest + "'");
+    heal_file(manifest, label_);  // a manifest writer died mid-append
+    if (fold_manifest(dir_, label_).chain.empty()) {
+      // Creator (or a creator that died before its records landed): record
+      // the configuration for attachers and open segment 0, in one write.
+      // No fsync: these records name no data yet, and should they be lost
+      // with the machine the next open writes them again.
       io::json_value config = io::json_value::object();
       config["op"] = "config";
       config["segment_bytes"] = opts_.segment_bytes;
       config["segment_records"] = opts_.segment_records;
       config["compact_segments"] = opts_.compact_segments;
-      append_manifest_locked(config.dump(-1));
       io::json_value open_record = io::json_value::object();
       open_record["op"] = "open";
       open_record["seq"] = 0;
-      append_manifest_locked(open_record.dump(-1));
+      append_manifest_locked(config.dump(-1) + "\n" + open_record.dump(-1), false);
     }
     manifest_bytes_ = static_cast<std::uintmax_t>(-1);  // force the first fold
     refresh_locked();
-    // Attachers with unconfigured options adopt the creator's, so external
-    // workers joining a shared data root rotate/compact the same way.
-    if (state_->has_config) {
-      if (opts_.segment_bytes == 0) opts_.segment_bytes = state_->config.segment_bytes;
-      if (opts_.segment_records == 0)
-        opts_.segment_records = state_->config.segment_records;
-      if (opts_.compact_segments == 0)
-        opts_.compact_segments = state_->config.compact_segments;
-    }
+    // Every process follows the creator's options, so workers joining a
+    // shared data root rotate/compact the same way without flags of their own.
+    if (state_->has_config) opts_ = state_->config;
     heal_active_locked();
     gc_locked();
   } catch (...) {
     release();
+    if (manifest_fd_ >= 0) ::close(manifest_fd_);
     ::close(lock_fd_);
     throw;
   }
@@ -329,8 +388,8 @@ segment_log::segment_log(std::string dir, log_options opts, std::string label)
 }
 
 segment_log::~segment_log() {
-  if (active_fd_ >= 0) ::close(active_fd_);
-  if (lock_fd_ >= 0) ::close(lock_fd_);
+  for (const int fd : {active_fd_, tail_fd_, manifest_fd_, lock_fd_})
+    if (fd >= 0) ::close(fd);
 }
 
 void segment_log::acquire(bool exclusive) {
@@ -356,11 +415,10 @@ void segment_log::release() {
 }
 
 void segment_log::refresh_locked() {
-  std::error_code ec;
-  const std::uintmax_t size = fs::file_size(manifest_file(dir_), ec);
-  if (!state_ || ec || size != manifest_bytes_) {
+  const std::uintmax_t size = fd_size(manifest_fd_);
+  if (!state_ || size != manifest_bytes_) {
     state_ = std::make_unique<manifest_state>(fold_manifest(dir_, label_));
-    manifest_bytes_ = ec ? 0 : size;
+    manifest_bytes_ = size;
     if (state_->chain.empty())
       throw io_error(label_ + ": manifest '" + manifest_file(dir_) +
                      "' has no open segment");
@@ -373,12 +431,7 @@ void segment_log::refresh_locked() {
 
 bool segment_log::ensure_active_locked() {
   const std::uint64_t seq = state_->chain.back();
-  if (active_fd_ >= 0 && active_seq_ == seq) {
-    // fstat picks up other processes' appends, so rotation thresholds see
-    // the segment's true size, not just our own contribution.
-    active_bytes_ = static_cast<std::size_t>(fd_size(active_fd_));
-    return true;
-  }
+  if (active_fd_ >= 0 && active_seq_ == seq) return true;
   if (active_fd_ >= 0) ::close(active_fd_);
   active_fd_ = -1;
 
@@ -442,7 +495,11 @@ void segment_log::append(const std::string& line) {
         require(ensure_active_locked(), label_ + ": active segment did not heal");
       }
       write_fully(active_fd_, data, label_, segment_file(dir_, active_seq_));
-      active_bytes_ += data.size();
+      // With O_APPEND the offset after our write is the segment's end,
+      // other processes' appends included, so the byte threshold sees the
+      // segment's true size.
+      const off_t end = ::lseek(active_fd_, 0, SEEK_CUR);
+      active_bytes_ = end >= 0 ? static_cast<std::size_t>(end) : active_bytes_ + data.size();
       ++active_records_;
       want_rotate =
           (opts_.segment_bytes != 0 && active_bytes_ >= opts_.segment_bytes) ||
@@ -454,7 +511,7 @@ void segment_log::append(const std::string& line) {
     release();
     break;
   }
-  obs::registry::global().get_counter("store.appends", {{"log", label_}}).inc();
+  appends_->inc();
 
   if (want_rotate) {
     acquire(true);
@@ -490,32 +547,22 @@ void segment_log::rotate_locked() {
   log_debug(label_, ": rotated to segment ", state_->chain.back(), " in '", dir_, "'");
 }
 
-void segment_log::append_manifest_locked(const std::string& line) {
+void segment_log::append_manifest_locked(const std::string& records, bool sync) {
   const std::string path = manifest_file(dir_);
   heal_file(path, label_);  // a manifest writer died mid-append
-  // O_RDWR, not O_WRONLY: the verification pread below reads through the
-  // same fd.
-  const int fd = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) throw io_error(label_ + ": cannot open '" + path + "' for appending");
-  const std::uintmax_t before = fd_size(fd);
-  const std::string data = line + "\n";
-  try {
-    write_fully(fd, data, label_, path);
-    // Append-then-verify: read our record back from where it must have
-    // landed. Under the exclusive lock a mismatch means the write was torn
-    // or the filesystem lied — either way the manifest must not be trusted.
-    std::string check(data.size(), '\0');
-    const ssize_t n = ::pread(fd, check.data(), check.size(),
-                              static_cast<off_t>(before));
-    if (n != static_cast<ssize_t>(check.size()) || check != data)
-      throw io_error(label_ + ": manifest append verification failed in '" + path + "'");
-    if (::fsync(fd) != 0)
-      throw io_error(label_ + ": cannot fsync '" + path + "'");
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
+  const std::uintmax_t before = fd_size(manifest_fd_);
+  const std::string data = records + "\n";
+  write_fully(manifest_fd_, data, label_, path);
+  // Append-then-verify: read our records back from where they must have
+  // landed. Under the exclusive lock a mismatch means the write was torn or
+  // the filesystem lied — either way the manifest must not be trusted.
+  std::string check(data.size(), '\0');
+  const ssize_t n =
+      ::pread(manifest_fd_, check.data(), check.size(), static_cast<off_t>(before));
+  if (n != static_cast<ssize_t>(check.size()) || check != data)
+    throw io_error(label_ + ": manifest append verification failed in '" + path + "'");
+  if (sync && ::fsync(manifest_fd_) != 0)
+    throw io_error(label_ + ": cannot fsync '" + path + "'");
 }
 
 std::size_t segment_log::gc_locked() {
@@ -570,16 +617,31 @@ bool segment_log::should_compact() {
   if (opts_.compact_segments == 0) return false;
   const std::lock_guard<std::recursive_mutex> guard(mutex_);
   acquire(false);
-  std::size_t sealed = 0;
+  bool due = false;
   try {
     refresh_locked();
-    sealed = state_->chain.size() - 1;
+    const std::vector<std::uint64_t>& chain = state_->chain;
+    if (chain.size() - 1 >= opts_.compact_segments) {
+      // Size the run `compact` would fold: never-folded segments against
+      // the snapshot bytes they would be merged with. Folding only once the
+      // fresh part is at least as large keeps the total fold work within
+      // twice the appended history even when nothing folds away, and a
+      // lone snapshot is never re-folded.
+      std::uintmax_t fresh = 0;
+      std::uintmax_t folded = 0;
+      for (std::size_t i = 0; i + 2 < chain.size(); ++i) {
+        std::error_code ec;
+        const std::uintmax_t bytes = fs::file_size(segment_file(dir_, chain[i]), ec);
+        (state_->snapshots.count(chain[i]) ? folded : fresh) += ec ? 0 : bytes;
+      }
+      due = fresh > 0 && fresh >= folded;
+    }
   } catch (...) {
     release();
     throw;
   }
   release();
-  return sealed >= opts_.compact_segments;
+  return due;
 }
 
 std::size_t segment_log::segment_count() {
@@ -604,12 +666,19 @@ std::size_t segment_log::compact(const compaction_fold& fold) {
   std::size_t dropped = 0;
   try {
     refresh_locked();
-    if (state_->chain.size() < 2) {
+    // Every sealed segment but the newest: a poller that reads at least
+    // once per rotation keeps its cursor out of the fold, so it is never
+    // handed the snapshot again.
+    const std::vector<std::uint64_t> sealed(
+        state_->chain.begin(), state_->chain.end() - std::min<std::size_t>(
+                                                         2, state_->chain.size()));
+    // Nothing to fold: fewer than two sealed segments, or only snapshots,
+    // which an idempotent fold would rewrite unchanged.
+    if (std::all_of(sealed.begin(), sealed.end(),
+                    [this](std::uint64_t seq) { return state_->snapshots.count(seq) > 0; })) {
       release();
-      return 0;  // nothing sealed to fold
+      return 0;
     }
-    const std::vector<std::uint64_t> sealed(state_->chain.begin(),
-                                            state_->chain.end() - 1);
 
     std::vector<std::string> input;
     for (const std::uint64_t seq : sealed) {
@@ -687,7 +756,14 @@ read_batch segment_log::read_since(std::uint64_t cursor, std::size_t max_lines) 
   read_batch batch;
   try {
     refresh_locked();
-    batch = read_chain(dir_, label_, *state_, cursor, max_lines);
+    const std::uint64_t tail = state_->chain.back();
+    if (tail_fd_ < 0 || tail_seq_ != tail) {
+      if (tail_fd_ >= 0) ::close(tail_fd_);
+      // Not there yet (nothing appended): retried by the next read.
+      tail_fd_ = ::open(segment_file(dir_, tail).c_str(), O_RDONLY | O_CLOEXEC);
+      tail_seq_ = tail;
+    }
+    batch = read_chain(dir_, label_, *state_, cursor, max_lines, tail_fd_);
   } catch (...) {
     release();
     throw;

@@ -8,13 +8,13 @@
 ///   lock                  flock(2) coordination file
 ///
 /// Records are JSONL lines appended with a single O_APPEND write(2), so any
-/// number of processes sharing the directory interleave whole lines only —
-/// the same total-order property the single-file journal relied on for
-/// lease append-then-verify. What the single file could not do is *rotate*:
-/// here the active segment is rotated once it exceeds a byte/record
-/// threshold, sealed segments can be *compacted* (folded into a snapshot
-/// segment, crash-safe via temp+rename), and replaced segments are GC'd —
-/// so replay and poll cost track live state, not total history.
+/// number of processes sharing the directory interleave whole lines only:
+/// replay order is a total order, which the journal's lease
+/// append-then-verify relies on. The active segment is rotated once it
+/// exceeds a byte/record threshold, sealed segments can be *compacted*
+/// (folded into a snapshot segment, crash-safe via temp+rename), and
+/// replaced segments are GC'd — so replay and poll cost track live state,
+/// not total history.
 ///
 /// Concurrency protocol (multi-process, crash-safe):
 ///  - appenders hold a SHARED flock on `lock` for the duration of one
@@ -27,7 +27,8 @@
 ///
 /// Manifest records (fold in file order; duplicates are idempotent):
 ///   {"op":"config", "segment_bytes":B, "segment_records":R,
-///    "compact_segments":C}            creation-time defaults attachers adopt
+///    "compact_segments":C}            the creator's options; every attacher
+///                                    adopts them
 ///   {"op":"open", "seq":N}           segment N is the new active tail
 ///                                    (implicitly seals the previous one)
 ///   {"op":"compact", "seq":S, "first":A, "last":B, ...}
@@ -40,13 +41,14 @@
 ///
 /// Cursors are a single integer: 0 means "start of the chain"; otherwise
 /// `((seq + 1) << 33) | byte_offset` — under 2^53, so they survive the
-/// JSON/double round-trip of the control plane's `?cursor=` parameter, and
-/// they never collide with a legacy single-file byte offset (< 2^33).
-/// Because segments are immutable once sealed and seqs are never reused, a
-/// cursor into any still-existing segment stays exactly valid across
-/// rotation *and* compaction; a cursor into a compacted-away segment
-/// resolves to the start of the covering snapshot (at-least-once
-/// re-delivery, convergent for latest-wins/fold consumers).
+/// JSON/double round-trip of the control plane's `?cursor=` parameter. A
+/// cursor that names no segment of the log (any nonzero value below 2^33,
+/// for one) is rejected with `bad_argument`. Because segments are immutable
+/// once sealed and seqs are never reused, a cursor into any still-existing
+/// segment stays exactly valid across rotation *and* compaction; a cursor
+/// into a compacted-away segment resolves to the start of the covering
+/// snapshot (at-least-once re-delivery, convergent for latest-wins/fold
+/// consumers).
 
 #pragma once
 
@@ -58,13 +60,23 @@
 #include <string>
 #include <vector>
 
+namespace boson::obs {
+class counter;
+}
+
 namespace boson::store {
 
 struct log_options {
   std::size_t segment_bytes = 0;    ///< rotate the active segment at >= bytes (0: never)
   std::size_t segment_records = 0;  ///< rotate at >= records (0: never)
-  std::size_t compact_segments = 0; ///< `should_compact` once sealed count >= (0: never)
+  std::size_t compact_segments = 0; ///< `should_compact` needs sealed count >= (0: never)
 };
+
+/// The options every production log is created with (the campaign registry
+/// and each campaign journal): modest rotation keeps replay cost
+/// proportional to live state, because the fold runs once four sealed
+/// segments accumulate (see `should_compact` for the size rule).
+inline constexpr log_options default_log_options{256 * 1024, 1024, 4};
 
 /// Compaction fold: receives every line of the sealed segments in replay
 /// order and returns the subsequence to keep (verbatim lines — a snapshot
@@ -79,6 +91,9 @@ using compaction_fold =
 /// "compact:after_tmp", ...). Forked test children install a hook that
 /// SIGKILLs themselves to exercise crash-during-rotation/compaction healing.
 void set_crash_hook(std::function<void(const char*)> hook);
+
+/// Call the crash hook (if one is installed) at the named fault point.
+void crash_point(const char* point);
 
 /// Encode/decode the (segment seq, byte offset) pair into the single-integer
 /// wire cursor. Exposed for tests; 0 is "start of chain" and never encoded.
@@ -105,10 +120,10 @@ class segment_log {
   /// True when `path` is a store directory (its manifest exists).
   static bool is_store_dir(const std::string& path);
 
-  /// Open (creating if needed) the store at `dir`. Creation writes the
-  /// config + first `open` manifest records; attaching adopts the creator's
-  /// config for every option left zero, so attaching workers rotate and
-  /// compact the way the creator configured without their own flags.
+  /// Open (creating if needed) the store at `dir`. Creation writes `opts`
+  /// as the manifest's config record plus the first `open` record; an
+  /// attacher ignores `opts` and adopts the config record, so every process
+  /// rotates and compacts one store the same way.
   /// Healing (torn active-segment/manifest tails) and orphan GC run under
   /// the exclusive lock before the constructor returns.
   segment_log(std::string dir, log_options opts = {}, std::string label = "store");
@@ -128,15 +143,22 @@ class segment_log {
   /// one atomic section.
   void with_exclusive(const std::function<void()>& fn);
 
-  /// True when the sealed-segment count reached `compact_segments`.
+  /// True when the sealed-segment count reached `compact_segments` and the
+  /// never-folded segments `compact` would fold hold at least as many bytes
+  /// as the snapshot they would be merged with — so a fold that drops
+  /// nothing costs amortized linear work, and a lone snapshot is never
+  /// re-folded.
   bool should_compact();
 
-  /// Fold every sealed segment into one snapshot segment: read their lines,
-  /// apply `fold`, write the snapshot via temp+rename, append the manifest
-  /// `compact` record (append-then-verify), then unlink the replaced
-  /// segments. Crash-safe at every step — until the manifest record lands
-  /// the store replays exactly as before. Returns the number of records
-  /// compacted away (0 when there was nothing to do).
+  /// Fold every sealed segment except the newest into one snapshot
+  /// segment: read their lines, apply `fold`, write the snapshot via
+  /// temp+rename, append the manifest `compact` record (append-then-verify),
+  /// then unlink the replaced segments. The newest sealed segment is left
+  /// alone so a poller that reads at least once per rotation never has its
+  /// cursor compacted away. Crash-safe at every step — until the manifest
+  /// record lands the store replays exactly as before. Returns the number
+  /// of records compacted away (0, writing nothing, with fewer than two
+  /// sealed segments or when every segment to fold is already a snapshot).
   std::size_t compact(const compaction_fold& fold);
 
   /// Instance read (usable inside `with_exclusive` without self-deadlock):
@@ -168,7 +190,9 @@ class segment_log {
   bool ensure_active_locked();  ///< false: active tail is torn, heal under EX
   void heal_active_locked();    ///< requires the exclusive lock
   void rotate_locked();         ///< requires the exclusive lock
-  void append_manifest_locked(const std::string& line);  ///< EX; append-then-verify
+  /// EX; one or more newline-separated records, append-then-verify, then
+  /// fsync unless `sync` is false.
+  void append_manifest_locked(const std::string& records, bool sync = true);
   std::size_t gc_locked();      ///< unlink non-chain segments + temps (EX)
 
   std::string dir_;
@@ -180,13 +204,20 @@ class segment_log {
   int lock_depth_ = 0;          ///< nested acquire() count (mutex-protected)
   bool lock_exclusive_ = false; ///< the held flock is LOCK_EX
 
+  int manifest_fd_ = -1;        ///< O_RDWR|O_APPEND, open for the lifetime
+
   int active_fd_ = -1;
   std::uint64_t active_seq_ = 0;
   std::size_t active_bytes_ = 0;
   std::size_t active_records_ = 0;
 
+  int tail_fd_ = -1;            ///< read fd on the chain's last segment
+  std::uint64_t tail_seq_ = 0;
+
   std::unique_ptr<manifest_state> state_;  ///< cached manifest fold
   std::uintmax_t manifest_bytes_ = 0;      ///< manifest size at last fold
+
+  obs::counter* appends_;       ///< `store.appends{log=label}`
 };
 
 }  // namespace boson::store

@@ -1,5 +1,6 @@
-// Tests of the campaign runtime: shard partitioning, campaign expansion,
-// the append-only journal, bit-exact checkpoint serialization, checkpoint /
+// Tests of the campaign runtime: campaign expansion, the append-only
+// journal and its one-shot single-file migration, bit-exact checkpoint
+// serialization, checkpoint /
 // resume determinism of the optimization loop, the lease-based elastic
 // scheduler (claim races, steals, heartbeats — all under injected manual
 // clocks, never wall-clock sleeps), and a multi-process fault-injection
@@ -21,6 +22,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -36,9 +38,11 @@
 #include "runtime/checkpoint.h"
 #include "runtime/fault.h"
 #include "runtime/journal.h"
+#include "runtime/jsonl.h"
 #include "runtime/lease.h"
 #include "runtime/result_store.h"
 #include "runtime/scheduler.h"
+#include "store/segment_log.h"
 
 namespace boson {
 namespace {
@@ -62,6 +66,13 @@ fs::path fresh_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
+}
+
+/// The first segment of a journal store: the active one for every journal
+/// here that appends too little to rotate — where raw torn or malformed
+/// bytes go.
+fs::path first_segment(const std::string& journal_dir) {
+  return fs::path(journal_dir) / "segment-000000.jsonl";
 }
 
 /// Coarse, fast base spec (mirrors the api/core smoke configuration).
@@ -208,44 +219,6 @@ child_end wait_worker(pid_t pid) {
   if (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) return child_end::sigkilled;
   return child_end::other;
 }
-
-// -------------------------------------------------------------- sharding ---
-
-TEST(shard_range, parses_the_cli_form) {
-  const runtime::shard_range shard = runtime::shard_range::parse("2/5");
-  EXPECT_EQ(shard.index, 2u);
-  EXPECT_EQ(shard.count, 5u);
-  EXPECT_EQ(shard.to_string(), "2/5");
-}
-
-TEST(shard_range, rejects_malformed_and_out_of_range) {
-  // "-2" must not wrap through std::stoul into a 2^64-scale shard count.
-  for (const char* bad : {"", "3", "/2", "1/", "a/2", "1/b", "1/2/3", "2/2", "5/3",
-                          "1/-2", "-1/2", "+1/2", " 1/2", "1/2 "})
-    EXPECT_THROW((void)runtime::shard_range::parse(bad), bad_argument) << bad;
-}
-
-TEST(shard_range, shards_partition_every_job_list) {
-  // Disjointness and coverage for several N over an awkward job count.
-  const std::size_t jobs = 13;
-  for (std::size_t count : {1u, 2u, 3u, 5u}) {
-    std::vector<std::size_t> owners(jobs, std::numeric_limits<std::size_t>::max());
-    for (std::size_t index = 0; index < count; ++index) {
-      const runtime::shard_range shard{index, count};
-      for (std::size_t j = 0; j < jobs; ++j) {
-        if (!shard.contains(j)) continue;
-        EXPECT_EQ(owners[j], std::numeric_limits<std::size_t>::max())
-            << "job " << j << " claimed twice with N=" << count;
-        owners[j] = index;
-      }
-    }
-    for (std::size_t j = 0; j < jobs; ++j)
-      EXPECT_NE(owners[j], std::numeric_limits<std::size_t>::max())
-          << "job " << j << " unclaimed with N=" << count;
-  }
-}
-
-// ------------------------------------------------------------- campaigns ---
 
 TEST(campaign_spec, expands_the_cross_product_deterministically) {
   const runtime::campaign_spec spec = synthetic_campaign();
@@ -449,7 +422,7 @@ TEST(campaign_spec, method_axis_typos_see_campaign_recipes) {
 
 TEST(journal, append_replay_and_latest_state) {
   const fs::path dir = fresh_dir("boson_runtime_journal");
-  const std::string path = (dir / "journal.jsonl").string();
+  const std::string path = runtime::journal_path(dir.string());
 
   {
     runtime::journal log(path);
@@ -489,7 +462,7 @@ TEST(journal, append_replay_and_latest_state) {
 
 TEST(journal, replay_tolerates_a_torn_tail_but_not_mid_file_corruption) {
   const fs::path dir = fresh_dir("boson_runtime_journal_torn");
-  const std::string path = (dir / "journal.jsonl").string();
+  const std::string path = runtime::journal_path(dir.string());
   {
     runtime::journal log(path);
     runtime::journal_entry e;
@@ -501,7 +474,7 @@ TEST(journal, replay_tolerates_a_torn_tail_but_not_mid_file_corruption) {
   }
   // A crash mid-append leaves a truncated final line: ignored on replay.
   {
-    std::ofstream out(path, std::ios::app);
+    std::ofstream out(first_segment(path), std::ios::app);
     out << R"({"job":1,"name":"job1","sta)";
   }
   const auto entries = runtime::journal::replay(path);
@@ -527,7 +500,7 @@ TEST(journal, replay_tolerates_a_torn_tail_but_not_mid_file_corruption) {
 
   // Complete garbage mid-file (followed by a good record) is corruption.
   {
-    std::ofstream out(path, std::ios::app);
+    std::ofstream out(first_segment(path), std::ios::app);
     out << "not json\n"
         << R"({"job":2,"name":"job2","state":"completed","attempt":1})" << "\n";
   }
@@ -535,7 +508,7 @@ TEST(journal, replay_tolerates_a_torn_tail_but_not_mid_file_corruption) {
 }
 
 TEST(journal, replaying_a_missing_file_is_an_empty_history) {
-  EXPECT_TRUE(runtime::journal::replay("/nonexistent/journal.jsonl").empty());
+  EXPECT_TRUE(runtime::journal::replay(runtime::journal_path("/nonexistent")).empty());
 }
 
 // ------------------------------------------------------------ checkpoint ---
@@ -787,7 +760,7 @@ TEST(scheduler, runs_every_job_and_journals_the_lifecycle) {
   const runtime::scheduler_report report = scheduler.run();
 
   EXPECT_EQ(executed.load(), 12u);
-  EXPECT_EQ(report.shard_jobs, 12u);
+  EXPECT_EQ(report.jobs, 12u);
   EXPECT_EQ(report.completed, 12u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.rows.size(), 12u);
@@ -855,38 +828,6 @@ TEST(scheduler, rerunning_a_finished_campaign_executes_nothing) {
   EXPECT_EQ(executed.load(), 12u);  // nothing re-ran
   EXPECT_EQ(second.skipped, 12u);
   EXPECT_EQ(second.completed, 0u);
-}
-
-TEST(scheduler, shards_are_disjoint_and_cover_the_campaign) {
-  const fs::path dir = fresh_dir("boson_runtime_sched_shards");
-  std::mutex mutex;
-  std::vector<std::size_t> executed_jobs;
-
-  runtime::scheduler_options options;
-  options.campaign_dir = dir.string();
-  options.executor = [&](const runtime::campaign_job& job, const api::run_control&,
-                         api::observer*) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      executed_jobs.push_back(job.index);
-    }
-    api::experiment_result result;
-    result.spec = job.spec;
-    return result;
-  };
-
-  std::size_t shard_jobs_total = 0;
-  for (std::size_t index = 0; index < 3; ++index) {
-    options.shard = runtime::shard_range{index, 3};
-    const auto report = runtime::scheduler(synthetic_campaign(), options).run();
-    shard_jobs_total += report.shard_jobs;
-    EXPECT_EQ(report.completed, report.shard_jobs);
-  }
-  EXPECT_EQ(shard_jobs_total, 12u);
-  std::set<std::size_t> unique(executed_jobs.begin(), executed_jobs.end());
-  EXPECT_EQ(executed_jobs.size(), 12u);  // no job ran twice
-  EXPECT_EQ(unique.size(), 12u);         // every job ran somewhere
-  EXPECT_EQ(runtime::result_store::load(dir.string()).size(), 12u);
 }
 
 TEST(scheduler, retries_until_the_budget_is_exhausted) {
@@ -1141,7 +1082,7 @@ TEST(journal, lease_records_round_trip_every_field) {
 
 TEST(journal, torn_lease_record_tail_heals_and_resolves) {
   const fs::path dir = fresh_dir("boson_runtime_journal_lease_torn");
-  const std::string path = (dir / "journal.jsonl").string();
+  const std::string path = runtime::journal_path(dir.string());
   {
     runtime::journal log(path);
     runtime::journal_entry e;
@@ -1162,7 +1103,7 @@ TEST(journal, torn_lease_record_tail_heals_and_resolves) {
   // A crash mid-claim leaves a truncated lease record: dropped on replay,
   // healed on the next append, and the resolved lease state is unaffected.
   {
-    std::ofstream out(path, std::ios::app);
+    std::ofstream out(first_segment(path), std::ios::app);
     out << R"({"job":1,"name":"job1","state":"leased","attempt":1,"worker":"b","lea)";
   }
   const auto torn = runtime::journal::replay(path);
@@ -1289,10 +1230,9 @@ TEST(lease_table, resolution_rules_cover_claims_steals_and_legacy_records) {
   t.apply(rec(3, runtime::job_state::cancelled, 1, "", 0, 0.0, 1.0));
   EXPECT_EQ(t.view(3).state, phase::pending);
 
-  // A journal written by the pre-lease scheduler (scheduled / running /
-  // completed only, no lease fields) resolves to done just the same.
+  // A journal written by the pre-lease scheduler (running / completed only,
+  // no lease fields) resolves to done just the same.
   runtime::lease_table legacy;
-  legacy.apply(rec(4, runtime::job_state::scheduled, 0, "", 0, 0.0, 0.0));
   legacy.apply(rec(4, runtime::job_state::running, 1, "", 0, 0.0, 0.0));
   EXPECT_EQ(legacy.view(4).state, phase::pending);
   legacy.apply(rec(4, runtime::job_state::completed, 1, "", 0, 0.0, 0.0));
@@ -1305,11 +1245,11 @@ TEST(lease_table, seeded_adversarial_histories_never_overlap_live_leases) {
   // combinations no healthy worker would write) and replay-check that the
   // single-owner invariant holds at every prefix.
   const std::vector<runtime::job_state> states = {
-      runtime::job_state::scheduled,     runtime::job_state::leased,
-      runtime::job_state::lease_renewed, runtime::job_state::lease_released,
-      runtime::job_state::lease_expired, runtime::job_state::running,
-      runtime::job_state::checkpointed,  runtime::job_state::completed,
-      runtime::job_state::failed,        runtime::job_state::cancelled};
+      runtime::job_state::leased,         runtime::job_state::lease_renewed,
+      runtime::job_state::lease_released, runtime::job_state::lease_expired,
+      runtime::job_state::running,        runtime::job_state::checkpointed,
+      runtime::job_state::completed,      runtime::job_state::failed,
+      runtime::job_state::cancelled};
   const std::vector<std::string> workers = {"", "a", "b", "c"};
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
     rng r(seed);
@@ -1319,7 +1259,7 @@ TEST(lease_table, seeded_adversarial_histories_never_overlap_live_leases) {
       runtime::journal_entry e;
       e.job_index = static_cast<std::size_t>(r.uniform_int(0, 3));
       e.job_name = "j" + std::to_string(e.job_index);
-      e.state = states[static_cast<std::size_t>(r.uniform_int(0, 9))];
+      e.state = states[static_cast<std::size_t>(r.uniform_int(0, 8))];
       e.attempt = static_cast<std::size_t>(r.uniform_int(0, 4));
       e.worker = workers[static_cast<std::size_t>(r.uniform_int(0, 3))];
       e.lease_id = static_cast<std::uint64_t>(r.uniform_int(0, 5));
@@ -1335,7 +1275,7 @@ TEST(lease_table, seeded_adversarial_histories_never_overlap_live_leases) {
 
 TEST(lease_manager, append_then_verify_claims_and_expired_lease_steals) {
   const fs::path dir = fresh_dir("boson_runtime_lease_claims");
-  const std::string path = (dir / "journal.jsonl").string();
+  const std::string path = runtime::journal_path(dir.string());
   runtime::journal log_a(path);
   runtime::journal log_b(path);
 
@@ -1374,7 +1314,7 @@ TEST(lease_manager, append_then_verify_claims_and_expired_lease_steals) {
 
 TEST(lease_manager, renewals_extend_and_releases_free_immediately) {
   const fs::path dir = fresh_dir("boson_runtime_lease_renew");
-  const std::string path = (dir / "journal.jsonl").string();
+  const std::string path = runtime::journal_path(dir.string());
   runtime::journal log_a(path);
   runtime::journal log_b(path);
 
@@ -1401,7 +1341,7 @@ TEST(lease_manager, renewals_extend_and_releases_free_immediately) {
 
 TEST(lease_manager, incremental_refresh_leaves_a_partial_tail_for_later) {
   const fs::path dir = fresh_dir("boson_runtime_lease_tail");
-  const std::string path = (dir / "journal.jsonl").string();
+  const std::string path = runtime::journal_path(dir.string());
   runtime::journal log(path);
   runtime::lease_manager writer(log, "a", 10.0, [] { return 0.0; });
   ASSERT_TRUE(writer.claim(0, "job0").has_value());
@@ -1414,13 +1354,13 @@ TEST(lease_manager, incremental_refresh_leaves_a_partial_tail_for_later) {
   const std::string record =
       R"({"job":1,"name":"job1","state":"leased","attempt":1,"worker":"c","lease":1,"deadline":9})";
   {
-    std::ofstream out(path, std::ios::app | std::ios::binary);
+    std::ofstream out(first_segment(path), std::ios::app | std::ios::binary);
     out << record.substr(0, 40);
   }
   EXPECT_EQ(reader.snapshot().view(1).state, runtime::lease_view::phase::pending);
   // ...and folds in whole once the rest of the line (and newline) lands.
   {
-    std::ofstream out(path, std::ios::app | std::ios::binary);
+    std::ofstream out(first_segment(path), std::ios::app | std::ios::binary);
     out << record.substr(40) << "\n";
   }
   EXPECT_EQ(reader.snapshot().view(1).worker, "c");
@@ -1437,7 +1377,7 @@ TEST(lease_manager, seeded_protocol_interleavings_keep_at_most_one_owner) {
   for (const std::uint64_t seed : {101u, 202u, 303u}) {
     const fs::path dir =
         fresh_dir("boson_runtime_lease_prop_" + std::to_string(seed));
-    const std::string path = (dir / "journal.jsonl").string();
+    const std::string path = runtime::journal_path(dir.string());
     double now = 0.0;
     const runtime::clock_fn clock = [&now] { return now; };
 
@@ -1530,7 +1470,7 @@ TEST(lease_manager, seeded_protocol_interleavings_keep_at_most_one_owner) {
 // ------------------------------------------------------ elastic scheduler --
 
 TEST(scheduler, concurrent_elastic_workers_cover_the_campaign_exactly_once) {
-  // Two unsharded scheduler processes' worth of workers race over one
+  // Two scheduler processes' worth of workers race over one
   // campaign directory; leases keep them disjoint with no static partition.
   const fs::path dir = fresh_dir("boson_runtime_sched_elastic");
   std::atomic<std::size_t> executed_a{0};
@@ -1745,13 +1685,12 @@ TEST(scheduler, steals_an_expired_lease_and_resumes_bit_identically) {
 
 /// One forked CLI-less worker: runs an elastic scheduler over `spec` in
 /// `dir` under a constant clock (0.0), optionally armed to SIGKILL itself at
-/// the `kill_at_claim`-th won lease. The shard filter pins which jobs the
-/// worker may see so the kill schedule is deterministic (claims happen in
-/// job order with one thread and no competition inside the slice).
+/// the `kill_at_claim`-th won lease. With one thread and no live competitor
+/// its claims happen in job order, so a worker started after its
+/// predecessors died has a deterministic kill schedule.
 pid_t fork_campaign_worker(const runtime::campaign_spec& spec, const fs::path& dir,
-                           const std::string& worker, runtime::shard_range shard,
-                           std::size_t kill_at_claim) {
-  return fork_worker([&spec, &dir, worker, shard, kill_at_claim] {
+                           const std::string& worker, std::size_t kill_at_claim) {
+  return fork_worker([&spec, &dir, worker, kill_at_claim] {
     runtime::fault_injector faults;
     if (kill_at_claim > 0)
       faults.arm(runtime::fault_point::after_lease, kill_at_claim, runtime::kill_process);
@@ -1759,7 +1698,6 @@ pid_t fork_campaign_worker(const runtime::campaign_spec& spec, const fs::path& d
     runtime::scheduler_options options;
     options.campaign_dir = dir.string();
     options.worker_id = worker;
-    options.shard = shard;
     options.workers = 1;  // one thread -> claims in job order
     options.lease_ttl = 5.0;
     options.clock = [] { return 0.0; };
@@ -1770,23 +1708,23 @@ pid_t fork_campaign_worker(const runtime::campaign_spec& spec, const fs::path& d
 }
 
 TEST(scheduler, sigkilled_workers_jobs_are_stolen_and_finished_exactly_once) {
-  // Three real worker processes split the 12-job campaign; two are
+  // Three real worker processes take turns at the 12-job campaign; two are
   // SIGKILLed at staggered kill points while holding leases. A recovery
   // worker (clock past every dead lease's deadline) steals and finishes:
   // 12/12 coverage, one result row per job, single-owner throughout.
   const fs::path dir = fresh_dir("boson_runtime_sched_kill");
   const runtime::campaign_spec spec = synthetic_campaign();
 
-  // Shard slices have 4 jobs each. A kills itself claiming its 2nd job
-  // (1 completed, 1 leased-at-death, 2 never claimed); B claiming its 4th
-  // (3 completed, 1 leased-at-death); C survives and completes its 4.
-  const pid_t a = fork_campaign_worker(spec, dir, "wa", {0, 3}, 2);
-  const pid_t b = fork_campaign_worker(spec, dir, "wb", {1, 3}, 4);
-  const pid_t c = fork_campaign_worker(spec, dir, "wc", {2, 3}, 0);
+  // A kills itself claiming its 2nd job (job 0 completed, job 1
+  // leased-at-death); B skips A's live lease and dies claiming its 4th
+  // (jobs 2-4 completed, job 5 leased-at-death); C completes jobs 6-11.
+  const pid_t a = fork_campaign_worker(spec, dir, "wa", 2);
   EXPECT_EQ(wait_worker(a), child_end::sigkilled);
+  const pid_t b = fork_campaign_worker(spec, dir, "wb", 4);
   EXPECT_EQ(wait_worker(b), child_end::sigkilled);
+  const pid_t c = fork_campaign_worker(spec, dir, "wc", 0);
   EXPECT_EQ(wait_worker(c), child_end::clean_exit);
-  ASSERT_EQ(result_line_count(dir), 8u);  // 1 + 3 + 4 made it before the kills
+  ASSERT_EQ(result_line_count(dir), 10u);  // 1 + 3 + 6 made it before the rescue
 
   std::atomic<std::size_t> executed{0};
   runtime::scheduler_options rescue;
@@ -1795,8 +1733,8 @@ TEST(scheduler, sigkilled_workers_jobs_are_stolen_and_finished_exactly_once) {
   rescue.clock = [] { return 100.0; };  // past every dead deadline: no waiting
   rescue.executor = counting_executor(executed);
   const auto report = runtime::scheduler(spec, rescue).run();
-  EXPECT_EQ(report.skipped, 8u);
-  EXPECT_EQ(report.completed, 4u);
+  EXPECT_EQ(report.skipped, 10u);
+  EXPECT_EQ(report.completed, 2u);
   EXPECT_EQ(report.stolen, 2u);  // the two leases that died with their workers
   EXPECT_EQ(report.failed, 0u);
 
@@ -1820,12 +1758,14 @@ TEST(scheduler, losing_half_the_fleet_mid_campaign_still_reaches_full_coverage) 
   const fs::path dir = fresh_dir("boson_runtime_sched_half_fleet");
   const runtime::campaign_spec spec = synthetic_campaign();
 
-  const pid_t w0 = fork_campaign_worker(spec, dir, "w0", {0, 4}, 1);  // dies instantly
-  const pid_t w1 = fork_campaign_worker(spec, dir, "w1", {1, 4}, 3);
-  const pid_t w2 = fork_campaign_worker(spec, dir, "w2", {2, 4}, 0);
-  const pid_t w3 = fork_campaign_worker(spec, dir, "w3", {3, 4}, 0);
+  // w0 dies holding job 0; w1 completes jobs 1-2 and dies holding job 3;
+  // the surviving pair then races over the rest.
+  const pid_t w0 = fork_campaign_worker(spec, dir, "w0", 1);  // dies instantly
   EXPECT_EQ(wait_worker(w0), child_end::sigkilled);
+  const pid_t w1 = fork_campaign_worker(spec, dir, "w1", 3);
   EXPECT_EQ(wait_worker(w1), child_end::sigkilled);
+  const pid_t w2 = fork_campaign_worker(spec, dir, "w2", 0);
+  const pid_t w3 = fork_campaign_worker(spec, dir, "w3", 0);
   EXPECT_EQ(wait_worker(w2), child_end::clean_exit);
   EXPECT_EQ(wait_worker(w3), child_end::clean_exit);
 
@@ -1841,6 +1781,231 @@ TEST(scheduler, losing_half_the_fleet_mid_campaign_still_reaches_full_coverage) 
 
   ASSERT_EQ(runtime::result_store::load(dir.string()).size(), 12u);
   EXPECT_EQ(result_line_count(dir), 12u);
+  expect_single_owner_throughout(
+      runtime::journal::replay(runtime::journal_path(dir.string())));
+}
+
+// ------------------------------------------------- single-file migration --
+
+/// Rewrite a campaign's journal store as the single `journal.jsonl` file
+/// campaigns kept before the store: every record verbatim, a `scheduled`
+/// record ahead of each job's first line (what the oldest scheduler wrote),
+/// and a crash-torn tail. The store directory is removed.
+void write_single_file_journal(const fs::path& campaign_dir) {
+  const std::string store_dir = runtime::journal_path(campaign_dir.string());
+  const std::vector<std::string> lines =
+      store::segment_log::read_all(store_dir, "test");
+  std::set<std::size_t> announced;
+  std::ofstream out(campaign_dir / "journal.jsonl", std::ios::binary);
+  for (const std::string& line : lines) {
+    const auto job = static_cast<std::size_t>(
+        io::json_value::parse(line).at("job").as_number());
+    if (announced.insert(job).second)
+      out << R"({"job":)" << job << R"(,"name":"j","state":"scheduled","attempt":0})"
+          << "\n";
+    out << line << "\n";
+  }
+  out << R"({"job":0,"name":"j","state":"runn)";  // torn tail
+  out.close();
+  fs::remove_all(store_dir);
+}
+
+/// The single file's history as the pre-store replay saw it, minus the
+/// retired `scheduled` records.
+std::vector<runtime::journal_entry> single_file_history(const fs::path& file) {
+  std::vector<runtime::journal_entry> entries;
+  runtime::replay_jsonl_lines(file.string(), "test", [&](const std::string& line) {
+    const io::json_value v = io::json_value::parse(line);
+    if (v.at("state").as_string() != "scheduled")
+      entries.push_back(runtime::journal_entry::from_json(v));
+  });
+  return entries;
+}
+
+/// A campaign whose single-file journal holds leases, a steal, checkpoints,
+/// a completion, `scheduled` records and a torn tail.
+fs::path single_file_campaign(const std::string& name) {
+  const fs::path dir = fresh_dir(name);
+  {
+    runtime::journal log(runtime::journal_path(dir.string()));
+    double now = 0.0;
+    runtime::lease_manager a(log, "a", 10.0, [&now] { return now; });
+    runtime::lease_manager b(log, "b", 10.0, [&now] { return now; });
+    std::optional<runtime::job_lease> l0 = a.claim(0, "job0");
+    std::optional<runtime::job_lease> l1 = a.claim(1, "job1");
+    EXPECT_TRUE(l0 && l1);
+    runtime::journal_entry ck;
+    ck.job_index = 0;
+    ck.job_name = "job0";
+    ck.state = runtime::job_state::checkpointed;
+    ck.attempt = 1;
+    ck.detail = "iteration 2/6";
+    ck.worker = "a";
+    ck.lease_id = l0.value().lease_id;
+    log.append(ck);
+    EXPECT_TRUE(a.renew(l0.value()));
+    now = 50.0;  // a's leases lapse: b steals job 1 and finishes it
+    std::optional<runtime::job_lease> stolen = b.claim(1, "job1");
+    EXPECT_TRUE(stolen && stolen->stolen);
+    runtime::journal_entry done;
+    done.job_index = 1;
+    done.job_name = "job1";
+    done.state = runtime::job_state::completed;
+    done.attempt = stolen.value().attempt;
+    done.worker = "b";
+    done.lease_id = stolen.value().lease_id;
+    log.append(done);
+  }
+  write_single_file_journal(dir);
+  return dir;
+}
+
+/// Exact equality of two replayed histories, their lease resolution and
+/// their latest states.
+void expect_same_journal(const std::vector<runtime::journal_entry>& got,
+                         const std::vector<runtime::journal_entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i].to_json().dump(-1), want[i].to_json().dump(-1)) << "record " << i;
+  const runtime::lease_table a = runtime::lease_table::resolve(got);
+  const runtime::lease_table b = runtime::lease_table::resolve(want);
+  ASSERT_EQ(a.jobs().size(), b.jobs().size());
+  for (const auto& [job, view] : b.jobs()) {
+    const runtime::lease_view v = a.view(job);
+    EXPECT_EQ(v.state, view.state) << "job " << job;
+    EXPECT_EQ(v.worker, view.worker) << "job " << job;
+    EXPECT_EQ(v.lease_id, view.lease_id) << "job " << job;
+    EXPECT_EQ(v.deadline, view.deadline) << "job " << job;
+    EXPECT_EQ(v.attempts, view.attempts) << "job " << job;
+  }
+  const auto latest_got = runtime::journal::latest_states(got);
+  const auto latest_want = runtime::journal::latest_states(want);
+  ASSERT_EQ(latest_got.size(), latest_want.size());
+  for (const auto& [job, e] : latest_want)
+    EXPECT_EQ(latest_got.at(job).to_json().dump(-1), e.to_json().dump(-1)) << "job " << job;
+}
+
+/// Store directories directly under a campaign directory.
+std::size_t store_count(const fs::path& campaign_dir) {
+  std::size_t stores = 0;
+  for (const auto& entry : fs::directory_iterator(campaign_dir))
+    if (store::segment_log::is_store_dir(entry.path().string())) ++stores;
+  return stores;
+}
+
+TEST(journal_migration, single_file_history_moves_into_the_store_minus_scheduled) {
+  const fs::path dir = single_file_campaign("boson_runtime_migrate");
+  const fs::path file = dir / "journal.jsonl";
+  const std::vector<runtime::journal_entry> want = single_file_history(file);
+  ASSERT_EQ(want.size(), 7u);  // 2 claims, checkpoint, renew, expiry, steal, completion
+
+  const std::string path = runtime::journal_path(dir.string());
+  EXPECT_EQ(path, (dir / "journal").string());
+  EXPECT_FALSE(fs::exists(file));
+  EXPECT_TRUE(fs::exists(dir / "journal.jsonl.migrated"));
+  EXPECT_EQ(store_count(dir), 1u);
+  expect_same_journal(runtime::journal::replay(path), want);
+  const runtime::lease_table table =
+      runtime::lease_table::resolve(runtime::journal::replay(path));
+  EXPECT_EQ(table.view(0).worker, "a");  // lapsed, but nobody stole it
+  EXPECT_TRUE(table.done(1));
+
+  // A second open finds nothing to migrate and changes nothing.
+  const std::vector<std::string> lines = store::segment_log::read_all(path, "test");
+  EXPECT_EQ(runtime::journal_path(dir.string()), path);
+  { runtime::journal reopened(runtime::journal_path(dir.string())); }
+  EXPECT_EQ(store::segment_log::read_all(path, "test"), lines);
+  EXPECT_EQ(store_count(dir), 1u);
+}
+
+TEST(journal_migration, sigkill_around_the_rename_ends_with_one_complete_store) {
+  for (const std::string point : {"migrate:before_rename", "migrate:after_rename"}) {
+    const fs::path dir = single_file_campaign("boson_runtime_migrate_kill");
+    const std::vector<runtime::journal_entry> want =
+        single_file_history(dir / "journal.jsonl");
+    const pid_t child = fork_worker([&dir, point] {
+      store::set_crash_hook([point](const char* at) {
+        if (point == at) ::kill(::getpid(), SIGKILL);
+      });
+      (void)runtime::journal_path(dir.string());
+    });
+    ASSERT_EQ(wait_worker(child), child_end::sigkilled) << point;
+    // Killed before the rename: the file is untouched and only the draft
+    // exists. Killed after it: the store is complete, the file not yet aside.
+    EXPECT_TRUE(fs::exists(dir / "journal.jsonl")) << point;
+    EXPECT_EQ(store::segment_log::is_store_dir((dir / "journal").string()),
+              point == "migrate:after_rename")
+        << point;
+
+    const std::string path = runtime::journal_path(dir.string());
+    EXPECT_FALSE(fs::exists(dir / "journal.jsonl")) << point;
+    EXPECT_FALSE(fs::exists(dir / "journal.migrating")) << point;
+    EXPECT_EQ(store_count(dir), 1u) << point;
+    expect_same_journal(runtime::journal::replay(path), want);
+  }
+}
+
+TEST(scheduler, single_file_campaign_killed_mid_run_resumes_bit_identically) {
+  // A worker process is SIGKILLed mid-run (after its iteration-2
+  // checkpoint); its journal is then put back into the single-file layout.
+  // A rescuer migrates it, steals the dead lease, resumes from the
+  // checkpoint and produces exactly what an uninterrupted run produces.
+  runtime::campaign_spec spec;
+  spec.name = "migrate_resume";
+  spec.devices = {"bend"};
+  spec.methods = {"boson_no_relax"};
+  spec.seeds = {7};
+  spec.base = smoke_base();
+  spec.scheduler.workers = 1;
+  spec.scheduler.max_retries = 0;
+  spec.scheduler.checkpoint_every = 2;
+
+  const fs::path ref_dir = fresh_dir("boson_runtime_migrate_ref");
+  runtime::scheduler_options ref_options;
+  ref_options.campaign_dir = ref_dir.string();
+  ASSERT_EQ(runtime::scheduler(spec, ref_options).run().completed, 1u);
+
+  const fs::path dir = fresh_dir("boson_runtime_migrate_resume");
+  const pid_t worker = fork_worker([&spec, &dir] {
+    runtime::fault_injector faults;
+    faults.arm(runtime::fault_point::mid_run, 3, runtime::kill_process);
+    runtime::scheduler_options options;
+    options.campaign_dir = dir.string();
+    options.worker_id = "doomed";
+    options.clock = [] { return 0.0; };
+    options.faults = &faults;
+    (void)runtime::scheduler(spec, options).run();
+  });
+  ASSERT_EQ(wait_worker(worker), child_end::sigkilled);
+  ASSERT_TRUE(fs::exists(runtime::checkpoint_path(
+      runtime::job_directory(dir.string(), "bend_boson_no_relax_s7"))));
+  write_single_file_journal(dir);
+
+  runtime::scheduler_options rescue_options;
+  rescue_options.campaign_dir = dir.string();
+  rescue_options.worker_id = "rescuer";
+  rescue_options.clock = [] { return 2000.0; };  // past the dead lease
+  const auto rescue = runtime::scheduler(spec, rescue_options).run();
+  EXPECT_EQ(rescue.stolen, 1u);
+  EXPECT_EQ(rescue.resumed, 1u);
+  EXPECT_EQ(rescue.completed, 1u);
+  EXPECT_TRUE(fs::exists(dir / "journal.jsonl.migrated"));
+
+  const auto rows = runtime::result_store::load(dir.string());
+  const auto ref_rows = runtime::result_store::load(ref_dir.string());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].prefab_fom, ref_rows[0].prefab_fom);
+  EXPECT_EQ(rows[0].postfab_mean, ref_rows[0].postfab_mean);
+  EXPECT_EQ(rows[0].postfab_std, ref_rows[0].postfab_std);
+  const auto read = [](const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string ref_csv =
+      read(ref_dir / "jobs" / "bend_boson_no_relax_s7" / "trajectory.csv");
+  ASSERT_FALSE(ref_csv.empty());
+  EXPECT_EQ(read(dir / "jobs" / "bend_boson_no_relax_s7" / "trajectory.csv"), ref_csv);
   expect_single_owner_throughout(
       runtime::journal::replay(runtime::journal_path(dir.string())));
 }

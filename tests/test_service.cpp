@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -33,6 +34,7 @@
 #include "service/registry.h"
 #include "service/service.h"
 #include "service/status.h"
+#include "store/segment_log.h"
 
 namespace boson {
 namespace {
@@ -56,6 +58,13 @@ fs::path fresh_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
+}
+
+/// The first segment of a journal store: the active one for every journal
+/// here that appends too little to rotate — where raw torn or malformed
+/// bytes go.
+fs::path first_segment(const std::string& journal_dir) {
+  return fs::path(journal_dir) / "segment-000000.jsonl";
 }
 
 /// Poll `predicate` up to `timeout` seconds; true when it held in time.
@@ -180,9 +189,11 @@ TEST(journal_since, reads_incrementally) {
   // Drained: nothing new, cursor parked.
   EXPECT_TRUE(runtime::journal::since(path, cursor).empty());
 
-  // The byte cursor equals the file size once drained (the wire contract:
-  // clients resume with exactly this offset).
-  EXPECT_EQ(static_cast<std::uintmax_t>(cursor.offset), fs::file_size(path));
+  // The drained cursor is the wire cursor the event stream hands out for
+  // the same history (clients resume with exactly this value).
+  std::uint64_t wire = 0;
+  EXPECT_EQ(runtime::journal::raw_since(path, wire).size(), 3u);
+  EXPECT_EQ(cursor.offset, wire);
 
   // A full replay and the cursor walk agree.
   EXPECT_EQ(runtime::journal::replay(path).size(), 3u);
@@ -191,10 +202,10 @@ TEST(journal_since, reads_incrementally) {
 TEST(journal_since, missing_file_returns_nothing) {
   runtime::journal_cursor cursor;
   EXPECT_TRUE(
-      runtime::journal::since((fresh_dir("since_none") / "journal.jsonl").string(),
+      runtime::journal::since(runtime::journal_path(fresh_dir("since_none").string()),
                               cursor)
           .empty());
-  EXPECT_EQ(cursor.offset, 0);
+  EXPECT_EQ(cursor.offset, 0u);
 }
 
 TEST(journal_since, torn_tail_stays_ahead_of_the_cursor) {
@@ -210,14 +221,15 @@ TEST(journal_since, torn_tail_stays_ahead_of_the_cursor) {
   }
   // A crash (or a racing writer observed mid-flush) leaves a line without
   // its newline.
-  std::ofstream(path, std::ios::app) << R"({"job":1,"name":"j","state":"running")";
+  std::ofstream(first_segment(path), std::ios::app)
+      << R"({"job":1,"name":"j","state":"running")";
 
   runtime::journal_cursor cursor;
   EXPECT_EQ(runtime::journal::since(path, cursor).size(), 1u);
   EXPECT_EQ(cursor.line, 1u);  // the fragment was not consumed
 
   // The "writer" finishes the line; the next poll picks it up whole.
-  std::ofstream(path, std::ios::app) << ",\"attempt\":1}\n";
+  std::ofstream(first_segment(path), std::ios::app) << ",\"attempt\":1}\n";
   const std::vector<runtime::journal_entry> got =
       runtime::journal::since(path, cursor);
   ASSERT_EQ(got.size(), 1u);
@@ -236,7 +248,7 @@ TEST(journal_since, malformed_line_is_fatal_only_with_a_successor) {
     e.attempt = 1;
     journal.append(e);
   }
-  std::ofstream(path, std::ios::app) << "{broken\n";
+  std::ofstream(first_segment(path), std::ios::app) << "{broken\n";
 
   // Malformed *final* line: indistinguishable from a racing append — the
   // good prefix is returned and the suspect line waits.
@@ -245,7 +257,7 @@ TEST(journal_since, malformed_line_is_fatal_only_with_a_successor) {
   EXPECT_EQ(cursor.line, 1u);
 
   // A successor line proves the file kept going: now it is corruption.
-  std::ofstream(path, std::ios::app)
+  std::ofstream(first_segment(path), std::ios::app)
       << R"({"job":2,"name":"j","state":"running","attempt":1})" << "\n";
   expect_throw_with<io_error>(
       [&] { runtime::journal::since(path, cursor); }, "line 2");
@@ -549,7 +561,9 @@ TEST(campaign_service, a_campaign_that_throws_mid_run_fails_without_dangling_sta
   // a dead stack frame (the ASan job proves the absence of that UAF).
   const service::campaign_record record =
       service.submit("alice", synthetic_campaign());
-  std::ofstream(runtime::journal_path(record.dir), std::ios::app)
+  const std::string journal = runtime::journal_path(record.dir);
+  { runtime::journal create(journal); }
+  std::ofstream(first_segment(journal), std::ios::app)
       << "{broken\n"
       << R"({"job":0,"name":"j","state":"running","attempt":1})" << "\n";
 
@@ -946,21 +960,26 @@ TEST(campaign_service, segmented_journal_campaign_completes_and_pages_events) {
   const fs::path data = fresh_dir("service_segmented");
   std::atomic<std::size_t> executed{0};
   service::service_options options = fast_options(data, executed);
-  options.segment_records = 8;   // force several rotations across 12 jobs
-  options.compact_segments = 2;  // and at least one compaction opportunity
   options.event_page_lines = 5;  // exercise the page cap
   service::campaign_service service(options);
-  service.start();
 
+  // Submit while stopped and pre-create the campaign's store with small
+  // thresholds (the journal adopts them): several rotations across 12 jobs
+  // and at least one compaction opportunity.
   const service::campaign_record record =
       service.submit("alice", synthetic_campaign());
+  { store::segment_log creator(runtime::journal_path(record.dir), {0, 8, 2}, "journal"); }
+  service.start();
   ASSERT_TRUE(wait_until([&] {
     return service.registry().find("alice", record.id)->state == "done";
   })) << "campaign never finished";
   EXPECT_EQ(executed.load(), 12u);
 
-  // The journal landed as a store directory.
-  EXPECT_TRUE(fs::is_directory(data / "alice" / record.id / "journal"));
+  // The journal rotated and compacted.
+  const std::string journal = runtime::journal_path(record.dir);
+  EXPECT_EQ(journal, (data / "alice" / record.id / "journal").string());
+  EXPECT_GE(store::segment_log(journal).segment_count(), 2u);
+  EXPECT_FALSE(fs::exists(fs::path(journal) / "segment-000000.jsonl"));
 
   // Event pages respect the cap and the cursor walks the chain without
   // gaps or duplicates.
@@ -980,6 +999,31 @@ TEST(campaign_service, segmented_journal_campaign_completes_and_pages_events) {
     if (v.at("state").as_string() == "completed") ++completed;
   }
   EXPECT_EQ(completed, 12u);
+  service.stop();
+}
+
+TEST(control_plane, an_events_cursor_naming_no_segment_is_a_400) {
+  const fs::path data = fresh_dir("control_plane_stale_cursor");
+  std::atomic<std::size_t> executed{0};
+  service::campaign_service service(fast_options(data, executed));
+  service.start();
+  const service::campaign_record record =
+      service.submit("alice", synthetic_campaign());
+  ASSERT_TRUE(wait_until([&] {
+    return service.registry().find("alice", record.id)->state == "done";
+  })) << "campaign never finished";
+  const net::http_handler handler = service.handler();
+  const std::string events = "/v1/campaigns/" + record.id + "/events?cursor=";
+
+  EXPECT_EQ(answer(handler, make_request("GET", events + "0", "", "alice")).status, 200);
+  // A byte offset into the old single-file journal, or any made-up value,
+  // names no segment of the store: the client's mistake, not a server fault.
+  for (const std::string cursor : {"5", "123456"}) {
+    const net::http_response res =
+        answer(handler, make_request("GET", events + cursor, "", "alice"));
+    EXPECT_EQ(res.status, 400) << cursor;
+    EXPECT_NE(res.body.find("cursor " + cursor), std::string::npos) << res.body;
+  }
   service.stop();
 }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "io/json.h"
 #include "runtime/journal.h"
 #include "runtime/lease.h"
@@ -139,10 +140,30 @@ TEST(segment_log, attacher_adopts_the_creators_config) {
   const fs::path dir = fresh_dir("store_config");
   { store::segment_log creator(dir.string(), {1024, 7, 3}); }
 
-  store::segment_log attached(dir.string());  // all options zero
+  // An attacher's own options are ignored: the store already exists.
+  store::segment_log attached(dir.string(), {1, 1, 1});
   EXPECT_EQ(attached.options().segment_bytes, 1024u);
   EXPECT_EQ(attached.options().segment_records, 7u);
   EXPECT_EQ(attached.options().compact_segments, 3u);
+}
+
+TEST(segment_log, a_cursor_naming_no_segment_is_a_bad_argument) {
+  const fs::path dir = fresh_dir("store_bad_cursor");
+  store::segment_log log(dir.string());
+  log.append(rec(0));
+  EXPECT_EQ(store::segment_log::read_since_dir(dir.string(), "t", 0).lines.size(), 1u);
+  // A byte offset (what a pre-store client may still hold) and a segment
+  // that was never minted both name no segment.
+  for (const std::uint64_t cursor : {std::uint64_t{5}, store::encode_cursor(99, 0)}) {
+    try {
+      (void)store::segment_log::read_since_dir(dir.string(), "t", cursor);
+      FAIL() << "cursor " << cursor << " was accepted";
+    } catch (const bad_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cursor " + std::to_string(cursor)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(segment_log, heals_a_torn_active_tail_on_attach) {
@@ -192,6 +213,13 @@ TEST(segment_log, compaction_preserves_fold_state_and_live_cursors) {
   ASSERT_EQ(resumed.lines.size(), 1u);
   EXPECT_EQ(resumed.lines[0], keyed(7, 7));
 
+  // A cursor that had drained the compacted run's last segment resumes
+  // right after the snapshot: nothing it already saw is re-delivered.
+  const store::read_batch drained =
+      store::segment_log::read_since_dir(dir.string(), "test", before.cursors.back());
+  ASSERT_EQ(drained.lines.size(), 1u);
+  EXPECT_EQ(drained.lines[0], keyed(7, 7));
+
   // A cursor into a compacted-away segment re-delivers from the covering
   // snapshot: at-least-once, and convergent for a latest-wins consumer.
   const store::read_batch redelivered =
@@ -200,6 +228,26 @@ TEST(segment_log, compaction_preserves_fold_state_and_live_cursors) {
   std::vector<std::string> full = before.lines;
   full.push_back(keyed(7, 7));
   EXPECT_EQ(latest_per_key(redelivered.lines), latest_per_key(full));
+}
+
+TEST(segment_log, a_lone_snapshot_is_never_refolded) {
+  const fs::path dir = fresh_dir("store_compact_once");
+  store::segment_log log(dir.string(), {0, 2, 1});
+  for (int i = 0; i < 6; ++i) log.append(keyed(i % 2, i));  // 3 sealed + empty active
+  ASSERT_TRUE(log.should_compact());
+  EXPECT_GT(log.compact(&latest_per_key), 0u);
+
+  // [snapshot, newest sealed, active]: the run compaction would fold is the
+  // snapshot alone, so neither the probe nor an explicit compact touches
+  // the store, whatever the threshold.
+  const std::uintmax_t manifest_bytes = fs::file_size(dir / "manifest.jsonl");
+  EXPECT_FALSE(log.should_compact());
+  EXPECT_EQ(log.compact(&latest_per_key), 0u);
+  EXPECT_EQ(fs::file_size(dir / "manifest.jsonl"), manifest_bytes);
+
+  // Folding resumes once the fresh sealed bytes match the snapshot's.
+  for (int i = 0; i < 4; ++i) log.append(keyed(i % 2, 10 + i));
+  EXPECT_TRUE(log.should_compact());
 }
 
 // ------------------------------------------------------- crash resilience ---
@@ -348,12 +396,12 @@ runtime::journal_entry entry(std::size_t job, runtime::job_state state,
 
 TEST(journal_store, segmented_journal_round_trips_and_compacts) {
   const fs::path dir = fresh_dir("journal_store");
-  runtime::journal_options jo;
-  jo.segment_records = 4;
-  jo.compact_segments = 2;
+  const std::string path = runtime::journal_path(dir.string());
+  // Small thresholds without a production knob: the journal attaches to a
+  // store created beforehand and adopts its options.
+  { store::segment_log creator(path, {0, 4, 2}, "journal"); }
 
-  runtime::journal log(dir.string(), jo);
-  ASSERT_TRUE(log.segmented());
+  runtime::journal log(path);
 
   // A three-job history with enough traffic to rotate several times.
   using runtime::job_state;
@@ -381,6 +429,11 @@ TEST(journal_store, segmented_journal_round_trips_and_compacts) {
   runtime::journal_cursor cursor;
   (void)runtime::journal::since(log.path(), cursor);
   EXPECT_GT(log.compact(), 0u);
+  // Compacting again folds nothing and writes no manifest record.
+  const std::uintmax_t manifest_bytes = fs::file_size(fs::path(path) / "manifest.jsonl");
+  EXPECT_EQ(log.maybe_compact(), 0u);
+  EXPECT_EQ(log.compact(), 0u);
+  EXPECT_EQ(fs::file_size(fs::path(path) / "manifest.jsonl"), manifest_bytes);
   EXPECT_TRUE(runtime::journal::since(log.path(), cursor).empty());
   log.append(entry(2, job_state::completed, "w1", 3, 0.0, 5.0, 1));
   const auto fresh = runtime::journal::since(log.path(), cursor);

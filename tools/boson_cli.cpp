@@ -21,9 +21,8 @@
 //   boson_cli campaign status <dir>
 //   boson_cli campaign report <dir>
 //
-// (`--shard i/N` is still accepted as a deprecated filter; `--fault
-// point[:n]` SIGKILLs the process at a named scheduler kill point, for
-// fault-injection tests.)
+// (`--fault point[:n]` SIGKILLs the process at a named scheduler kill
+// point, for fault-injection tests.)
 //
 // `run` accepts a single spec (JSON object) or a batch (JSON array) and
 // writes one artifact directory per experiment (summary.json,
@@ -111,7 +110,6 @@ int usage(std::FILE* out) {
                "          --tenant selects the namespace (default: \"default\");\n"
                "          --token (or BOSON_TOKEN) sends Authorization: Bearer,\n"
                "          required when the server has a tenants.json\n"
-               "          --shard i/N still filters the visible jobs (deprecated);\n"
                "          --fault point[:n] SIGKILLs at a named kill point\n"
                "          (after_lease, mid_run, after_checkpoint, before_result)\n"
                "          for fault-injection tests\n"
@@ -258,7 +256,7 @@ int run_campaign(const runtime::campaign_spec& spec, runtime::scheduler_options 
   io::console_table table({"jobs", "completed", "skipped", "resumed", "failed",
                            "cancelled", "claimed", "stolen", "lost", "left leased",
                            "wall [s]"});
-  table.add_row({std::to_string(report.shard_jobs), std::to_string(report.completed),
+  table.add_row({std::to_string(report.jobs), std::to_string(report.completed),
                  std::to_string(report.skipped), std::to_string(report.resumed),
                  std::to_string(report.failed), std::to_string(report.cancelled),
                  std::to_string(report.claimed), std::to_string(report.stolen),
@@ -550,13 +548,6 @@ int cmd_campaign(const std::vector<std::string>& args) {
       auth.token = args[++i];
     } else if (args[i] == "--json") {
       as_json = true;
-    } else if (args[i] == "--shard") {
-      if (i + 1 >= args.size()) return usage(stderr);
-      options.shard = runtime::shard_range::parse(args[++i]);
-      std::fprintf(stderr,
-                   "boson_cli: --shard is deprecated; leases already keep "
-                   "concurrent workers disjoint — point them at one --out "
-                   "directory with distinct --worker ids instead\n");
     } else if (args[i] == "--worker") {
       if (i + 1 >= args.size()) return usage(stderr);
       options.worker_id = args[++i];

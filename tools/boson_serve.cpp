@@ -5,8 +5,7 @@
 //   boson_serve [--data <dir>] [--host <ip>] [--port <n>] [--port-file <path>]
 //               [--threads N] [--runners N] [--quota N] [--workers N]
 //               [--lease-ttl <s>] [--read-timeout <s>] [--write-timeout <s>]
-//               [--max-body-kb N] [--no-artifacts] [--segment-bytes N]
-//               [--segment-records N] [--compact-every N]
+//               [--max-body-kb N] [--no-artifacts]
 //
 // The process serves until SIGINT/SIGTERM, then shuts down cleanly: the
 // listener closes, in-flight requests finish, running campaigns are
@@ -48,8 +47,6 @@ int usage(std::FILE* out) {
                "              [--quota N] [--workers N] [--lease-ttl <s>]\n"
                "              [--read-timeout <s>] [--write-timeout <s>]\n"
                "              [--max-body-kb N] [--no-artifacts]\n"
-               "              [--segment-bytes N] [--segment-records N]\n"
-               "              [--compact-every N]\n"
                "\n"
                "--data         data root: per-tenant campaign directories + registry\n"
                "               (default: boson_service)\n"
@@ -67,11 +64,6 @@ int usage(std::FILE* out) {
                "               event-stream consumers resume from X-Boson-Cursor\n"
                "--max-body-kb  request body ceiling in KiB (default 8192)\n"
                "--no-artifacts skip per-job artifact files (journal/results only)\n"
-               "--segment-bytes   segmented journal: rotate at N bytes (0: legacy\n"
-               "                  single-file journal — the default)\n"
-               "--segment-records segmented journal: rotate at N records\n"
-               "--compact-every   segmented journal: compact once N sealed\n"
-               "                  segments accumulate\n"
                "\n"
                "With a tenants.json ({\"tenant\": \"token\"}) in the data root,\n"
                "requests must carry Authorization: Bearer <token>.\n");
@@ -120,12 +112,6 @@ int main(int argc, char** argv) {
         server_options.read_timeout = std::stod(value());
       else if (args[i] == "--write-timeout")
         server_options.write_timeout = std::stod(value());
-      else if (args[i] == "--segment-bytes")
-        service_options.segment_bytes = static_cast<std::size_t>(std::stoul(value()));
-      else if (args[i] == "--segment-records")
-        service_options.segment_records = static_cast<std::size_t>(std::stoul(value()));
-      else if (args[i] == "--compact-every")
-        service_options.compact_segments = static_cast<std::size_t>(std::stoul(value()));
       else if (args[i] == "--max-body-kb")
         server_options.limits.max_body_bytes = std::stoul(value()) * 1024;
       else if (args[i] == "--no-artifacts") service_options.write_artifacts = false;
