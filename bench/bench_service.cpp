@@ -11,15 +11,13 @@
 //                     with load (the per-status-request row count)
 //
 // No simulations run anywhere: executors are no-ops, so the numbers isolate
-// the service machinery. BOSON_BENCH_SCALE scales the operation counts.
+// the service machinery.
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "common/env.h"
 #include "common/timer.h"
 #include "io/json.h"
 #include "net/http_client.h"
@@ -32,11 +30,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using boson::io::json_value;
-
-std::size_t scaled(std::size_t n) {
-  const double scale = boson::env_double("BOSON_BENCH_SCALE", 1.0);
-  return std::max<std::size_t>(8, static_cast<std::size_t>(n * scale));
-}
 
 /// A 6-job campaign spec that is cheap to expand and serialize.
 boson::runtime::campaign_spec small_campaign() {
@@ -69,7 +62,7 @@ json_value time_http(const fs::path& root) {
   options.runners = 2;
   options.poll_interval = 0.005;
   options.write_artifacts = false;
-  const std::size_t submits = scaled(64);
+  const std::size_t submits = 64;
   options.tenant_quota = submits + 8;
   options.executor = [](const runtime::campaign_job& job, const api::run_control&,
                         api::observer*) {
@@ -107,7 +100,7 @@ json_value time_http(const fs::path& root) {
   }
 
   {  // status path: GET the first campaign until the clock says enough.
-    const std::size_t reads = scaled(512);
+    const std::size_t reads = 512;
     stopwatch sw;
     for (std::size_t i = 0; i < reads; ++i) {
       const net::http_response res = client.get("/v1/campaigns/c0001");
@@ -134,7 +127,7 @@ json_value time_journal_cursor(const fs::path& root) {
   using namespace boson;
 
   const fs::path dir = root / "journal";
-  const std::size_t entries = scaled(20000);
+  const std::size_t entries = 20000;
   const std::size_t batches = 100;
 
   const auto grow = [&](const std::string& path, std::size_t count) {
@@ -228,7 +221,7 @@ json_value time_count_rows(const fs::path& root) {
 
   const fs::path dir = root / "store";
   fs::create_directories(dir);
-  const std::size_t rows = scaled(10000);
+  const std::size_t rows = 10000;
   {
     runtime::result_store store(dir.string());
     runtime::job_result_row row;

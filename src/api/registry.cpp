@@ -16,22 +16,8 @@ registry& registry::global() {
     r->register_device("isolator", [](double res) { return dev::make_isolator(res); },
                        "magneto-optic isolator (minimize isolation contrast)");
 
-    using core::method_id;
-    r->register_method("density", method_id::density);
-    r->register_method("density_m", method_id::density_m);
-    r->register_method("ls", method_id::ls);
-    r->register_method("ls_m", method_id::ls_m);
-    r->register_method("invfabcor_1", method_id::invfabcor_1);
-    r->register_method("invfabcor_3", method_id::invfabcor_3);
-    r->register_method("invfabcor_m_1", method_id::invfabcor_m_1);
-    r->register_method("invfabcor_m_3", method_id::invfabcor_m_3);
-    r->register_method("invfabcor_m_3_eff", method_id::invfabcor_m_3_eff);
-    r->register_method("ls_ed", method_id::ls_ed);
-    r->register_method("boson", method_id::boson);
-    r->register_method("boson_no_reshape", method_id::boson_no_reshape);
-    r->register_method("boson_no_relax", method_id::boson_no_relax);
-    r->register_method("boson_exhaustive", method_id::boson_exhaustive);
-    r->register_method("boson_random_init", method_id::boson_random_init);
+    for (const core::method_preset& preset : core::method_presets())
+      r->register_method(preset.name, preset.recipe);
 
     r->register_objective("device_default",
                           {"", "the device's own objective (contrast for the isolator)"});
@@ -95,10 +81,6 @@ void registry::register_method(const std::string& name, core::method_recipe reci
   core::validate_recipe(recipe);
   const std::lock_guard<std::mutex> lock(mutex_);
   methods_[name] = std::move(recipe);
-}
-
-void registry::register_method(const std::string& name, core::method_id id) {
-  register_method(name, core::preset_recipe(id));
 }
 
 bool registry::has_method(const std::string& name) const {

@@ -56,8 +56,6 @@ class registry {
   /// Register (or replace) a method recipe under `name`. The recipe is
   /// validated against the policy tables first.
   void register_method(const std::string& name, core::method_recipe recipe);
-  /// Deprecated alias: registers the preset recipe the enum id resolves to.
-  void register_method(const std::string& name, core::method_id id);
   bool has_method(const std::string& name) const;
   /// Resolve a method key to its recipe; throws `bad_argument` listing the
   /// known names.

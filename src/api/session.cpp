@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "api/registry.h"
-#include "common/env.h"
 #include "common/error.h"
 #include "common/timer.h"
 #include "io/csv.h"
@@ -53,14 +52,12 @@ void session::emit(const progress_event& event) {
 
 core::experiment_config session::config_for(const experiment_spec& spec) {
   validate(spec);
-  core::experiment_config cfg = core::default_config();
+  core::experiment_config cfg;
   cfg.resolution = spec.resolution;
   cfg.iterations = spec.iterations;
   cfg.relax_epochs = spec.relax_epochs;
   cfg.learning_rate = spec.learning_rate;
-  // Like BOSON_BENCH_SCALE, an explicitly-set BOSON_SEED is an operator
-  // knob that perturbs committed specs without editing them.
-  if (env_string("BOSON_SEED", "").empty()) cfg.seed = spec.seed;
+  cfg.seed = spec.seed;
   cfg.litho = spec.litho;
   cfg.eole = spec.eole;
   cfg.record_trajectory = spec.record_trajectory;

@@ -73,8 +73,8 @@ class session {
   /// plus batch wall-clock and summed experiment seconds.
   std::vector<experiment_result> run_all(const std::vector<experiment_spec>& specs);
 
-  /// The `experiment_config` a spec resolves to (BOSON_BENCH_SCALE and
-  /// BOSON_SEED still apply, exactly as in `core::default_config`).
+  /// The `experiment_config` a spec resolves to: the spec's fields, exactly
+  /// as written.
   static core::experiment_config config_for(const experiment_spec& spec);
 
   /// Build the design problem a spec describes — registry device,

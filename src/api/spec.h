@@ -47,8 +47,8 @@ const char* to_string(eval_step::step_kind kind);
 
 /// Declarative description of one experiment: which device, which method,
 /// how to run the optimization, and how to evaluate the result. Field
-/// defaults match `core::experiment_config`; `BOSON_BENCH_SCALE` still
-/// scales iteration/sample counts at execution time.
+/// defaults match `core::experiment_config`, and a spec runs exactly as
+/// written.
 struct experiment_spec {
   std::string name;                ///< artifact label; "<device>_<method>" when empty
   std::string device = "bend";     ///< device-registry key

@@ -12,7 +12,7 @@ std::string env_string(const char* name, const std::string& fallback);
 /// unparsable. Used for knobs such as BOSON_THREADS.
 long env_int(const char* name, long fallback);
 
-/// Read a floating-point environment variable (e.g. BOSON_BENCH_SCALE).
+/// Read a floating-point environment variable.
 double env_double(const char* name, double fallback);
 
 /// True when the variable is set to a truthy value ("1", "true", "yes", "on").

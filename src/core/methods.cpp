@@ -1,10 +1,8 @@
 #include "core/methods.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
-#include "common/env.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
@@ -16,137 +14,92 @@ namespace boson::core {
 
 // ---------------------------------------------------------------- presets --
 
-method_recipe preset_recipe(method_id id) {
-  method_recipe r;  // defaults describe the plain level-set baseline ("LS")
-  switch (id) {
-    case method_id::density:
-      // The classical density flow: per-pixel variables, moderate fixed
-      // projection sharpness, final 0.5 thresholding. Without the modern
-      // binarization ramp the converged design carries gray/fine structure —
-      // the "numerically plausible, non-manufacturable" failure mode.
-      r.label = "Density";
-      r.parameterization = "density";
-      r.beta_schedule = "fixed";
-      break;
-    case method_id::density_m:
-      r.label = "Density-M";
-      r.parameterization = "density";
-      r.density_blur_mfs = true;
-      r.beta_schedule = "fixed";
-      break;
-    case method_id::ls:
-      r.label = "LS";
-      break;
-    case method_id::ls_m:
-      r.label = "LS-M";
-      r.mfs_blur = true;
-      break;
-    case method_id::invfabcor_1:
-      r.label = "InvFabCor-1";
-      r.mask_correction = "nominal";
-      break;
-    case method_id::invfabcor_3:
-      r.label = "InvFabCor-3";
-      r.mask_correction = "all_corners";
-      break;
-    case method_id::invfabcor_m_1:
-      r.label = "InvFabCor-M-1";
-      r.mfs_blur = true;
-      r.mask_correction = "nominal";
-      break;
-    case method_id::invfabcor_m_3:
-      r.label = "InvFabCor-M-3";
-      r.mfs_blur = true;
-      r.mask_correction = "all_corners";
-      break;
-    case method_id::invfabcor_m_3_eff:
-      r.label = "InvFabCor-M-3-eff";
-      r.mfs_blur = true;
-      r.mask_correction = "all_corners";
-      r.objective_override = "fwd_transmission";
-      break;
-    case method_id::ls_ed:
-      r.label = "LS-ED";
-      r.mfs_blur = true;  // geometry-corner flows pair with MFS control
-      r.corners = "erosion_dilation";
-      break;
-    case method_id::boson:
-      r.label = "BOSON-1";
-      r.corners = "adaptive";
-      r.relaxation = "linear";
-      r.reshaping = "dense";
-      break;
-    case method_id::boson_no_reshape:
-      r.label = "BOSON-1 (- landscape reshaping)";
-      r.corners = "adaptive";
-      r.relaxation = "linear";
-      break;
-    case method_id::boson_no_relax:
-      r.label = "BOSON-1 (- subspace relax)";
-      r.corners = "adaptive";
-      r.reshaping = "dense";
-      break;
-    case method_id::boson_exhaustive:
-      r.label = "BOSON-1 (exhaustive sample)";
-      r.corners = "exhaustive";
-      r.relaxation = "linear";
-      r.reshaping = "dense";
-      break;
-    case method_id::boson_random_init:
-      r.label = "BOSON-1 (random init)";
-      r.corners = "adaptive";
-      r.relaxation = "linear";
-      r.reshaping = "dense";
-      r.initialization = "random";
-      break;
-  }
-  return r;
-}
-
-const std::vector<method_id>& all_method_ids() {
-  static const std::vector<method_id> ids = {
-      method_id::density,        method_id::density_m,
-      method_id::ls,             method_id::ls_m,
-      method_id::invfabcor_1,    method_id::invfabcor_3,
-      method_id::invfabcor_m_1,  method_id::invfabcor_m_3,
-      method_id::invfabcor_m_3_eff, method_id::ls_ed,
-      method_id::boson,          method_id::boson_no_reshape,
-      method_id::boson_no_relax, method_id::boson_exhaustive,
-      method_id::boson_random_init};
-  return ids;
-}
-
-std::string method_name(method_id id) { return preset_recipe(id).label; }
-
-bool method_uses_levelset(method_id id) {
-  return preset_recipe(id).parameterization == "levelset";
-}
-
-std::string method_objective_override(method_id id) {
-  return preset_recipe(id).objective_override;
-}
-
-// ----------------------------------------------------------------- config --
-
-std::size_t experiment_config::scaled_iterations() const {
-  return std::max<std::size_t>(4, static_cast<std::size_t>(std::lround(
-                                      static_cast<double>(iterations) * scale)));
-}
-
-std::size_t experiment_config::scaled_samples() const {
-  return std::max<std::size_t>(2, static_cast<std::size_t>(std::lround(
-                                      static_cast<double>(mc_samples) * scale)));
-}
-
-std::size_t experiment_config::scaled_relax() const {
-  return static_cast<std::size_t>(std::lround(static_cast<double>(relax_epochs) * scale));
-}
-
-experiment_config default_config() {
-  experiment_config cfg;
-  cfg.scale = env_double("BOSON_BENCH_SCALE", 1.0);
-  cfg.seed = static_cast<std::uint64_t>(env_int("BOSON_SEED", 7));
-  return cfg;
+const std::vector<method_preset>& method_presets() {
+  static const std::vector<method_preset> presets = [] {
+    // Every preset starts from the recipe defaults (the plain level-set
+    // baseline "LS") and states only what it composes differently.
+    const auto preset = [](const char* name, const char* label,
+                           void (*compose)(method_recipe&)) {
+      method_preset p{name, {}};
+      p.recipe.label = label;
+      compose(p.recipe);
+      return p;
+    };
+    return std::vector<method_preset>{
+        // The classical density flow: per-pixel variables, moderate fixed
+        // projection sharpness, final 0.5 thresholding. Without the modern
+        // binarization ramp the converged design carries gray/fine structure
+        // — the "numerically plausible, non-manufacturable" failure mode.
+        preset("density", "Density",
+               [](method_recipe& r) {
+                 r.parameterization = "density";
+                 r.beta_schedule = "fixed";
+               }),
+        preset("density_m", "Density-M",
+               [](method_recipe& r) {
+                 r.parameterization = "density";
+                 r.density_blur_mfs = true;
+                 r.beta_schedule = "fixed";
+               }),
+        preset("ls", "LS", [](method_recipe&) {}),
+        preset("ls_m", "LS-M", [](method_recipe& r) { r.mfs_blur = true; }),
+        preset("invfabcor_1", "InvFabCor-1",
+               [](method_recipe& r) { r.mask_correction = "nominal"; }),
+        preset("invfabcor_3", "InvFabCor-3",
+               [](method_recipe& r) { r.mask_correction = "all_corners"; }),
+        preset("invfabcor_m_1", "InvFabCor-M-1",
+               [](method_recipe& r) {
+                 r.mfs_blur = true;
+                 r.mask_correction = "nominal";
+               }),
+        preset("invfabcor_m_3", "InvFabCor-M-3",
+               [](method_recipe& r) {
+                 r.mfs_blur = true;
+                 r.mask_correction = "all_corners";
+               }),
+        preset("invfabcor_m_3_eff", "InvFabCor-M-3-eff",
+               [](method_recipe& r) {
+                 r.mfs_blur = true;
+                 r.mask_correction = "all_corners";
+                 r.objective_override = "fwd_transmission";
+               }),
+        preset("ls_ed", "LS-ED",
+               [](method_recipe& r) {
+                 r.mfs_blur = true;  // geometry-corner flows pair with MFS control
+                 r.corners = "erosion_dilation";
+               }),
+        preset("boson", "BOSON-1",
+               [](method_recipe& r) {
+                 r.corners = "adaptive";
+                 r.relaxation = "linear";
+                 r.reshaping = "dense";
+               }),
+        preset("boson_no_reshape", "BOSON-1 (- landscape reshaping)",
+               [](method_recipe& r) {
+                 r.corners = "adaptive";
+                 r.relaxation = "linear";
+               }),
+        preset("boson_no_relax", "BOSON-1 (- subspace relax)",
+               [](method_recipe& r) {
+                 r.corners = "adaptive";
+                 r.reshaping = "dense";
+               }),
+        preset("boson_exhaustive", "BOSON-1 (exhaustive sample)",
+               [](method_recipe& r) {
+                 r.corners = "exhaustive";
+                 r.relaxation = "linear";
+                 r.reshaping = "dense";
+               }),
+        preset("boson_random_init", "BOSON-1 (random init)",
+               [](method_recipe& r) {
+                 r.corners = "adaptive";
+                 r.relaxation = "linear";
+                 r.reshaping = "dense";
+                 r.initialization = "random";
+               }),
+    };
+  }();
+  return presets;
 }
 
 // --------------------------------------------------------------- problems --
@@ -224,14 +177,14 @@ run_options resolved_run_options(const method_recipe& recipe,
   const reshaping_policy reshaping = policies.reshaping.get(recipe.reshaping);
   const beta_policy beta = policies.beta_schedule.get(recipe.beta_schedule);
 
-  // Recipe-level optimizer overrides replace the config values *before*
-  // BOSON_BENCH_SCALE, exactly as if the config had carried them.
+  // Recipe-level optimizer overrides replace the config values, exactly as
+  // if the config had carried them.
   experiment_config effective = cfg;
   if (recipe.iterations > 0) effective.iterations = recipe.iterations;
   if (recipe.learning_rate > 0.0) effective.learning_rate = recipe.learning_rate;
 
   run_options ro;
-  ro.iterations = effective.scaled_iterations();
+  ro.iterations = effective.iterations;
   ro.learning_rate = effective.learning_rate;
   ro.fab_aware = corners.fab_aware;
   ro.dense_objectives = reshaping.dense_objectives;
@@ -300,8 +253,8 @@ method_result run_method(const dev::device_spec& spec, const method_recipe& reci
     stage("mask_correction");
     mask_correction_options mo;
     mo.litho_corners = correction_corners;
-    // ro.iterations already carries the recipe-level override + scaling, so
-    // the correction budget tracks the optimizer budget.
+    // ro.iterations already carries the recipe-level override, so the
+    // correction budget tracks the optimizer budget.
     mo.iterations = std::max<std::size_t>(20, ro.iterations);
     const mask_correction_result corrected = correct_mask(problem, design_binary, mo);
     log_info("run_method[", spec.name, "]: mask correction mismatch ",
@@ -313,16 +266,11 @@ method_result run_method(const dev::device_spec& spec, const method_recipe& reci
 
   if (hooks.run_postfab_mc) {
     stage("postfab_monte_carlo");
-    out.postfab = postfab_monte_carlo(problem, out.mask, cfg.scaled_samples(), cfg.seed + 3);
+    out.postfab = postfab_monte_carlo(problem, out.mask, cfg.mc_samples, cfg.seed + 3);
     log_info("run_method[", spec.name, "]: ", recipe.label, " prefab FoM=",
              out.prefab_fom, " postfab FoM=", out.postfab.fom_mean);
   }
   return out;
-}
-
-method_result run_method(const dev::device_spec& spec, method_id id,
-                         const experiment_config& cfg, const method_hooks& hooks) {
-  return run_method(spec, preset_recipe(id), cfg, hooks);
 }
 
 }  // namespace boson::core

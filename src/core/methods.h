@@ -3,15 +3,15 @@
 /// end (optimize, derive the mask, evaluate pre-fab metrics, post-fab Monte
 /// Carlo). The fifteen methodologies compared in the paper's tables (density
 /// baselines, LS-ED, InvFabCor two-stage correction, BOSON-1 and its Table
-/// II ablations) are built-in *presets* expressed as recipes via
-/// `preset_recipe`; the `method_id` enum survives only as a deprecated alias
-/// for them. Shared experiment configuration lives in `experiment_config`
-/// with BOSON_BENCH_SCALE / BOSON_SEED environment overrides.
+/// II ablations) are built-in *presets*: one name-keyed table of recipes
+/// (`method_presets`) the API registry publishes. Shared experiment
+/// configuration lives in `experiment_config`; it runs exactly as written.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/design_problem.h"
 #include "core/evaluate.h"
@@ -24,51 +24,21 @@
 
 namespace boson::core {
 
-/// Deprecated closed enumeration of the paper's methods; kept as an alias
-/// layer only — each id resolves to a preset recipe via `preset_recipe`.
-/// Naming follows the paper: '-M' adds minimum-feature-size blur, '-#' is
-/// the number of lithography corners matched during mask correction, '-eff'
-/// switches the isolator objective to plain transmission efficiency. The
-/// boson_* variants are the Table II ablations.
-enum class method_id {
-  density,
-  density_m,
-  ls,
-  ls_m,
-  invfabcor_1,
-  invfabcor_3,
-  invfabcor_m_1,
-  invfabcor_m_3,
-  invfabcor_m_3_eff,
-  ls_ed,               ///< prior-art geometry-corner baseline (erosion/dilation)
-  boson,
-  boson_no_reshape,    ///< - loss landscape reshaping (sparse objective)
-  boson_no_relax,      ///< - conditional subspace relaxation
-  boson_exhaustive,    ///< exhaustive corner sweeping instead of adaptive
-  boson_random_init,   ///< random instead of light-concentrated init
+/// A built-in method preset: the registry key it is published under and the
+/// recipe it names (the recipe label is the paper name, e.g. "BOSON-1").
+struct method_preset {
+  std::string name;
+  method_recipe recipe;
 };
 
-/// The preset recipe a paper method resolves to (label = the paper name).
-method_recipe preset_recipe(method_id id);
+/// The fifteen paper methods in table order. Naming follows the paper: '-M'
+/// adds minimum-feature-size blur, '-#' is the number of lithography corners
+/// matched during mask correction, '-eff' switches the isolator objective to
+/// plain transmission efficiency. LS-ED is the prior-art geometry-corner
+/// baseline; the boson_* variants are the Table II ablations.
+const std::vector<method_preset>& method_presets();
 
-/// All fifteen preset ids in enum order (the paper's table order).
-const std::vector<method_id>& all_method_ids();
-
-std::string method_name(method_id id);
-
-/// Whether the method's recipe uses the level-set parameterization (the
-/// density baselines are the only per-pixel methods). Exposed so callers
-/// building a `design_problem` to evaluate a finished mask can match the
-/// parameterization the method optimized with.
-bool method_uses_levelset(method_id id);
-
-/// The objective override baked into the method's recipe ("" for most;
-/// "fwd_transmission" for the '-eff' variant). Exposed so spec validation
-/// can reject device/method combinations run_method would refuse.
-std::string method_objective_override(method_id id);
-
-/// Shared experiment configuration. `scale` (usually BOSON_BENCH_SCALE)
-/// multiplies iteration counts and Monte-Carlo samples for quick runs.
+/// Shared experiment configuration.
 struct experiment_config {
   double resolution = 0.05;
   std::size_t iterations = 50;
@@ -76,7 +46,6 @@ struct experiment_config {
   std::size_t mc_samples = 20;
   double learning_rate = 0.05;
   std::uint64_t seed = 7;
-  double scale = 1.0;
   fab::litho_settings litho;
   fab::eole_settings eole;
   robust::variation_space space;
@@ -92,15 +61,7 @@ struct experiment_config {
   /// (e.g. "fwd_transmission" turns the isolator contrast objective into
   /// plain transmission efficiency). Only valid for ratio objectives.
   std::string objective_override;
-
-  std::size_t scaled_iterations() const;
-  std::size_t scaled_samples() const;
-  std::size_t scaled_relax() const;
 };
-
-/// Load the default experiment configuration, applying BOSON_BENCH_SCALE and
-/// BOSON_SEED from the environment.
-experiment_config default_config();
 
 /// Outcome of running one method end to end on one device.
 struct method_result {
@@ -164,12 +125,6 @@ struct method_hooks {
 /// recipe's mask-correction stage when set), evaluate pre-fab metrics and
 /// the post-fab Monte Carlo. Validates the recipe first.
 method_result run_method(const dev::device_spec& spec, const method_recipe& recipe,
-                         const experiment_config& cfg,
-                         const method_hooks& hooks = {});
-
-/// Deprecated alias: run a paper preset by enum id (exactly
-/// `run_method(spec, preset_recipe(id), cfg, hooks)`).
-method_result run_method(const dev::device_spec& spec, method_id id,
                          const experiment_config& cfg,
                          const method_hooks& hooks = {});
 

@@ -65,7 +65,7 @@ void register_builtins(recipe_policies& p) {
                             "optimize purely in the fabricable subspace"});
   p.relaxation.add(
       "linear",
-      {[](const experiment_config& cfg) { return cfg.scaled_relax(); },
+      {[](const experiment_config& cfg) { return cfg.relax_epochs; },
        "fabrication-aware weight ramps 0 -> 1 over the config's relax epochs"});
 
   p.reshaping.add("none", {false, "sparse objective (transmission terms only)"});

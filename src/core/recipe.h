@@ -5,7 +5,7 @@
 /// subspace-relaxation schedule, loss-landscape reshaping, initialization,
 /// mask-correction stage, projection schedule, and optimizer overrides. The
 /// fifteen paper methods are presets expressed as recipes (see
-/// `core::preset_recipe` in methods.h); never-compiled hybrids are just new
+/// `core::method_presets` in methods.h); never-compiled hybrids are just new
 /// recipe values, built in C++ or parsed from a spec's `"recipe"` object.
 /// Every policy family is independently registrable through
 /// `recipe_policies::global()`, so user code can add e.g. a new corner

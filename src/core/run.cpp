@@ -46,7 +46,7 @@ run_result run_inverse_design(design_problem& problem, const dvec& theta0,
             "run_inverse_design: resume checkpoint is beyond this run's iteration count");
     require(ck.total_iterations == options.iterations,
             "run_inverse_design: resume checkpoint was captured for a different "
-            "iteration count (BOSON_BENCH_SCALE changed?)");
+            "iteration count (was the spec edited?)");
     theta = ck.theta;
     optimizer.restore(ck.optimizer);
     r.restore_state(ck.rng_state);

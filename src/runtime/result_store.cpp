@@ -188,10 +188,17 @@ std::string render_report(const campaign_spec& spec,
     out << "\n" << legend.render("Method recipes") << "\n";
   }
 
-  // Per-device detail: the Table 2-style per-job statistics.
+  // Per-device detail: the Table 2-style per-job statistics. Jobs of a named
+  // override axis share method and seed, so they get an override column
+  // (overrides are the innermost expansion axis: the job index names one).
+  // Campaigns without overrides keep the plain layout.
+  const std::vector<campaign_override>& overrides = spec.overrides;
+  std::vector<std::string> detail_header{"method", "seed"};
+  if (!overrides.empty()) detail_header.push_back("override");
+  detail_header.insert(detail_header.end(),
+                       {"prefab FoM", "postfab mean", "postfab std", "worst", "s"});
   for (const std::string& device : spec.devices) {
-    io::console_table detail(
-        {"method", "seed", "prefab FoM", "postfab mean", "postfab std", "worst", "s"});
+    io::console_table detail(detail_header);
     bool any = false;
     for (const job_result_row& row : rows) {
       if (row.device != device) continue;
@@ -205,12 +212,14 @@ std::string render_report(const campaign_spec& spec,
                     ? row.postfab_max
                     : row.postfab_min)
              : 0.0;
-      detail.add_row({row.method, std::to_string(row.seed),
-                      io::console_table::sci(row.prefab_fom),
-                      mc ? io::console_table::sci(row.postfab_mean) : "-",
-                      mc ? io::console_table::sci(row.postfab_std) : "-",
-                      mc ? io::console_table::sci(worst) : "-",
-                      io::console_table::num(row.seconds, 1)});
+      std::vector<std::string> cells{row.method, std::to_string(row.seed)};
+      if (!overrides.empty()) cells.push_back(overrides[row.job_index % overrides.size()].name);
+      cells.insert(cells.end(), {io::console_table::sci(row.prefab_fom),
+                                 mc ? io::console_table::sci(row.postfab_mean) : "-",
+                                 mc ? io::console_table::sci(row.postfab_std) : "-",
+                                 mc ? io::console_table::sci(worst) : "-",
+                                 io::console_table::num(row.seconds, 1)});
+      detail.add_row(cells);
     }
     if (any) out << "\n" << detail.render("Device: " + device);
   }

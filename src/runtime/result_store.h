@@ -75,7 +75,8 @@ class result_store {
 
 /// Render the paper-shaped report: a coverage line ("N/M jobs"), the
 /// Table 1/3-style method x device post-fab grid, and one detail table per
-/// device (prefab / post-fab statistics per method x seed).
+/// device (prefab / post-fab statistics per method x seed, plus an override
+/// column when the campaign declares named overrides).
 std::string render_report(const campaign_spec& spec,
                           const std::vector<job_result_row>& rows);
 

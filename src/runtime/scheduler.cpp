@@ -271,10 +271,10 @@ scheduler_report scheduler::run() {
           checkpoint_file file = load_checkpoint(snapshot);
           require(file.job == job.name,
                   "checkpoint belongs to job '" + file.job + "'");
-          // A snapshot from a different effective run length (changed
-          // BOSON_BENCH_SCALE, edited campaign) would be rejected by the
-          // optimizer on every retry; discard it here so the job runs fresh
-          // instead of burning its whole budget on the same dead state.
+          // A snapshot from a different effective run length (an edited
+          // campaign spec) would be rejected by the optimizer on every
+          // retry; discard it here so the job runs fresh instead of burning
+          // its whole budget on the same dead state.
           // Resolve through the recipe: a recipe-level iterations override
           // changes the run length the checkpoints were captured under.
           const std::size_t expected =

@@ -174,7 +174,7 @@ grid_lu::grid_lu(std::size_t nx, std::size_t ny, const csr_c& a) : nx_(nx), ny_(
 
     // Keep the factors column-major (the substitutions stream down columns)
     // and hand the Schur complement to the parent.
-    cplx* lu = &factors_[nd.offset];
+    cplx* lu = factors_.data() + nd.offset;
     for (std::size_t k = 0; k < s; ++k)
       for (std::size_t i = 0; i < m; ++i) lu[k * m + i] = cplx(fr[i * m + k], fi[i * m + k]);
     cplx* u12 = lu + m * s;

@@ -78,9 +78,11 @@ class grid_lu {
   /// Overwrite every right-hand side in `xs` with its solution.
   void substitute(std::vector<cvec>& xs) const;
 
-  const cplx* panel(const node& nd) const { return &factors_[nd.offset]; }
+  // Pointer arithmetic, not &factors_[i]: the root's U12 block is empty and
+  // starts one past the last factor, which operator[] may not index.
+  const cplx* panel(const node& nd) const { return factors_.data() + nd.offset; }
   const cplx* upper(const node& nd) const {
-    return &factors_[nd.offset + (nd.own + nd.ring) * nd.own];
+    return factors_.data() + nd.offset + (nd.own + nd.ring) * nd.own;
   }
 
   std::size_t nx_;

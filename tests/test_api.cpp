@@ -125,9 +125,10 @@ TEST(api_registry, built_in_scenarios_are_registered) {
   for (const char* device : {"bend", "crossing", "isolator"})
     EXPECT_TRUE(reg.has_device(device)) << device;
   EXPECT_GE(reg.method_names().size(), 15u);
-  EXPECT_EQ(reg.method("boson"), core::preset_recipe(core::method_id::boson));
-  EXPECT_EQ(reg.method("boson_no_relax"),
-            core::preset_recipe(core::method_id::boson_no_relax));
+  for (const core::method_preset& preset : core::method_presets())
+    EXPECT_EQ(reg.method(preset.name), preset.recipe) << preset.name;
+  EXPECT_EQ(reg.method("boson").label, "BOSON-1");
+  EXPECT_EQ(reg.method("boson_no_relax").relaxation, "none");
   EXPECT_TRUE(reg.has_objective("device_default"));
   EXPECT_EQ(reg.objective("fwd_transmission").override_metric, "fwd_transmission");
 }
@@ -585,8 +586,8 @@ TEST(trajectory_csv, exports_iteration_loss_and_metric_columns) {
 // -------------------------------------------------------------- recipes ----
 
 TEST(recipe_json, all_fifteen_presets_round_trip) {
-  for (const core::method_id id : core::all_method_ids()) {
-    const core::method_recipe preset = core::preset_recipe(id);
+  for (const core::method_preset& entry : core::method_presets()) {
+    const core::method_recipe& preset = entry.recipe;
     const io::json_value v = api::recipe_to_json(preset);
     const core::method_recipe parsed = api::recipe_from_json(v);
     EXPECT_EQ(parsed, preset) << preset.label;
@@ -703,7 +704,7 @@ TEST(api_registry, lookup_errors_suggest_the_closest_name) {
 
 TEST(api_registry, custom_recipes_register_and_validate) {
   auto& reg = api::registry::global();
-  core::method_recipe hybrid = core::preset_recipe(core::method_id::boson);
+  core::method_recipe hybrid = reg.method("boson");
   hybrid.label = "BOSON-1 (TV)";
   hybrid.tv_weight = 0.01;
   reg.register_method("test_boson_tv", hybrid);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 
+#include "api/registry.h"
 #include "core/design_problem.h"
 #include "core/evaluate.h"
 #include "core/mask_correction.h"
@@ -30,6 +31,9 @@ experiment_config test_config() {
   cfg.eole.num_terms = 5;
   return cfg;
 }
+
+/// A built-in method preset, looked up by its registry name.
+method_recipe preset(const std::string& name) { return api::registry::global().method(name); }
 
 robust::variation_corner nominal_corner(const design_problem& p) {
   robust::variation_corner c;
@@ -697,17 +701,16 @@ TEST(run, trajectory_can_be_disabled) {
 // -------------------------------------------------------------- methods ----
 
 TEST(methods, names_are_unique_and_match_paper) {
-  std::set<std::string> names;
-  for (const auto id :
-       {method_id::density, method_id::density_m, method_id::ls, method_id::ls_m,
-        method_id::invfabcor_1, method_id::invfabcor_3, method_id::invfabcor_m_1,
-        method_id::invfabcor_m_3, method_id::invfabcor_m_3_eff, method_id::ls_ed,
-        method_id::boson, method_id::boson_no_reshape, method_id::boson_no_relax,
-        method_id::boson_exhaustive, method_id::boson_random_init})
-    names.insert(method_name(id));
-  EXPECT_EQ(names.size(), 15u);
-  EXPECT_EQ(method_name(method_id::boson), "BOSON-1");
-  EXPECT_EQ(method_name(method_id::invfabcor_m_3), "InvFabCor-M-3");
+  // The presets are one name-keyed table in the paper's table order.
+  std::vector<std::string> names;
+  for (const method_preset& p : method_presets()) names.push_back(p.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "density", "density_m", "ls", "ls_m", "invfabcor_1", "invfabcor_3",
+                       "invfabcor_m_1", "invfabcor_m_3", "invfabcor_m_3_eff", "ls_ed",
+                       "boson", "boson_no_reshape", "boson_no_relax", "boson_exhaustive",
+                       "boson_random_init"}));
+  // Each is published under its own name.
+  for (const method_preset& p : method_presets()) EXPECT_EQ(preset(p.name), p.recipe) << p.name;
 }
 
 TEST(methods, relative_improvement_orientation) {
@@ -731,44 +734,27 @@ TEST(methods, binarize_thresholds_correctly) {
   EXPECT_EQ(b(1, 1), 1.0);
 }
 
-TEST(methods, config_scaling_applies_floors) {
-  experiment_config cfg;
-  cfg.iterations = 50;
-  cfg.mc_samples = 20;
-  cfg.relax_epochs = 20;
-  cfg.scale = 0.1;
-  EXPECT_EQ(cfg.scaled_iterations(), 5u);
-  EXPECT_EQ(cfg.scaled_samples(), 2u);
-  EXPECT_EQ(cfg.scaled_relax(), 2u);
-  cfg.scale = 1.0;
-  EXPECT_EQ(cfg.scaled_iterations(), 50u);
-}
-
 TEST(methods, end_to_end_density_baseline_runs) {
-  auto cfg = test_config();
-  cfg.scale = 1.0;
-  const auto res = run_method(dev::make_bend(0.1), method_id::density, cfg);
+  const auto cfg = test_config();
+  const auto res = run_method(dev::make_bend(0.1), preset("density"), cfg);
   EXPECT_EQ(res.method, "Density");
   EXPECT_TRUE(res.prefab.count("transmission"));
-  EXPECT_EQ(res.postfab.samples, cfg.scaled_samples());
+  EXPECT_EQ(res.postfab.samples, cfg.mc_samples);
   EXPECT_GT(res.prefab_fom, 0.0);
 }
 
 TEST(methods, end_to_end_boson_runs_and_reports) {
-  auto cfg = test_config();
-  cfg.scale = 1.0;
-  const auto res = run_method(dev::make_bend(0.1), method_id::boson, cfg);
+  const auto cfg = test_config();
+  const auto res = run_method(dev::make_bend(0.1), preset("boson"), cfg);
   EXPECT_EQ(res.method, "BOSON-1");
-  EXPECT_EQ(res.run.trajectory.size(), cfg.scaled_iterations());
+  EXPECT_EQ(res.run.trajectory.size(), cfg.iterations);
   EXPECT_GT(res.postfab.fom_mean, 0.0);
   // The fabricated mask is binary.
   for (const double v : res.mask) EXPECT_TRUE(v == 0.0 || v == 1.0);
 }
 
 TEST(methods, end_to_end_invfabcor_produces_corrected_mask) {
-  auto cfg = test_config();
-  cfg.scale = 1.0;
-  const auto res = run_method(dev::make_bend(0.1), method_id::invfabcor_m_1, cfg);
+  const auto res = run_method(dev::make_bend(0.1), preset("invfabcor_m_1"), test_config());
   EXPECT_EQ(res.method, "InvFabCor-M-1");
   EXPECT_EQ(res.mask.nx(), res.run.design_rho.nx());
 }
@@ -776,18 +762,18 @@ TEST(methods, end_to_end_invfabcor_produces_corrected_mask) {
 // -------------------------------------------------------------- recipes ----
 
 /// The legacy (pre-recipe) per-method ingredient table, hand-copied from the
-/// enum-era dispatch. The presets must keep resolving to exactly these
-/// `run_options` — since `run_inverse_design` is a pure function of
-/// (problem, theta0, options), equal options + parameterization + init are
-/// what make the recipe path bit-identical to the old enum path.
+/// enum-era dispatch and keyed by registry name. The presets must keep
+/// resolving to exactly these `run_options` — since `run_inverse_design` is a
+/// pure function of (problem, theta0, options), equal options +
+/// parameterization + init keep every preset's results unchanged.
 struct legacy_expectation {
-  method_id id;
+  const char* name;
   const char* parameterization;
   bool density_blur_mfs;
   bool mfs_blur;
   bool fab_aware;
   bool dense;
-  bool relax;  ///< true: cfg.scaled_relax(), false: 0
+  bool relax;  ///< true: cfg.relax_epochs, false: 0
   robust::sampling_strategy sampling;
   bool random_initialization;
   bool erosion_dilation;
@@ -799,43 +785,43 @@ struct legacy_expectation {
 TEST(recipe, presets_resolve_to_the_legacy_run_options) {
   using st = robust::sampling_strategy;
   const std::vector<legacy_expectation> table = {
-      {method_id::density, "density", false, false, false, false, false,
+      {"density", "density", false, false, false, false, false,
        st::nominal_only, false, false, false, 0, ""},
-      {method_id::density_m, "density", true, false, false, false, false,
+      {"density_m", "density", true, false, false, false, false,
        st::nominal_only, false, false, false, 0, ""},
-      {method_id::ls, "levelset", false, false, false, false, false,
+      {"ls", "levelset", false, false, false, false, false,
        st::nominal_only, false, false, true, 0, ""},
-      {method_id::ls_m, "levelset", false, true, false, false, false,
+      {"ls_m", "levelset", false, true, false, false, false,
        st::nominal_only, false, false, true, 0, ""},
-      {method_id::invfabcor_1, "levelset", false, false, false, false, false,
+      {"invfabcor_1", "levelset", false, false, false, false, false,
        st::nominal_only, false, false, true, 1, ""},
-      {method_id::invfabcor_3, "levelset", false, false, false, false, false,
+      {"invfabcor_3", "levelset", false, false, false, false, false,
        st::nominal_only, false, false, true, 3, ""},
-      {method_id::invfabcor_m_1, "levelset", false, true, false, false, false,
+      {"invfabcor_m_1", "levelset", false, true, false, false, false,
        st::nominal_only, false, false, true, 1, ""},
-      {method_id::invfabcor_m_3, "levelset", false, true, false, false, false,
+      {"invfabcor_m_3", "levelset", false, true, false, false, false,
        st::nominal_only, false, false, true, 3, ""},
-      {method_id::invfabcor_m_3_eff, "levelset", false, true, false, false, false,
+      {"invfabcor_m_3_eff", "levelset", false, true, false, false, false,
        st::nominal_only, false, false, true, 3, "fwd_transmission"},
-      {method_id::ls_ed, "levelset", false, true, false, false, false,
+      {"ls_ed", "levelset", false, true, false, false, false,
        st::nominal_only, false, true, true, 0, ""},
-      {method_id::boson, "levelset", false, false, true, true, true,
+      {"boson", "levelset", false, false, true, true, true,
        st::axial_plus_worst, false, false, true, 0, ""},
-      {method_id::boson_no_reshape, "levelset", false, false, true, false, true,
+      {"boson_no_reshape", "levelset", false, false, true, false, true,
        st::axial_plus_worst, false, false, true, 0, ""},
-      {method_id::boson_no_relax, "levelset", false, false, true, true, false,
+      {"boson_no_relax", "levelset", false, false, true, true, false,
        st::axial_plus_worst, false, false, true, 0, ""},
-      {method_id::boson_exhaustive, "levelset", false, false, true, true, true,
+      {"boson_exhaustive", "levelset", false, false, true, true, true,
        st::exhaustive, false, false, true, 0, ""},
-      {method_id::boson_random_init, "levelset", false, false, true, true, true,
+      {"boson_random_init", "levelset", false, false, true, true, true,
        st::axial_plus_worst, true, false, true, 0, ""},
   };
-  ASSERT_EQ(table.size(), all_method_ids().size());
+  ASSERT_EQ(table.size(), method_presets().size());
 
   experiment_config cfg = test_config();
   cfg.relax_epochs = 3;
   for (const legacy_expectation& e : table) {
-    const method_recipe recipe = preset_recipe(e.id);
+    const method_recipe recipe = preset(e.name);
     const std::string label = recipe.label;
     EXPECT_NO_THROW(validate_recipe(recipe)) << label;
     EXPECT_EQ(recipe.parameterization, e.parameterization) << label;
@@ -849,12 +835,12 @@ TEST(recipe, presets_resolve_to_the_legacy_run_options) {
         << label;
 
     const run_options ro = resolved_run_options(recipe, cfg);
-    EXPECT_EQ(ro.iterations, cfg.scaled_iterations()) << label;
+    EXPECT_EQ(ro.iterations, cfg.iterations) << label;
     EXPECT_DOUBLE_EQ(ro.learning_rate, cfg.learning_rate) << label;
     EXPECT_EQ(ro.fab_aware, e.fab_aware) << label;
     EXPECT_EQ(ro.dense_objectives, e.dense) << label;
     EXPECT_EQ(ro.use_mfs_blur, e.mfs_blur) << label;
-    EXPECT_EQ(ro.relax_epochs, e.relax ? cfg.scaled_relax() : 0u) << label;
+    EXPECT_EQ(ro.relax_epochs, e.relax ? cfg.relax_epochs : 0u) << label;
     EXPECT_EQ(ro.sampling, e.sampling) << label;
     EXPECT_EQ(ro.erosion_dilation, e.erosion_dilation) << label;
     EXPECT_DOUBLE_EQ(ro.beta_start, 8.0) << label;
@@ -866,44 +852,10 @@ TEST(recipe, presets_resolve_to_the_legacy_run_options) {
 
 TEST(recipe, preset_labels_are_the_paper_names_and_unique) {
   std::set<std::string> labels;
-  for (const method_id id : all_method_ids()) labels.insert(preset_recipe(id).label);
+  for (const method_preset& p : method_presets()) labels.insert(p.recipe.label);
   EXPECT_EQ(labels.size(), 15u);
-  EXPECT_EQ(preset_recipe(method_id::boson).label, "BOSON-1");
-  EXPECT_EQ(preset_recipe(method_id::invfabcor_m_3).label, "InvFabCor-M-3");
-}
-
-/// Bit-identity of the enum alias vs an explicitly-composed recipe value:
-/// trajectory, theta, mask, and Monte-Carlo statistics must match double for
-/// double. Three presets cover the distinct pipelines (adaptive+relax+dense,
-/// density+auto-blur+fixed-beta, and the two-stage mask correction).
-void expect_bit_identical(const method_result& a, const method_result& b) {
-  ASSERT_EQ(a.run.trajectory.size(), b.run.trajectory.size());
-  for (std::size_t i = 0; i < a.run.trajectory.size(); ++i)
-    EXPECT_EQ(a.run.trajectory[i].loss, b.run.trajectory[i].loss) << "iteration " << i;
-  ASSERT_EQ(a.run.theta.size(), b.run.theta.size());
-  for (std::size_t i = 0; i < a.run.theta.size(); ++i)
-    EXPECT_EQ(a.run.theta[i], b.run.theta[i]) << "theta[" << i << "]";
-  ASSERT_EQ(a.mask.size(), b.mask.size());
-  for (std::size_t i = 0; i < a.mask.size(); ++i)
-    EXPECT_EQ(a.mask.data()[i], b.mask.data()[i]) << "mask[" << i << "]";
-  EXPECT_EQ(a.postfab.samples, b.postfab.samples);
-  EXPECT_EQ(a.postfab.fom_mean, b.postfab.fom_mean);
-  EXPECT_EQ(a.prefab_fom, b.prefab_fom);
-}
-
-TEST(recipe, enum_alias_and_recipe_value_run_bit_identical) {
-  experiment_config cfg = test_config();
-  cfg.iterations = 3;
-  cfg.relax_epochs = 2;
-  cfg.mc_samples = 2;
-  const auto device = dev::make_bend(0.1);
-  for (const method_id id :
-       {method_id::boson, method_id::density_m, method_id::invfabcor_m_1}) {
-    const method_result via_enum = run_method(device, id, cfg);
-    const method_result via_recipe = run_method(device, preset_recipe(id), cfg);
-    EXPECT_EQ(via_enum.method, via_recipe.method);
-    expect_bit_identical(via_enum, via_recipe);
-  }
+  EXPECT_EQ(preset("boson").label, "BOSON-1");
+  EXPECT_EQ(preset("invfabcor_m_3").label, "InvFabCor-M-3");
 }
 
 TEST(recipe, policy_lookup_suggests_the_closest_key) {
@@ -960,9 +912,9 @@ TEST(recipe, registrable_policies_extend_the_dispatch) {
 }
 
 TEST(recipe, signature_is_compact_provenance) {
-  EXPECT_EQ(preset_recipe(method_id::boson).signature(),
+  EXPECT_EQ(preset("boson").signature(),
             "levelset|corners:adaptive|relax:linear|reshape:dense|init:default");
-  EXPECT_EQ(preset_recipe(method_id::invfabcor_m_3_eff).signature(),
+  EXPECT_EQ(preset("invfabcor_m_3_eff").signature(),
             "levelset+M|corners:none|relax:none|reshape:none|init:default"
             "|corr:all_corners|objective:fwd_transmission");
 }
@@ -970,14 +922,14 @@ TEST(recipe, signature_is_compact_provenance) {
 TEST(recipe, signature_separates_recipes_that_run_differently) {
   // The provenance key must not collide for behaviorally distinct recipes:
   // every numeric field that changes the run lands in the signature.
-  method_recipe a = preset_recipe(method_id::boson);
+  method_recipe a = preset("boson");
   method_recipe b = a;
   b.tv_weight = 0.01;
   EXPECT_NE(a.signature(), b.signature());
   method_recipe c = a;
   c.beta_end = 60.0;
   EXPECT_NE(a.signature(), c.signature());
-  method_recipe d = preset_recipe(method_id::density_m);  // auto-MFS blur
+  method_recipe d = preset("density_m");  // auto-MFS blur
   method_recipe e = d;
   e.density_blur_mfs = false;
   e.density_blur_cells = 1.5;  // fixed radius is not "+mfs"

@@ -654,7 +654,7 @@ TEST(checkpoint, resumed_run_is_bit_identical_to_uninterrupted) {
   };
   const core::method_result checkpointed = core::run_method(device, recipe, cfg, capturing);
   ASSERT_NE(mid, nullptr);
-  EXPECT_EQ(mid->total_iterations, cfg.scaled_iterations());
+  EXPECT_EQ(mid->total_iterations, cfg.iterations);
 
   // Emitting checkpoints must not perturb the run itself.
   EXPECT_EQ(checkpointed.run.theta, uninterrupted.run.theta);
@@ -745,6 +745,68 @@ TEST(result_store, report_covers_the_method_device_grid) {
   for (const std::string& method : spec.methods)
     EXPECT_NE(report.find(method), std::string::npos) << method;
   EXPECT_NE(report.find("Device: bend"), std::string::npos);
+}
+
+TEST(result_store, report_names_the_override_of_every_detail_row) {
+  // Jobs of a named override axis share method and seed: only the override
+  // column tells their detail rows apart.
+  runtime::campaign_spec spec = synthetic_campaign();  // overrides "nom", "hot"
+  spec.methods = {"ls"};
+  spec.seeds = {7};
+  const auto rows_of = [](const runtime::campaign_spec& campaign) {
+    std::vector<runtime::job_result_row> rows;
+    for (const runtime::campaign_job& job : campaign.expand()) {
+      runtime::job_result_row row;
+      row.job_index = job.index;
+      row.name = job.name;
+      row.device = job.spec.device;
+      row.method = job.spec.method;
+      row.seed = job.spec.seed;
+      rows.push_back(row);
+    }
+    return rows;
+  };
+  const std::string report = runtime::render_report(spec, rows_of(spec));
+  EXPECT_NE(report.find("| override "), std::string::npos) << report;
+  EXPECT_NE(report.find("| nom "), std::string::npos) << report;
+  EXPECT_NE(report.find("| hot "), std::string::npos) << report;
+
+  // Without named overrides the detail layout is unchanged.
+  spec.overrides.clear();
+  EXPECT_EQ(runtime::render_report(spec, rows_of(spec)).find("override"), std::string::npos);
+}
+
+TEST(committed_specs, load_and_expand_against_the_registries) {
+  // Every committed spec under examples/specs/ (the paper's tables and
+  // figures in paper/ included) parses and resolves against the registries,
+  // and every campaign expands to exactly the product of its axes.
+  std::size_t campaigns = 0;
+  std::size_t experiments = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(BOSON_SPECS_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string path = entry.path().string();
+    SCOPED_TRACE(path);
+    const io::json_value doc = io::json_value::parse_file(path);
+    if (doc.is_object() && doc.find("axes") != nullptr) {
+      const io::json_value& axes = doc.at("axes");
+      const auto length = [](const io::json_value* axis) {
+        return axis == nullptr ? std::size_t{1} : axis->size();
+      };
+      const std::size_t product = axes.at("devices").size() * axes.at("methods").size() *
+                                  length(axes.find("seeds")) * length(doc.find("overrides"));
+      std::vector<runtime::campaign_job> jobs;
+      ASSERT_NO_THROW(jobs = runtime::campaign_spec::load(path).expand());
+      EXPECT_EQ(jobs.size(), product);
+      ++campaigns;
+    } else {
+      std::vector<api::experiment_spec> specs;
+      ASSERT_NO_THROW(specs = api::load_specs(path));
+      for (const api::experiment_spec& spec : specs) EXPECT_NO_THROW(api::validate(spec));
+      ++experiments;
+    }
+  }
+  EXPECT_GE(campaigns, 7u);  // bend_campaign plus the six paper artefacts
+  EXPECT_GE(experiments, 2u);
 }
 
 // -------------------------------------------------------------- scheduler --
@@ -917,9 +979,9 @@ TEST(scheduler, cancel_stops_dispatch_of_queued_jobs) {
 }
 
 TEST(scheduler, discards_a_stale_checkpoint_instead_of_burning_retries) {
-  // A checkpoint captured under a different effective run length (changed
-  // BOSON_BENCH_SCALE, edited campaign) must be discarded up front so the
-  // job runs fresh, not retried against the same dead snapshot.
+  // A checkpoint captured under a different effective run length (an edited
+  // campaign spec) must be discarded up front so the job runs fresh, not
+  // retried against the same dead snapshot.
   const fs::path dir = fresh_dir("boson_runtime_sched_stale");
 
   runtime::campaign_spec spec;

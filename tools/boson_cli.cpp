@@ -28,8 +28,8 @@
 // writes one artifact directory per experiment (summary.json,
 // trajectory.csv, mask.pgm, plus spectrum / process-window CSVs when those
 // evaluation steps are planned). Progress streams through common/log on
-// stderr; result tables go to stdout. BOSON_BENCH_SCALE and BOSON_THREADS
-// apply as everywhere else.
+// stderr; result tables go to stdout. A spec runs exactly as written;
+// BOSON_THREADS caps the worker threads as everywhere else.
 
 #include <chrono>
 #include <cstdio>
