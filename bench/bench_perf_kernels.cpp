@@ -108,7 +108,8 @@ struct solver_fixture {
   grid2d g;
   pml_spec pml;
   array2d<double> eps;
-  std::unique_ptr<fdfd::fdfd_solver> solver;
+  sp::csr_c a;
+  std::unique_ptr<sp::grid_lu> lu;
   std::vector<cvec> rhs;
 
   explicit solver_fixture(std::size_t side = 88, std::size_t nrhs = 8) {
@@ -119,8 +120,8 @@ struct solver_fixture {
     for (std::size_t ix = 0; ix < side; ++ix)
       for (std::size_t iy = side / 2 - 4; iy < side / 2 + 4; ++iy)
         eps(ix, iy) = fab::eps_si(300.0);
-    solver = std::make_unique<fdfd::fdfd_solver>(g, pml, 2.0 * pi / 1.55, eps);
-    (void)solver->factorization();  // factor outside every timed region
+    a = fdfd::fdfd_solver(g, pml, 2.0 * pi / 1.55, eps).assemble_csr();
+    lu = std::make_unique<sp::grid_lu>(side, side, a);  // factor outside every timed region
     rng r(11);
     rhs.assign(nrhs, cvec(g.cell_count(), cplx{}));
     for (auto& b : rhs)
@@ -133,7 +134,7 @@ void bm_solve_single_rhs(benchmark::State& state) {
   const auto nrhs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
     for (std::size_t k = 0; k < nrhs; ++k)
-      benchmark::DoNotOptimize(f.solver->factorization().solve(f.rhs[k]));
+      benchmark::DoNotOptimize(f.lu->solve(f.rhs[k]));
 }
 BENCHMARK(bm_solve_single_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
@@ -142,7 +143,7 @@ void bm_solve_multi_rhs(benchmark::State& state) {
   const auto nrhs = static_cast<std::size_t>(state.range(0));
   const std::vector<cvec> batch(f.rhs.begin(),
                                 f.rhs.begin() + static_cast<std::ptrdiff_t>(nrhs));
-  for (auto _ : state) benchmark::DoNotOptimize(f.solver->factorization().solve(batch));
+  for (auto _ : state) benchmark::DoNotOptimize(f.lu->solve(batch));
 }
 BENCHMARK(bm_solve_multi_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
@@ -152,7 +153,7 @@ void bm_engine_prepare(benchmark::State& state) {
   static solver_fixture f(64);
   for (auto _ : state) {
     const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps);
-    benchmark::DoNotOptimize(engine.backend_name());
+    benchmark::DoNotOptimize(&engine);
   }
 }
 BENCHMARK(bm_engine_prepare)->Unit(benchmark::kMillisecond);
@@ -162,7 +163,7 @@ void bm_engine_solve(benchmark::State& state) {
   const sim::simulation_engine engine(f.g, f.pml, 2.0 * pi / 1.55, f.eps);
   array2d<cplx> current(f.g.nx, f.g.ny, cplx{});
   current(f.g.nx / 4, f.g.ny / 2) = cplx{1.0};
-  for (auto _ : state) benchmark::DoNotOptimize(engine.solve_excitation(current));
+  for (auto _ : state) benchmark::DoNotOptimize(engine.solve_excitations({current}));
 }
 BENCHMARK(bm_engine_solve)->Unit(benchmark::kMillisecond);
 
@@ -182,8 +183,8 @@ void bm_fdfd_forward_solve(benchmark::State& state) {
   array2d<cplx> current(side, side, cplx{});
   current(side / 4, side / 2) = cplx{1.0};
   for (auto _ : state) {
-    fdfd::fdfd_solver solver(g, pml, 2.0 * pi / 1.55, eps);
-    benchmark::DoNotOptimize(solver.solve(current));
+    const sim::simulation_engine engine(g, pml, 2.0 * pi / 1.55, eps);
+    benchmark::DoNotOptimize(engine.solve_excitations({current}));
   }
 }
 BENCHMARK(bm_fdfd_forward_solve)->Arg(64)->Arg(88)->Arg(112)->Unit(benchmark::kMillisecond);
@@ -196,11 +197,10 @@ void bm_fdfd_extra_solve_reusing_factorization(benchmark::State& state) {
   pml_spec pml;
   pml.cells = 10;
   array2d<double> eps(side, side, 1.0);
-  fdfd::fdfd_solver solver(g, pml, 2.0 * pi / 1.55, eps);
+  const sim::simulation_engine engine(g, pml, 2.0 * pi / 1.55, eps);  // factors once
   array2d<cplx> current(side, side, cplx{});
   current(30, 44) = cplx{1.0};
-  (void)solver.solve(current);  // factorize once
-  for (auto _ : state) benchmark::DoNotOptimize(solver.solve(current));
+  for (auto _ : state) benchmark::DoNotOptimize(engine.solve_excitations({current}));
 }
 BENCHMARK(bm_fdfd_extra_solve_reusing_factorization)->Unit(benchmark::kMillisecond);
 
@@ -308,12 +308,11 @@ io::json_value time_solvers() {
     io::json_value sizes = io::json_value::object();
     for (const std::size_t side : {std::size_t{88}, std::size_t{176}}) {
       solver_fixture f(side, 1);
-      const sp::csr_c a = f.solver->assemble_csr();
       dvec factor_s, solve_s;
       std::size_t fill = 0;
       for (int rep = 0; rep < 5; ++rep) {
         stopwatch sw;
-        const sp::grid_lu lu(side, side, a);
+        const sp::grid_lu lu(side, side, f.a);
         factor_s.push_back(sw.seconds());
         fill = lu.fill();
         sw.reset();
@@ -339,11 +338,11 @@ io::json_value time_solvers() {
     constexpr int reps = 10;
     stopwatch sw;
     for (int rep = 0; rep < reps; ++rep)
-      for (const auto& b : f.rhs) benchmark::DoNotOptimize(f.solver->factorization().solve(b));
+      for (const auto& b : f.rhs) benchmark::DoNotOptimize(f.lu->solve(b));
     const double single_s = sw.seconds() / reps;
     sw.reset();
     for (int rep = 0; rep < reps; ++rep)
-      benchmark::DoNotOptimize(f.solver->factorization().solve(f.rhs));
+      benchmark::DoNotOptimize(f.lu->solve(f.rhs));
     const double multi_s = sw.seconds() / reps;
 
     io::json_value j = io::json_value::object();
@@ -366,16 +365,17 @@ io::json_value time_solvers() {
     const double prepare_s = sw.seconds();
     constexpr int reps = 5;
     sw.reset();
-    for (int rep = 0; rep < reps; ++rep) benchmark::DoNotOptimize(engine.solve_excitation(current));
+    for (int rep = 0; rep < reps; ++rep)
+      benchmark::DoNotOptimize(engine.solve_excitations({current}));
     const double solve_s = sw.seconds() / reps;
     io::json_value j = io::json_value::object();
     j["prepare_seconds"] = prepare_s;
     j["solve_seconds"] = solve_s;
     io::json_value backends = io::json_value::object();
-    backends[engine.backend_name()] = std::move(j);
+    backends["direct"] = std::move(j);
     report["backends"] = std::move(backends);
-    std::printf("backend %-9s (64x64): prepare %.3f ms, solve %.3f ms\n", engine.backend_name(),
-                1e3 * prepare_s, 1e3 * solve_s);
+    std::printf("engine (64x64): prepare %.3f ms, solve %.3f ms\n", 1e3 * prepare_s,
+                1e3 * solve_s);
   }
 
   return report;

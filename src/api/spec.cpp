@@ -1,6 +1,5 @@
 #include "api/spec.h"
 
-#include <cctype>
 #include <cmath>
 
 #include "api/registry.h"
@@ -149,17 +148,6 @@ dvec read_number_array(const io::json_value& v, const std::string& path) {
   for (std::size_t i = 0; i < v.elements().size(); ++i)
     out.push_back(read_number(v.elements()[i], path + "[" + std::to_string(i) + "]"));
   return out;
-}
-
-/// `run.backend` once chose among the banded direct solver and two Krylov
-/// methods; it is still validated against those names, then ignored.
-void check_retired_backend(const std::string& name) {
-  std::string lower = name;
-  for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  for (const char* known : {"default", "banded", "direct", "lu", "bicgstab", "gmres"})
-    if (lower == known) return;
-  spec_fail("'run.backend' must be one of default, banded, bicgstab, gmres (got '" + name +
-            "')");
 }
 
 const io::json_value& expect_object(const io::json_value& v, const std::string& path) {
@@ -321,7 +309,6 @@ experiment_spec experiment_spec::from_json(const io::json_value& v) {
         else if (rk == "relax_epochs") spec.relax_epochs = read_count(rv, path);
         else if (rk == "learning_rate") spec.learning_rate = read_number(rv, path);
         else if (rk == "seed") spec.seed = static_cast<std::uint64_t>(read_count(rv, path));
-        else if (rk == "backend") check_retired_backend(read_string(rv, path));
         // Retired engine-cache switch: still accepted so older specs parse.
         else if (rk == "use_operator_cache") (void)read_bool(rv, path);
         else if (rk == "record_trajectory") spec.record_trajectory = read_bool(rv, path);

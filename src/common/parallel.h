@@ -16,10 +16,9 @@ std::size_t worker_count();
 /// is recorded, iterations that have not started yet are skipped.
 ///
 /// Indices are handed out dynamically through a shared atomic counter, so
-/// workloads with uneven per-index cost (e.g. operator-cache hits next to
-/// misses) keep every worker busy. This targets a moderate number of
-/// coarse-grained tasks (variation-corner simulations, Monte-Carlo
-/// samples), not fine-grained loops.
+/// workloads with uneven per-index cost keep every worker busy. This targets
+/// a moderate number of coarse-grained tasks (variation-corner simulations,
+/// Monte-Carlo samples), not fine-grained loops.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace boson

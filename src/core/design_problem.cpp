@@ -12,7 +12,6 @@
 #include "modes/slab.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
-#include "sim/workspace.h"
 
 namespace boson::core {
 
@@ -191,7 +190,6 @@ design_problem::solved_excitations design_problem::solve_excitations(
   solved_excitations out;
   out.engine = make_engine(spec_, eps, opts);
 
-  auto& ws = sim::workspace::local();
   std::vector<array2d<cplx>> currents;
   currents.reserve(spec_.excitations.size());
   for (const auto& exc : spec_.excitations) {
@@ -201,7 +199,7 @@ design_problem::solved_excitations design_problem::solve_excitations(
     const auto src_mode =
         solve_port_mode(eps, exc.source, src_transverse, spec_.k0, exc.source_mode_order);
 
-    array2d<cplx> current = ws.take_cgrid(g.nx, g.ny);
+    array2d<cplx> current(g.nx, g.ny);
     fdfd::mode_source_spec ss;
     ss.axis = exc.source.axis;
     ss.line_index = exc.source.line;
@@ -214,7 +212,6 @@ design_problem::solved_excitations design_problem::solve_excitations(
   // All excitations of the corner share the prepared operator through one
   // blocked multi-RHS substitution.
   out.fields = out.engine->solve_excitations(currents);
-  for (auto& c : currents) ws.give_cgrid(std::move(c));
   return out;
 }
 
@@ -277,17 +274,13 @@ std::shared_ptr<const sim::simulation_engine> design_problem::prepare_engine(
     const eval_options& opts) const {
   require(rho_design.nx() == spec_.design.nx && rho_design.ny() == spec_.design.ny,
           "prepare_engine: pattern shape mismatch");
-  auto& ws = sim::workspace::local();
-  array2d<double> occ = ws.take_dgrid(spec_.grid.nx, spec_.grid.ny);
-  array2d<double> eps = ws.take_dgrid(spec_.grid.nx, spec_.grid.ny);
+  array2d<double> occ(spec_.grid.nx, spec_.grid.ny);
+  array2d<double> eps(spec_.grid.nx, spec_.grid.ny);
   fill_permittivity(fabricate(rho_design, corner, opts).rho_final, corner.temperature, occ,
                     eps);
   eval_options full = opts;
   full.nominal_engine = nullptr;
-  auto engine = make_engine(spec_, eps, full);
-  ws.give_dgrid(std::move(occ));
-  ws.give_dgrid(std::move(eps));
-  return engine;
+  return make_engine(spec_, eps, full);
 }
 
 design_problem::fabricated design_problem::fabricate(const array2d<double>& rho,
@@ -373,10 +366,9 @@ eval_result design_problem::evaluate_impl(const dvec* theta, const array2d<doubl
   const fab::litho_forward& litho_fwd = fabbed.litho_fwd;
 
   // --- forward: permittivity and field solves ------------------------------------
-  auto& ws = sim::workspace::local();
   const double eps_s = fab::eps_si(corner.temperature);
-  array2d<double> occ = ws.take_dgrid(g.nx, g.ny);
-  array2d<double> eps = ws.take_dgrid(g.nx, g.ny);
+  array2d<double> occ(g.nx, g.ny);
+  array2d<double> eps(g.nx, g.ny);
   fill_permittivity(fabbed.rho_final, corner.temperature, occ, eps);
 
   solved_excitations sol = solve_excitations(eps, opts);
@@ -422,7 +414,6 @@ eval_result design_problem::evaluate_impl(const dvec* theta, const array2d<doubl
     }
     runs.push_back(std::move(run));
   }
-  ws.give_dgrid(std::move(eps));  // last monitor mode solved; recycle
 
   // --- objective -------------------------------------------------------------
   const objective_eval obj = eval_objective(spec_.objective, monvals, opts);
@@ -430,10 +421,7 @@ eval_result design_problem::evaluate_impl(const dvec* theta, const array2d<doubl
   out.loss = obj.loss;
   out.metrics = obj.metrics;
   out.pattern = fabbed.rho_final;
-  if (!opts.compute_gradient) {
-    ws.give_dgrid(std::move(occ));
-    return out;
-  }
+  if (!opts.compute_gradient) return out;
 
   // --- backward: dLoss/dmonitor --------------------------------------------------
   std::map<std::string, double> dmon;
@@ -475,7 +463,6 @@ eval_result design_problem::evaluate_impl(const dvec* theta, const array2d<doubl
       d_t += d_eps.data()[i] * occ.data()[i] * deps_dt;
     out.d_temperature = d_t;
   }
-  ws.give_dgrid(std::move(occ));
 
   array2d<double> d_rho_final(spec_.design.nx, spec_.design.ny);
   for (std::size_t i = 0; i < spec_.design.nx; ++i)

@@ -22,11 +22,7 @@
 #include "param/filters.h"
 #include "param/parameterization.h"
 #include "robust/corners.h"
-#include "sim/backend.h"
-
-namespace boson::sim {
-class simulation_engine;
-}
+#include "sim/engine.h"
 
 namespace boson::core {
 
@@ -72,8 +68,8 @@ struct eval_options {
   sim::engine_settings engine;
 
   /// When set, this evaluation's operator is not factored: its solves are
-  /// preconditioned by this engine's LU (a nearby-operator engine,
-  /// see `sim::make_nearby_backend`). The caller prepares it, typically at
+  /// preconditioned by this engine's LU (a nearby engine, see
+  /// `sim::simulation_engine`). The caller prepares it, typically at
   /// the nominal corner of the same mask, and it must share this problem's
   /// grid, PML and k0. `engine` is then ignored.
   std::shared_ptr<const sim::simulation_engine> nominal_engine;

@@ -45,15 +45,6 @@ stencil stencil_at(const grid2d& g, double k0, const array2d<double>& eps,
 
 }  // namespace
 
-void fdfd_solver::assemble_and_factor() const {
-  lu_ = std::make_unique<sp::grid_lu>(grid_.nx, grid_.ny, assemble_csr());
-}
-
-const sp::grid_lu& fdfd_solver::factorization() const {
-  if (!lu_) assemble_and_factor();
-  return *lu_;
-}
-
 void fdfd_solver::build_rhs(const array2d<cplx>& current_density, cvec& b) const {
   require(current_density.nx() == grid_.nx && current_density.ny() == grid_.ny,
           "fdfd_solver::build_rhs: source shape mismatch");
@@ -73,27 +64,6 @@ void fdfd_solver::build_adjoint_rhs(const field_gradient& g, cvec& b) const {
     require(idx < b.size(), "fdfd_solver::build_adjoint_rhs: index out of range");
     b[idx] += val;
   }
-}
-
-array2d<cplx> fdfd_solver::solve(const array2d<cplx>& current_density) const {
-  if (!lu_) assemble_and_factor();
-  cvec b;
-  build_rhs(current_density, b);
-  const cvec x = lu_->solve(b);
-
-  array2d<cplx> field(grid_.nx, grid_.ny);
-  for (std::size_t i = 0; i < x.size(); ++i) field.raw()[i] = x[i];
-  return field;
-}
-
-array2d<cplx> fdfd_solver::solve_adjoint(const field_gradient& g) const {
-  if (!lu_) assemble_and_factor();
-  cvec rhs;
-  build_adjoint_rhs(g, rhs);
-  const cvec x = lu_->solve(rhs);
-  array2d<cplx> lambda(grid_.nx, grid_.ny);
-  for (std::size_t i = 0; i < x.size(); ++i) lambda.raw()[i] = x[i];
-  return lambda;
 }
 
 void fdfd_solver::accumulate_eps_gradient(const array2d<cplx>& field,

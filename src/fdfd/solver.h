@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "grid/grid2d.h"
 #include "grid/pml.h"
 #include "sparse/csr.h"
-#include "sparse/multifrontal.h"
 
 namespace boson::fdfd {
 
@@ -19,13 +17,15 @@ namespace boson::fdfd {
 /// dF = 2 Re(sum_i g_i dE_i).
 using field_gradient = std::vector<std::pair<std::size_t, cplx>>;
 
-/// 2-D frequency-domain Helmholtz solver (Ez polarization) with
-/// stretched-coordinate PML.
+/// 2-D frequency-domain Helmholtz discretization (Ez polarization) with
+/// stretched-coordinate PML: the operator, its right-hand sides and the
+/// permittivity gradient. It holds no solve state; `sim::simulation_engine`
+/// factors and solves the operator.
 ///
 /// The discrete operator is scaled by s_x(i) s_y(j) per row, which makes it
-/// *complex symmetric*; a single LU factorization (nested dissection, see
-/// `sp::grid_lu`) therefore serves both the forward solve A e = b and every
-/// adjoint solve A lambda = g. Unknowns are ordered ix * ny + iy.
+/// *complex symmetric*; a single LU factorization therefore serves both the
+/// forward solve A e = b and every adjoint solve A lambda = g. Unknowns are
+/// ordered ix * ny + iy.
 ///
 /// Units: lengths in um, c = eps0 = mu0 = 1, k0 = omega = 2 pi / lambda.
 class fdfd_solver {
@@ -35,19 +35,12 @@ class fdfd_solver {
               const array2d<double>& eps);
 
   const grid2d& grid() const { return grid_; }
+  const pml_spec& pml() const { return pml_; }
   double k0() const { return k0_; }
   const array2d<double>& eps() const { return eps_; }
 
-  /// Solve A e = b for current density J (b = -i k0 J s_x s_y). Factorizes
-  /// on first use; subsequent solves (other sources, adjoints) reuse the LU.
-  array2d<cplx> solve(const array2d<cplx>& current_density) const;
-
-  /// Solve the adjoint system A lambda = g for a sparse field gradient g.
-  array2d<cplx> solve_adjoint(const field_gradient& g) const;
-
-  /// Build the scaled right-hand side b = -i k0 J s_x s_y of A e = b.
-  /// `b` is assigned (resized and overwritten); a recycled buffer keeps its
-  /// allocation. Shared by `solve` and the sim-engine batched path.
+  /// Build the scaled right-hand side b = -i k0 J s_x s_y of A e = b for
+  /// current density J. `b` is assigned (resized and overwritten).
   void build_rhs(const array2d<cplx>& current_density, cvec& b) const;
 
   /// Build the adjoint right-hand side by scattering a sparse field
@@ -60,21 +53,15 @@ class fdfd_solver {
                                const array2d<cplx>& adjoint_field,
                                array2d<double>& grad) const;
 
-  /// Assemble the same (scaled) operator in CSR form — the input of the
-  /// factorization, the nearby backend's operator, and the tests' residuals.
+  /// Assemble the scaled operator A in CSR form — the input of the
+  /// factorization, the nearby engine's operator, and the tests' residuals.
   sp::csr_c assemble_csr() const;
-
-  /// Nested-dissection LU of the scaled operator, assembling and factoring
-  /// on first use. Not thread-safe on the first call; sim::simulation_engine
-  /// forces the factorization eagerly before sharing a solver across threads.
-  const sp::grid_lu& factorization() const;
 
   /// Per-axis complex stretch profiles (exposed for monitors and tests).
   const stretch_profile& stretch_x() const { return sx_; }
   const stretch_profile& stretch_y() const { return sy_; }
 
  private:
-  void assemble_and_factor() const;
   std::size_t flat(std::size_t ix, std::size_t iy) const { return ix * grid_.ny + iy; }
 
   grid2d grid_;
@@ -83,7 +70,6 @@ class fdfd_solver {
   array2d<double> eps_;
   stretch_profile sx_;
   stretch_profile sy_;
-  mutable std::unique_ptr<sp::grid_lu> lu_;  // lazily factored
 };
 
 }  // namespace boson::fdfd

@@ -1,13 +1,15 @@
 /// \file engine.h
 /// The simulation engine: one assembled FDFD operator (grid + PML + k0 +
-/// permittivity) prepared behind a linear backend. The engine batches all
+/// permittivity) and the factorization that solves it. The engine batches all
 /// excitations and adjoints of one variation corner through a single
-/// factorization (blocked multi-RHS substitution), and is
-/// immutable after construction so one instance can serve several threads.
+/// factorization (blocked multi-RHS substitution), and is immutable after
+/// construction so one instance can serve several threads.
 
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/array2d.h"
@@ -15,22 +17,41 @@
 #include "fdfd/solver.h"
 #include "grid/grid2d.h"
 #include "grid/pml.h"
-#include "sim/backend.h"
+#include "sparse/csr.h"
+#include "sparse/multifrontal.h"
 
 namespace boson::sim {
 
-/// One prepared FDFD simulation: operator state plus a ready linear backend.
-/// All solve methods are const and thread-safe; construction does the
-/// expensive work (assembly + factorization) eagerly.
+/// Per-engine solver configuration.
+struct engine_settings {
+  double tol = 1e-10;  ///< nearby engine's relative-residual target
+};
+
+/// One prepared FDFD simulation. All solve methods are const and
+/// thread-safe.
+///
+/// A direct engine factors its operator (nested-dissection LU,
+/// `sp::grid_lu`) in the constructor, under the `sim.factorize` span.
+///
+/// A nearby engine never factors its (perturbed) operator up front: the
+/// nominal engine's LU left-preconditions a short GMRES outer loop on the
+/// perturbed CSR operator, started from zero so the first Krylov vector is the
+/// nominal solution (M^{-1} A is a low-rank perturbation of the identity when
+/// the permittivity change is localized, so a handful of iterations reach the
+/// tolerance). Acceptance is checked on the *true* residual; a right-hand side
+/// that misses it within a fixed iteration cap triggers a one-time full
+/// factorization of the perturbed operator, which then serves this and every
+/// later batch. Both outcomes depend only on the two operators and the
+/// right-hand sides. The outer iterations and fallbacks are counted in the
+/// `sim.reuse.refinement_iterations` / `sim.reuse.fallbacks` metrics.
 class simulation_engine {
  public:
   simulation_engine(const grid2d& grid, const pml_spec& pml, double k0,
                     const array2d<double>& eps, engine_settings settings = {});
 
-  /// Nearby operator: prepare `eps` without factoring it, serving solves
-  /// through `nominal`'s LU as the preconditioner of a short GMRES
-  /// outer loop (see `make_nearby_backend`). Grid, PML, k0 and settings are
-  /// inherited from the nominal engine, which is kept alive for the lifetime
+  /// Nearby engine for `eps`, preconditioned by `nominal`'s LU; `nominal`
+  /// must be a direct engine (else `bad_argument`). Grid, PML, k0 and
+  /// settings are inherited from it, and it is kept alive for the lifetime
   /// of this one.
   simulation_engine(std::shared_ptr<const simulation_engine> nominal,
                     const array2d<double>& eps);
@@ -40,28 +61,13 @@ class simulation_engine {
   simulation_engine(const simulation_engine&) = delete;
   simulation_engine& operator=(const simulation_engine&) = delete;
 
-  const grid2d& grid() const { return solver_.grid(); }
-  const pml_spec& pml() const { return pml_; }
-  double k0() const { return solver_.k0(); }
-  const array2d<double>& eps() const { return solver_.eps(); }
-  const engine_settings& settings() const { return settings_; }
-  const char* backend_name() const { return backend_->name(); }
-
-  /// The wrapped FDFD solver (stretch profiles, CSR assembly, gradients).
-  const fdfd::fdfd_solver& solver() const { return solver_; }
-
-  /// Solve A e = b for one current-density excitation.
-  array2d<cplx> solve_excitation(const array2d<cplx>& current_density) const;
-
   /// Batched forward solves: one field per excitation, all pushed through
   /// the prepared operator together.
   std::vector<array2d<cplx>> solve_excitations(
       const std::vector<array2d<cplx>>& current_densities) const;
 
-  /// Solve the adjoint system A lambda = g for one sparse field gradient.
-  array2d<cplx> solve_adjoint(const fdfd::field_gradient& g) const;
-
-  /// Batched adjoint solves for the monitor gradients of one corner.
+  /// Batched adjoint solves A lambda = g for the monitor gradients of one
+  /// corner.
   std::vector<array2d<cplx>> solve_adjoints(
       const std::vector<fdfd::field_gradient>& gradients) const;
 
@@ -73,12 +79,21 @@ class simulation_engine {
   }
 
  private:
-  std::vector<array2d<cplx>> solve_batch(std::vector<cvec> rhs) const;
+  std::vector<array2d<cplx>> solve_batch(const std::vector<cvec>& rhs) const;
+  std::vector<cvec> solve_nearby(const std::vector<cvec>& rhs) const;
+  void factor() const;
 
-  pml_spec pml_;
   engine_settings settings_;
   fdfd::fdfd_solver solver_;
-  std::unique_ptr<linear_backend> backend_;
+  /// Nearby engines only: the preconditioning engine and the perturbed
+  /// operator.
+  std::shared_ptr<const simulation_engine> nominal_;
+  sp::csr_c a_;
+  /// This operator's LU: set in a direct engine's constructor, or once by a
+  /// nearby engine's fallback. `factored_` is released after it is set.
+  mutable std::unique_ptr<const sp::grid_lu> lu_;
+  mutable std::once_flag fallback_once_;
+  mutable std::atomic<bool> factored_{false};
 };
 
 }  // namespace boson::sim

@@ -1,7 +1,7 @@
-// Tests for the simulation-engine layer: direct/nearby backend agreement,
-// batched multi-RHS solves, nearby-operator engines, per-thread workspace
-// reuse, and the Monte-Carlo protocol's nominal preconditioner and
-// determinism under varying BOSON_THREADS.
+// Tests for the simulation-engine layer: direct/nearby engine agreement,
+// batched multi-RHS solves, the nearby engine's counted fallback, and the
+// Monte-Carlo protocol's nominal preconditioner and determinism under varying
+// BOSON_THREADS.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +18,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/sampler.h"
-#include "sim/backend.h"
 #include "sim/engine.h"
-#include "sim/workspace.h"
+#include "sparse/multifrontal.h"
 
 namespace boson {
 namespace {
@@ -28,7 +27,7 @@ namespace {
 constexpr double k0_default = 2.0 * pi / 1.55;
 
 /// Straight silicon waveguide through a small PML-bounded domain — the
-/// Helmholtz system every backend must agree on.
+/// Helmholtz system the direct and nearby engines must agree on.
 struct waveguide_fixture {
   grid2d g;
   pml_spec pml;
@@ -65,25 +64,28 @@ double max_diff(const array2d<cplx>& a, const array2d<cplx>& b) {
   return m;
 }
 
+/// One excitation as a one-RHS batch.
+array2d<cplx> solve_one(const sim::simulation_engine& engine, const array2d<cplx>& current) {
+  return std::move(engine.solve_excitations({current}).front());
+}
+
 // --------------------------------------------------------------- engine ----
 
 TEST(engine, all_backends_agree_on_pml_helmholtz_system) {
-  // The direct backend and the nearby backend (serving the nominal operator
-  // itself) solve one PML Helmholtz system; test_fdfd checks the direct
+  // A direct engine and a nearby engine (serving the nominal operator itself)
+  // solve one PML Helmholtz system; test_fdfd checks the nested-dissection
   // factorization against the banded-LU oracle.
   const waveguide_fixture f;
   const auto current = f.point_source(14, f.g.ny / 2);
 
   const auto direct =
       std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
-  EXPECT_STREQ(direct->backend_name(), "direct");
-  const auto reference = direct->solve_excitation(current);
+  const auto reference = solve_one(*direct, current);
   const double scale = max_abs(reference);
   ASSERT_GT(scale, 0.0);
 
   const sim::simulation_engine nearby(direct, f.eps);
-  EXPECT_STREQ(nearby.backend_name(), "nearby");
-  EXPECT_LT(max_diff(nearby.solve_excitation(current), reference), 1e-8 * scale);
+  EXPECT_LT(max_diff(solve_one(nearby, current), reference), 1e-8 * scale);
 }
 
 TEST(engine, batched_excitations_match_individual_solves) {
@@ -95,7 +97,7 @@ TEST(engine, batched_excitations_match_individual_solves) {
   const auto batched = engine.solve_excitations(currents);
   ASSERT_EQ(batched.size(), currents.size());
   for (std::size_t k = 0; k < currents.size(); ++k) {
-    const auto single = engine.solve_excitation(currents[k]);
+    const auto single = solve_one(engine, currents[k]);
     EXPECT_LT(max_diff(batched[k], single), 1e-10 * (1.0 + max_abs(single)))
         << "excitation " << k;
   }
@@ -110,9 +112,13 @@ TEST(engine, batched_adjoints_match_fdfd_solver) {
   };
   const auto lambdas = engine.solve_adjoints(gradients);
   ASSERT_EQ(lambdas.size(), gradients.size());
-  fdfd::fdfd_solver plain(f.g, f.pml, k0_default, f.eps);
+  const fdfd::fdfd_solver plain(f.g, f.pml, k0_default, f.eps);
+  const sp::grid_lu lu(f.g.nx, f.g.ny, plain.assemble_csr());
   for (std::size_t k = 0; k < gradients.size(); ++k) {
-    const auto reference = plain.solve_adjoint(gradients[k]);
+    cvec b;
+    plain.build_adjoint_rhs(gradients[k], b);
+    array2d<cplx> reference(f.g.nx, f.g.ny);
+    reference.raw() = lu.solve(b);
     EXPECT_LT(max_diff(lambdas[k], reference), 1e-10 * (1.0 + max_abs(reference)))
         << "adjoint " << k;
   }
@@ -156,10 +162,9 @@ TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
   const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
   for (std::size_t k = 0; k < corners.size(); ++k) {
     const sim::simulation_engine reused(nominal, corners[k]);
-    EXPECT_STREQ(reused.backend_name(), "nearby");
     const sim::simulation_engine fresh(f.g, f.pml, k0_default, corners[k]);
-    const auto a = reused.solve_excitation(current);
-    const auto b = fresh.solve_excitation(current);
+    const auto a = solve_one(reused, current);
+    const auto b = solve_one(fresh, current);
     const double scale = max_abs(b);
     ASSERT_GT(scale, 0.0);
     EXPECT_LT(max_diff(a, b), 1e-6 * scale) << "corner " << k;
@@ -183,54 +188,20 @@ TEST(reuse, large_perturbation_triggers_counted_fallback_and_still_agrees) {
   const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
   const sim::simulation_engine reused(nominal, eps2);
   const auto current = f.point_source(14, f.g.ny / 2);
-  const auto a = reused.solve_excitation(current);
+  const auto a = solve_one(reused, current);
   EXPECT_GE(counter_total("sim.reuse.fallbacks") - fallbacks_before, 1u);
 
   const sim::simulation_engine fresh(f.g, f.pml, k0_default, eps2);
-  const auto b = fresh.solve_excitation(current);
+  const auto b = solve_one(fresh, current);
   EXPECT_EQ(max_diff(a, b), 0.0) << "the fallback path is a full re-prepare and must match it";
 }
 
-// ------------------------------------------------------------ workspace ----
-
-TEST(workspace, recycles_buffers_through_the_pool) {
-  auto& ws = sim::workspace::local();
-
-  cvec a = ws.take_cvec(128);
-  const cplx* ptr = a.data();
-  ws.give_cvec(std::move(a));
-  cvec b = ws.take_cvec(100);  // smaller request reuses the same allocation
-  EXPECT_EQ(b.data(), ptr);
-  ws.give_cvec(std::move(b));
-
-  array2d<double> g = ws.take_dgrid(8, 9);
-  const double* gp = g.data();
-  ws.give_dgrid(std::move(g));
-  array2d<double> g2 = ws.take_dgrid(8, 9);
-  EXPECT_EQ(g2.data(), gp);
-  array2d<double> g3 = ws.take_dgrid(4, 4);  // different shape: fresh buffer
-  EXPECT_EQ(g3.size(), 16u);
-  ws.give_dgrid(std::move(g2));
-  ws.give_dgrid(std::move(g3));
-
-  array2d<cplx> c = ws.take_cgrid(5, 5);
-  for (auto& v : c) v = cplx{1.0};
-  ws.give_cgrid(std::move(c));
-  array2d<cplx> c2 = ws.take_cgrid(5, 5);
-  for (const auto& v : c2) EXPECT_EQ(v, cplx{}) << "complex grids are cleared on take";
-  ws.give_cgrid(std::move(c2));
-}
-
-TEST(workspace, pools_are_capped) {
-  auto& ws = sim::workspace::local();
-  for (std::size_t k = 0; k < 3 * sim::workspace::max_pooled; ++k) {
-    ws.give_cvec(cvec(4));
-    ws.give_dgrid(array2d<double>(2, 2));
-    ws.give_cgrid(array2d<cplx>(2, 2));
-  }
-  EXPECT_LE(ws.pooled_cvecs(), sim::workspace::max_pooled);
-  EXPECT_LE(ws.pooled_dgrids(), sim::workspace::max_pooled);
-  EXPECT_LE(ws.pooled_cgrids(), sim::workspace::max_pooled);
+TEST(reuse, nearby_engine_requires_a_direct_nominal) {
+  const waveguide_fixture f;
+  const auto nominal =
+      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
+  const auto nearby = std::make_shared<const sim::simulation_engine>(nominal, f.eps);
+  EXPECT_THROW(sim::simulation_engine(nearby, f.eps), bad_argument);
 }
 
 // ---------------------------------------------------- end-to-end protocol ----
@@ -313,8 +284,8 @@ TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
 }
 
 TEST(integration, evaluate_agrees_across_backends) {
-  // A warm corner evaluated through its own factorization (direct backend)
-  // and through the nominal corner's factorization (nearby backend).
+  // A warm corner evaluated through its own factorization (direct engine)
+  // and through the nominal corner's factorization (nearby engine).
   const core::design_problem problem =
       core::make_problem(dev::make_bend(0.1), true, fast_config());
   array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
