@@ -284,7 +284,8 @@ void bm_pipeline_evaluate(benchmark::State& state) {
     c.litho.kernel_half = 5;
     return c;
   }();
-  static core::design_problem problem = core::make_problem(dev::make_bend(0.1), true, cfg);
+  static core::design_problem problem =
+      core::make_problem(dev::make_bend(0.1), core::method_recipe{}, cfg);
   static const dvec theta = core::concentrated_init(problem);
   robust::variation_corner nominal;
   nominal.xi.assign(problem.fab().space.eole_terms, 0.0);

@@ -26,7 +26,7 @@ int main() {
   spec.method = "boson";
   spec.evaluation = {api::eval_step::monte_carlo(20)};
 
-  // 2. Execute. The session validates the spec, resolves the registries,
+  // 2. Execute. The session validates the spec, resolves its names,
   //    runs the variation-aware optimization and the evaluation plan, and
   //    writes summary.json / trajectory.csv / mask.pgm under ./quickstart_out.
   api::session_options options;

@@ -10,13 +10,11 @@
 // on the problem `session::problem_for` rebuilds from the same spec.
 //
 // The method is given as a `core::method_recipe` value rather than a
-// registry name: start from the registered BOSON-1 preset, tighten one
-// policy, and hand the composed recipe to the spec — the registry never
-// learns about the variant.
+// preset name: start from the BOSON-1 preset, tighten one policy, and hand
+// the composed recipe to the spec — no name is needed for the variant.
 
 #include <cstdio>
 
-#include "api/registry.h"
 #include "api/session.h"
 #include "common/rng.h"
 #include "io/table.h"
@@ -27,7 +25,7 @@ int main() {
   // The BOSON-1 preset with one policy pinned (the explicit concentrated
   // init instead of the parameterization-dependent default) — the kind of
   // single-ingredient recipe edit the paper's Table II performs.
-  core::method_recipe recipe = api::registry::global().method("boson");
+  core::method_recipe recipe = api::find_method("boson");
   recipe.label = "BOSON-1 (variation study)";
   recipe.initialization = "concentrated";
 

@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "api/registry.h"
 #include "common/error.h"
 #include "common/timer.h"
 #include "io/csv.h"
@@ -61,8 +60,7 @@ core::experiment_config session::config_for(const experiment_spec& spec) {
   cfg.litho = spec.litho;
   cfg.eole = spec.eole;
   cfg.record_trajectory = spec.record_trajectory;
-  cfg.objective_override =
-      registry::global().objective(spec.objective).override_metric;
+  cfg.objective_override = find_objective(spec.objective).override_metric;
   for (const eval_step& step : spec.evaluation)
     if (step.kind == eval_step::step_kind::postfab_monte_carlo)
       cfg.mc_samples = step.samples;
@@ -71,7 +69,7 @@ core::experiment_config session::config_for(const experiment_spec& spec) {
 
 core::design_problem session::problem_for(const experiment_spec& spec) {
   const core::experiment_config cfg = config_for(spec);
-  return core::make_problem(registry::global().make_device(spec.device, spec.resolution),
+  return core::make_problem(find_device(spec.device).make(spec.resolution),
                             resolved_recipe(spec), cfg);
 }
 
@@ -87,8 +85,7 @@ experiment_result session::run(const experiment_spec& spec, const run_control& c
 
   const core::experiment_config cfg = config_for(out.spec);  // validates
   const core::method_recipe recipe = resolved_recipe(out.spec);
-  const dev::device_spec device =
-      registry::global().make_device(out.spec.device, out.spec.resolution);
+  const dev::device_spec device = find_device(out.spec.device).make(out.spec.resolution);
 
   progress_event started;
   started.kind = progress_event::phase::experiment_started;

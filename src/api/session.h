@@ -1,6 +1,6 @@
 /// \file session.h
 /// The execution façade of the declarative API: a `session` validates an
-/// `experiment_spec`, resolves it against the registries, runs the
+/// `experiment_spec`, resolves its device/method/objective names, runs the
 /// optimization + evaluation plan (single spec or a batch sharing the
 /// process-global worker pool), streams progress through an
 /// `observer`, and writes a structured artifact directory per experiment
@@ -77,7 +77,7 @@ class session {
   /// as written.
   static core::experiment_config config_for(const experiment_spec& spec);
 
-  /// Build the design problem a spec describes — registry device,
+  /// Build the design problem a spec describes — named device,
   /// method-matched parameterization, fabrication models — for downstream
   /// studies that evaluate patterns directly (e.g. per-axis variation
   /// scans).

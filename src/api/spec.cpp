@@ -1,12 +1,38 @@
 #include "api/spec.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "api/registry.h"
 #include "common/error.h"
 #include "common/text.h"
+#include "core/methods.h"
 
 namespace boson::api {
+
+// ------------------------------------------------------------------ names --
+//
+// The errors keep their "registry:" prefix so the text scripts match on
+// stays stable.
+
+const device_entry& find_device(const std::string& name) {
+  return find_by_name(device_table, name, "registry: unknown device");
+}
+
+const objective_entry& find_objective(const std::string& name) {
+  return find_by_name(objective_table, name, "registry: unknown objective");
+}
+
+const core::method_recipe& find_method(const std::string& name) {
+  return find_by_name(core::method_presets(), name, "registry: unknown method").recipe;
+}
+
+std::vector<std::string> method_names() {
+  std::vector<std::string> names;
+  for (const core::method_preset& preset : core::method_presets())
+    names.push_back(preset.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
 eval_step eval_step::monte_carlo(std::size_t samples) {
   eval_step s;
@@ -283,7 +309,7 @@ core::method_recipe recipe_from_json(const io::json_value& v, const std::string&
 
 core::method_recipe resolved_recipe(const experiment_spec& spec) {
   if (spec.recipe) return *spec.recipe;
-  return registry::global().method(spec.method);
+  return find_method(spec.method);
 }
 
 experiment_spec experiment_spec::from_json(const io::json_value& v) {
@@ -352,7 +378,8 @@ experiment_spec experiment_spec::from_json(const io::json_value& v) {
   }
 
   // An inline recipe without an explicit method key gets a neutral label
-  // instead of the registry default ("boson" would misattribute the hybrid).
+  // instead of the default method name ("boson" would misattribute the
+  // hybrid).
   if (spec.recipe && !saw_method) spec.method = "custom";
 
   validate(spec);
@@ -362,16 +389,14 @@ experiment_spec experiment_spec::from_json(const io::json_value& v) {
 // ------------------------------------------------------------- validate ----
 
 void validate(const experiment_spec& spec) {
-  const registry& reg = registry::global();
-  // Unknown names: the registry lookups throw the canonical
-  // "unknown X '...' (known: ...; did you mean ...?)" messages. make_device
-  // is only reached when the name is absent, so nothing is built here. An
-  // inline recipe replaces the method lookup (the policy keys are validated
-  // instead; `method` is then only a label).
-  if (!reg.has_device(spec.device)) (void)reg.make_device(spec.device, 0.1);
+  // Unknown names: the lookups throw the canonical "unknown X '...' (known:
+  // ...; did you mean ...?)" messages. An inline recipe replaces the method
+  // lookup (the policy keys are validated instead; `method` is then only a
+  // label).
+  const device_entry& device = find_device(spec.device);
   const core::method_recipe recipe = resolved_recipe(spec);  // throws on unknown method
   core::validate_recipe(recipe);
-  (void)reg.objective(spec.objective);
+  const objective_entry& objective = find_objective(spec.objective);
 
   if (!(spec.resolution > 0.0) || spec.resolution > 1.0)
     spec_fail("'resolution' must be in (0, 1] um, got " +
@@ -428,16 +453,15 @@ void validate(const experiment_spec& spec) {
     }
   }
 
-  // Objective overrides — whether from the objective registry or baked into
-  // the method's recipe (the '-eff' variant) — only apply to ratio
-  // objectives; reject the mismatch here so `boson_cli validate` catches it
-  // instead of a mid-run throw.
+  // Objective overrides — whether from the objective name or baked into the
+  // method's recipe (the '-eff' variant) — only apply to ratio objectives;
+  // reject the mismatch here so `boson_cli validate` catches it instead of a
+  // mid-run throw.
   const std::string effective_override = recipe.objective_override.empty()
-                                             ? reg.objective(spec.objective).override_metric
+                                             ? objective.override_metric
                                              : recipe.objective_override;
   if (!effective_override.empty() &&
-      reg.make_device(spec.device, spec.resolution).objective.kind !=
-          dev::objective_kind::minimize_ratio)
+      device.make(spec.resolution).objective.kind != dev::objective_kind::minimize_ratio)
     spec_fail("method '" + spec.method + "' / objective '" + spec.objective +
               "' need an objective override, which only applies to "
               "ratio-objective devices; '" +

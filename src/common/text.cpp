@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/error.h"
+
 namespace boson {
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {
@@ -54,6 +56,13 @@ std::string join_names(const std::vector<std::string>& names) {
     out += name;
   }
   return out;
+}
+
+void throw_unknown_name(const std::string& what, const std::string& name,
+                        std::vector<std::string> known) {
+  std::sort(known.begin(), known.end());
+  throw bad_argument(what + " '" + name + "' (known: " + join_names(known) +
+                     did_you_mean(name, known) + ")");
 }
 
 }  // namespace boson

@@ -1,12 +1,14 @@
 /// \file text.h
-/// Small string utilities shared by the registries and the recipe policy
-/// tables: Levenshtein edit distance and the "did you mean" suggestion every
-/// unknown-name error message appends.
+/// Small string utilities shared by the fixed name tables (devices, methods,
+/// objectives, recipe policy keys): Levenshtein edit distance, the "did you
+/// mean" suggestion every unknown-name error message appends, and the
+/// by-name lookup that raises that error.
 
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace boson {
@@ -28,5 +30,21 @@ std::string did_you_mean(const std::string& name,
 
 /// Comma-join ("a, b, c") — the "(known: ...)" list of unknown-name errors.
 std::string join_names(const std::vector<std::string>& names);
+
+/// Throw bad_argument("<what> '<name>' (known: <known, sorted>; did you
+/// mean ...?)") — the unknown-name error of every fixed name table.
+[[noreturn]] void throw_unknown_name(const std::string& what, const std::string& name,
+                                     std::vector<std::string> known);
+
+/// The entry of `table` whose `name` member equals `name`; otherwise
+/// `throw_unknown_name(what, name, <every entry's name>)`.
+template <typename Table>
+const auto& find_by_name(const Table& table, const std::string& name, const char* what) {
+  for (const auto& entry : table)
+    if (name == entry.name) return entry;
+  std::vector<std::string> known;
+  for (const auto& entry : table) known.emplace_back(entry.name);
+  throw_unknown_name(what, name, std::move(known));
+}
 
 }  // namespace boson

@@ -104,25 +104,23 @@ const std::vector<method_preset>& method_presets() {
 
 // --------------------------------------------------------------- problems --
 
-design_problem make_problem(const dev::device_spec& spec, bool use_levelset,
-                            const experiment_config& cfg, double density_blur_cells) {
-  method_recipe recipe;
-  recipe.parameterization = use_levelset ? "levelset" : "density";
-  recipe.density_blur_cells = density_blur_cells;
-  return make_problem(spec, recipe, cfg);
-}
-
 design_problem make_problem(const dev::device_spec& spec, const method_recipe& recipe,
                             const experiment_config& cfg) {
-  const parameterization_policy policy =
-      recipe_policies::global().parameterization.get(recipe.parameterization);
-  // A null std::function would raise std::bad_function_call past the CLI's
-  // bad_argument handling; fail with the policy name instead.
-  require(policy.make != nullptr, "make_problem: parameterization policy '" +
-                                      recipe.parameterization + "' has no factory");
-  std::shared_ptr<param::parameterization> p = policy.make(spec, recipe, cfg);
-  require(p != nullptr, "make_problem: parameterization policy '" +
-                            recipe.parameterization + "' produced a null parameterization");
+  validate_recipe(recipe);
+  std::shared_ptr<param::parameterization> p;
+  if (recipe.parameterization == "density") {
+    // "mfs" resolves to the ~80 nm MFS blur of the '-M' density baseline.
+    const double blur =
+        recipe.density_blur_mfs ? 0.08 / cfg.resolution : recipe.density_blur_cells;
+    p = std::make_shared<param::density_param>(spec.design.nx, spec.design.ny, blur);
+  } else {
+    // Knot pitch ~3 design cells (150 nm at the default pitch): coarse enough
+    // to act as a feature-size prior, fine enough for the benchmark
+    // topologies.
+    const std::size_t kx = std::max<std::size_t>(4, spec.design.nx / 3 + 1);
+    const std::size_t ky = std::max<std::size_t>(4, spec.design.ny / 3 + 1);
+    p = std::make_shared<param::levelset_param>(kx, ky, spec.design.nx, spec.design.ny);
+  }
   fab_context fab = make_fab_context(spec, cfg.litho, cfg.eole, cfg.space);
   return design_problem(std::move(spec), std::move(p), std::move(fab));
 }
@@ -151,6 +149,17 @@ dvec random_init(const design_problem& problem, std::uint64_t seed) {
   return theta;
 }
 
+dvec initial_theta(const design_problem& problem, const method_recipe& recipe,
+                   std::uint64_t seed) {
+  const std::string& key = recipe.initialization;
+  if (key == "random") return random_init(problem, seed);
+  // Density-based topology optimization conventionally starts from a uniform
+  // gray design; everything else uses the light-concentrated heuristic.
+  if (key == "gray" || (key == "default" && recipe.parameterization == "density"))
+    return gray_init(problem);
+  return concentrated_init(problem);
+}
+
 array2d<double> binarize(const array2d<double>& rho, double threshold) {
   array2d<double> out(rho.nx(), rho.ny());
   for (std::size_t i = 0; i < rho.size(); ++i)
@@ -171,11 +180,8 @@ double relative_improvement(double baseline_fom, double our_fom, bool lower_bett
 
 run_options resolved_run_options(const method_recipe& recipe,
                                  const experiment_config& cfg) {
-  const recipe_policies& policies = recipe_policies::global();
-  const corner_policy corners = policies.corners.get(recipe.corners);
-  const relaxation_policy relaxation = policies.relaxation.get(recipe.relaxation);
-  const reshaping_policy reshaping = policies.reshaping.get(recipe.reshaping);
-  const beta_policy beta = policies.beta_schedule.get(recipe.beta_schedule);
+  validate_recipe(recipe);
+  const corner_policy corners = corners_policy(recipe.corners);
 
   // Recipe-level optimizer overrides replace the config values, exactly as
   // if the config had carried them.
@@ -187,15 +193,15 @@ run_options resolved_run_options(const method_recipe& recipe,
   ro.iterations = effective.iterations;
   ro.learning_rate = effective.learning_rate;
   ro.fab_aware = corners.fab_aware;
-  ro.dense_objectives = reshaping.dense_objectives;
+  ro.dense_objectives = recipe.reshaping == "dense";
   ro.use_mfs_blur = recipe.mfs_blur;
-  ro.relax_epochs = relaxation.epochs ? relaxation.epochs(effective) : 0;
+  ro.relax_epochs = recipe.relaxation == "linear" ? effective.relax_epochs : 0;
   ro.sampling = corners.sampling;
   ro.erosion_dilation = corners.erosion_dilation;
   ro.ed_radius_cells = recipe.ed_radius_cells;
   ro.tv_weight = recipe.tv_weight;
   ro.beta_start = recipe.beta_start;
-  ro.beta_end = beta.ramp ? recipe.beta_end : recipe.beta_start;
+  ro.beta_end = recipe.beta_schedule == "ramp" ? recipe.beta_end : recipe.beta_start;
   ro.seed = cfg.seed;
   ro.objective_override = recipe.objective_override.empty() ? cfg.objective_override
                                                             : recipe.objective_override;
@@ -206,18 +212,13 @@ run_options resolved_run_options(const method_recipe& recipe,
 
 method_result run_method(const dev::device_spec& spec, const method_recipe& recipe,
                          const experiment_config& cfg, const method_hooks& hooks) {
-  validate_recipe(recipe);
-  run_options ro = resolved_run_options(recipe, cfg);
+  run_options ro = resolved_run_options(recipe, cfg);  // validates the recipe
   require(ro.objective_override.empty() ||
               spec.objective.kind == dev::objective_kind::minimize_ratio,
           "run_method: the objective override only applies to ratio objectives "
           "(the isolator)");
 
-  const std::size_t correction_corners =
-      recipe_policies::global().mask_correction.get(recipe.mask_correction).litho_corners;
-  const initialization_policy init =
-      recipe_policies::global().initialization.get(recipe.initialization);
-
+  const std::size_t correction_corners = mask_correction_corners(recipe.mask_correction);
   design_problem problem = make_problem(spec, recipe, cfg);
 
   ro.on_iteration = hooks.on_iteration;
@@ -226,10 +227,8 @@ method_result run_method(const dev::device_spec& spec, const method_recipe& reci
   ro.resume_state = hooks.resume;
 
   // The init stream is cfg.seed + 1 (the corner-sampling stream owns
-  // cfg.seed, the Monte Carlo cfg.seed + 3); deterministic policies ignore it.
-  require(init.make != nullptr, "run_method: initialization policy '" +
-                                    recipe.initialization + "' has no generator");
-  const dvec theta0 = init.make(problem, recipe, cfg.seed + 1);
+  // cfg.seed, the Monte Carlo cfg.seed + 3); deterministic starts ignore it.
+  const dvec theta0 = initial_theta(problem, recipe, cfg.seed + 1);
 
   log_info("run_method[", spec.name, "]: ", recipe.label, " (", ro.iterations,
            " iterations)");

@@ -4,7 +4,7 @@
 /// Carlo). The fifteen methodologies compared in the paper's tables (density
 /// baselines, LS-ED, InvFabCor two-stage correction, BOSON-1 and its Table
 /// II ablations) are built-in *presets*: one name-keyed table of recipes
-/// (`method_presets`) the API registry publishes. Shared experiment
+/// (`method_presets`), the method names a spec can use. Shared experiment
 /// configuration lives in `experiment_config`; it runs exactly as written.
 
 #pragma once
@@ -24,8 +24,8 @@
 
 namespace boson::core {
 
-/// A built-in method preset: the registry key it is published under and the
-/// recipe it names (the recipe label is the paper name, e.g. "BOSON-1").
+/// A built-in method preset: the method name a spec uses and the recipe it
+/// names (the recipe label is the paper name, e.g. "BOSON-1").
 struct method_preset {
   std::string name;
   method_recipe recipe;
@@ -73,31 +73,32 @@ struct method_result {
   array2d<double> mask;                  ///< binarized mask handed to fab
 };
 
-/// Build the design problem for a device/parameterization pair.
-/// `use_levelset` selects the paper's default level-set parameterization;
-/// density otherwise. `density_blur_cells` configures built-in MFS blur for
-/// the density baseline.
-design_problem make_problem(const dev::device_spec& spec, bool use_levelset,
-                            const experiment_config& cfg, double density_blur_cells = 0.0);
-
-/// Build the design problem a recipe describes: the parameterization policy
-/// resolves against `recipe_policies::global()`, the fabrication context
-/// comes from the config (the problem every stage of `run_method` shares).
+/// Build the design problem a recipe describes: the recipe's
+/// parameterization (B-spline level set or per-pixel density) on the
+/// device's design window, the fabrication context from the config (the
+/// problem every stage of `run_method` shares). Validates the recipe first.
 design_problem make_problem(const dev::device_spec& spec, const method_recipe& recipe,
                             const experiment_config& cfg);
 
 /// Initial latent variables: light-concentrated (device heuristic), the
 /// conventional uniform-gray start of density-based topology optimization,
-/// or random. (These are the built-in initialization policies.)
+/// or random.
 dvec concentrated_init(const design_problem& problem);
 dvec gray_init(const design_problem& problem);
 dvec random_init(const design_problem& problem, std::uint64_t seed);
 
-/// The `run_options` a recipe resolves to under a config: every policy
-/// looked up, iteration/learning-rate overrides and the objective override
-/// merged. Exposed so tests can golden-check preset resolution and
-/// `boson_cli describe` can show the effective optimization settings;
-/// `run_method` uses exactly this mapping (observer hooks are wired on top).
+/// The start a recipe's `initialization` key selects ("default" is gray for
+/// density recipes, concentrated otherwise). `seed` feeds "random" only.
+/// The recipe must be valid (`run_method` validates it first).
+dvec initial_theta(const design_problem& problem, const method_recipe& recipe,
+                   std::uint64_t seed);
+
+/// The `run_options` a recipe resolves to under a config: every policy key
+/// resolved, iteration/learning-rate overrides and the objective override
+/// merged. Validates the recipe first. Exposed so tests can golden-check
+/// preset resolution and `boson_cli describe` can show the effective
+/// optimization settings; `run_method` uses exactly this mapping (observer
+/// hooks are wired on top).
 run_options resolved_run_options(const method_recipe& recipe, const experiment_config& cfg);
 
 /// Observer hooks and stage toggles for `run_method`. The callbacks replace

@@ -1,124 +1,59 @@
 #include "core/recipe.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 
-#include "core/methods.h"
-#include "devices/builders.h"
-#include "param/density.h"
-#include "param/levelset.h"
+#include "common/error.h"
+#include "common/text.h"
 
 namespace boson::core {
 
 namespace {
 
-/// The ~80 nm MFS blur radius of the '-M' density baseline, in design cells.
-double auto_mfs_cells(const experiment_config& cfg) { return 0.08 / cfg.resolution; }
+using st = robust::sampling_strategy;
 
-void register_builtins(recipe_policies& p) {
-  p.parameterization.add(
-      "levelset",
-      {[](const dev::device_spec& spec, const method_recipe&, const experiment_config&)
-           -> std::shared_ptr<param::parameterization> {
-         // Knot pitch ~3 design cells (150 nm at the default pitch): coarse
-         // enough to act as a feature-size prior, fine enough for the
-         // benchmark topologies.
-         const std::size_t kx = std::max<std::size_t>(4, spec.design.nx / 3 + 1);
-         const std::size_t ky = std::max<std::size_t>(4, spec.design.ny / 3 + 1);
-         return std::make_shared<param::levelset_param>(kx, ky, spec.design.nx,
-                                                        spec.design.ny);
-       },
-       "B-spline level set, knot pitch ~3 cells (the paper's default)"});
-  p.parameterization.add(
-      "density",
-      {[](const dev::device_spec& spec, const method_recipe& recipe,
-          const experiment_config& cfg) -> std::shared_ptr<param::parameterization> {
-         const double blur = recipe.density_blur_mfs ? auto_mfs_cells(cfg)
-                                                     : recipe.density_blur_cells;
-         return std::make_shared<param::density_param>(spec.design.nx, spec.design.ny,
-                                                       blur);
-       },
-       "per-pixel density variables (density_blur selects built-in MFS blur)"});
+/// The `corners` keys (docs/METHODS.md describes each).
+struct corners_row {
+  const char* name;
+  corner_policy policy;
+};
+constexpr corners_row kCorners[] = {
+    {"none", {false, st::nominal_only, false}},
+    {"erosion_dilation", {false, st::nominal_only, true}},
+    {"nominal", {true, st::nominal_only, false}},
+    {"fixed_axial", {true, st::axial_single, false}},
+    {"fixed_axial_double", {true, st::axial_double, false}},
+    {"axial_plus_random", {true, st::axial_plus_random, false}},
+    {"exhaustive", {true, st::exhaustive, false}},
+    {"adaptive", {true, st::axial_plus_worst, false}},
+};
 
-  p.corners.add("none", {false, robust::sampling_strategy::nominal_only, false,
-                         "no variation awareness (nominal design only)"});
-  p.corners.add("erosion_dilation",
-                {false, robust::sampling_strategy::nominal_only, true,
-                 "geometry corners: co-optimize uniformly eroded/dilated variants"});
-  p.corners.add("nominal", {true, robust::sampling_strategy::nominal_only, false,
-                            "fabrication model in the loop, nominal corner only"});
-  p.corners.add("fixed_axial", {true, robust::sampling_strategy::axial_single, false,
-                                "fixed one-sided axial corners: O(N) per iteration"});
-  p.corners.add("fixed_axial_double",
-                {true, robust::sampling_strategy::axial_double, false,
-                 "fixed double-sided axial corners: O(2N) per iteration"});
-  p.corners.add("axial_plus_random",
-                {true, robust::sampling_strategy::axial_plus_random, false,
-                 "axial corners plus random draws (cost-matched control)"});
-  p.corners.add("exhaustive", {true, robust::sampling_strategy::exhaustive, false,
-                               "exhaustive corner sweep (prior art / ablation)"});
-  p.corners.add("adaptive",
-                {true, robust::sampling_strategy::axial_plus_worst, false,
-                 "BOSON-1 adaptive variation-aware: axial + one-step ascent worst case"});
+/// The `mask_correction` keys: lithography corners matched.
+struct mask_correction_row {
+  const char* name;
+  std::size_t litho_corners;
+};
+constexpr mask_correction_row kMaskCorrection[] = {
+    {"none", 0}, {"nominal", 1}, {"all_corners", 3}};
 
-  p.relaxation.add("none", {[](const experiment_config&) -> std::size_t { return 0; },
-                            "optimize purely in the fabricable subspace"});
-  p.relaxation.add(
-      "linear",
-      {[](const experiment_config& cfg) { return cfg.relax_epochs; },
-       "fabrication-aware weight ramps 0 -> 1 over the config's relax epochs"});
-
-  p.reshaping.add("none", {false, "sparse objective (transmission terms only)"});
-  p.reshaping.add("dense",
-                  {true, "landscape reshaping via auxiliary dense penalties"});
-
-  p.initialization.add(
-      "default",
-      {[](const design_problem& problem, const method_recipe& recipe, std::uint64_t) {
-         // Density-based topology optimization conventionally starts from a
-         // uniform gray design; everything else uses the light-concentrated
-         // heuristic.
-         return recipe.parameterization == "density" ? gray_init(problem)
-                                                     : concentrated_init(problem);
-       },
-       "light-concentrated for level-set recipes, uniform gray for density"});
-  p.initialization.add(
-      "concentrated",
-      {[](const design_problem& problem, const method_recipe&, std::uint64_t) {
-         return concentrated_init(problem);
-       },
-       "light-concentrated device heuristic"});
-  p.initialization.add("gray",
-                       {[](const design_problem& problem, const method_recipe&,
-                           std::uint64_t) { return gray_init(problem); },
-                        "uniform gray start (conventional topology optimization)"});
-  p.initialization.add(
-      "random",
-      {[](const design_problem& problem, const method_recipe&, std::uint64_t seed) {
-         return random_init(problem, seed);
-       },
-       "uniform random latent variables (the Table II init ablation)"});
-
-  p.mask_correction.add("none", {0, "hand the binarized design straight to fab"});
-  p.mask_correction.add(
-      "nominal", {1, "two-stage InvFabCor flow matching the nominal litho corner"});
-  p.mask_correction.add(
-      "all_corners", {3, "two-stage InvFabCor flow matching all three litho corners"});
-
-  p.beta_schedule.add("ramp", {true, "projection sharpness ramps beta_start -> beta_end"});
-  p.beta_schedule.add(
-      "fixed", {false, "projection sharpness held at beta_start (classical density flow)"});
+/// A family without data of its own: `key` must be one of `known`.
+void require_key(const char* family, const std::string& key,
+                 std::initializer_list<const char*> known) {
+  for (const char* k : known)
+    if (key == k) return;
+  throw_unknown_name(std::string("method_recipe: unknown ") + family + " policy", key,
+                     {known.begin(), known.end()});
 }
 
 }  // namespace
 
-recipe_policies& recipe_policies::global() {
-  static recipe_policies* instance = [] {
-    auto* p = new recipe_policies();
-    register_builtins(*p);
-    return p;
-  }();
-  return *instance;
+corner_policy corners_policy(const std::string& key) {
+  return find_by_name(kCorners, key, "method_recipe: unknown corners policy").policy;
+}
+
+std::size_t mask_correction_corners(const std::string& key) {
+  return find_by_name(kMaskCorrection, key, "method_recipe: unknown mask_correction policy")
+      .litho_corners;
 }
 
 namespace {
@@ -138,8 +73,7 @@ std::string method_recipe::signature() const {
   // key in results.jsonl and the campaign report legend).
   // Numeric fields compare against the struct defaults (not literals), and
   // the beta endpoints are emitted for *any* non-default pair — also under
-  // user-registered schedules — so the invariant survives default edits and
-  // policy registrations.
+  // the fixed schedule — so the invariant survives default edits.
   const method_recipe defaults;
   std::string out = parameterization;
   if (density_blur_mfs) out += "+mfs";
@@ -175,19 +109,19 @@ bool operator==(const method_recipe& a, const method_recipe& b) {
 }
 
 void validate_recipe(const method_recipe& recipe) {
-  const recipe_policies& p = recipe_policies::global();
   const auto fail = [](const std::string& message) {
     throw bad_argument("method_recipe: " + message);
   };
 
   if (recipe.label.empty()) fail("'label' must not be empty");
-  const corner_policy cp = p.corners.get(recipe.corners);
-  (void)p.parameterization.get(recipe.parameterization);
-  (void)p.relaxation.get(recipe.relaxation);
-  (void)p.reshaping.get(recipe.reshaping);
-  (void)p.initialization.get(recipe.initialization);
-  (void)p.mask_correction.get(recipe.mask_correction);
-  (void)p.beta_schedule.get(recipe.beta_schedule);
+  const corner_policy cp = corners_policy(recipe.corners);
+  require_key("parameterization", recipe.parameterization, {"levelset", "density"});
+  require_key("relaxation", recipe.relaxation, {"none", "linear"});
+  require_key("reshaping", recipe.reshaping, {"none", "dense"});
+  require_key("initialization", recipe.initialization,
+              {"default", "concentrated", "gray", "random"});
+  (void)mask_correction_corners(recipe.mask_correction);
+  require_key("beta_schedule", recipe.beta_schedule, {"ramp", "fixed"});
 
   if (recipe.density_blur_cells < 0.0) fail("'density_blur' must be >= 0 cells");
   if (recipe.density_blur_mfs && recipe.density_blur_cells > 0.0)

@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "api/registry.h"
 #include "api/session.h"
 #include "common/error.h"
 #include "common/text.h"
@@ -96,16 +95,17 @@ std::vector<campaign_job> campaign_spec::expand() const {
   require(!methods.empty(), "campaign_spec: 'axes.methods' must not be empty");
 
   // Resolve the method axis up front: every entry must be a campaign-local
-  // recipe or a registry key, and every campaign-local recipe must be swept —
+  // recipe or a preset name, and every campaign-local recipe must be swept —
   // a declared-but-unlisted recipe is almost certainly an axis typo, and
   // silently running the campaign without it would be worse than failing.
+  const std::vector<std::string> presets = api::method_names();
   for (const std::string& method : methods) {
     const bool is_recipe = std::any_of(recipes.begin(), recipes.end(),
                                        [&](const campaign_recipe& cr) {
                                          return cr.name == method;
                                        });
-    if (is_recipe || api::registry::global().has_method(method)) continue;
-    std::vector<std::string> known = api::registry::global().method_names();
+    if (is_recipe || std::binary_search(presets.begin(), presets.end(), method)) continue;
+    std::vector<std::string> known = presets;
     for (const campaign_recipe& cr : recipes) known.push_back(cr.name);
     throw bad_argument("campaign_spec: unknown method '" + method + "' in axes.methods"
                        " (known: " + join_names(known) + did_you_mean(method, known) +
@@ -166,8 +166,8 @@ std::vector<campaign_job> campaign_spec::expand() const {
           job.spec.name = job.name;
           job.spec.device = device;
           job.spec.method = method;
-          // Campaign-local recipes shadow the registry for their axis entry;
-          // every other name resolves against the registry (checked above).
+          // Campaign-local recipes shadow the presets for their axis entry;
+          // every other name is a preset (checked above).
           // Unlabeled recipes take the axis name here — not only in
           // from_json — so programmatic campaigns report hybrids by name
           // instead of as "custom".

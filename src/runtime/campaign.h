@@ -34,8 +34,8 @@ struct campaign_override {
 };
 
 /// A campaign-local named recipe. `axes.methods` entries resolve against
-/// these *before* the method registry, so one campaign.json can sweep
-/// never-registered hybrid recipes next to the built-in presets.
+/// these *before* the method presets, so one campaign.json can sweep hybrid
+/// recipes no preset names next to the built-in presets.
 struct campaign_recipe {
   std::string name;            ///< the axes.methods key this recipe answers to
   core::method_recipe recipe;  ///< attached to every job the axis entry expands
@@ -52,8 +52,8 @@ struct scheduler_settings {
 /// Declarative description of a whole campaign.
 struct campaign_spec {
   std::string name = "campaign";
-  std::vector<std::string> devices;         ///< device-registry keys (required)
-  std::vector<std::string> methods;         ///< method-registry keys (required)
+  std::vector<std::string> devices;         ///< device names (required)
+  std::vector<std::string> methods;         ///< method names (required)
   std::vector<std::uint64_t> seeds;         ///< defaults to {base.seed}
   std::vector<campaign_override> overrides; ///< defaults to one no-op override
   std::vector<campaign_recipe> recipes;     ///< campaign-local method recipes
@@ -61,7 +61,7 @@ struct campaign_spec {
   scheduler_settings scheduler;
 
   /// Jobs in the deterministic expansion order (device-major, then method,
-  /// seed, override). Every job spec is validated against the registries;
+  /// seed, override). Every job spec is validated (names and ranges);
   /// the first invalid combination throws `bad_argument` naming the job.
   std::vector<campaign_job> expand() const;
 

@@ -1,7 +1,6 @@
 #include "runtime/result_store.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -171,7 +170,8 @@ std::string render_report(const campaign_spec& spec,
     for (const std::string& device : spec.devices) cells.push_back(grid[method][device].cell());
     table.add_row(cells);
   }
-  out << table.render("Post-fab FoM (mean +- std over seeds)") << "\n";
+  out << table.render("Post-fab FoM (mean over jobs +- mean per-job Monte-Carlo std)")
+      << "\n";
 
   // Method provenance legend: the resolved-recipe signature each method name
   // stands for (campaign-local hybrids are only defined here, so the report
@@ -198,20 +198,17 @@ std::string render_report(const campaign_spec& spec,
   detail_header.insert(detail_header.end(),
                        {"prefab FoM", "postfab mean", "postfab std", "worst", "s"});
   for (const std::string& device : spec.devices) {
+    // "worst" is the Monte-Carlo extreme on the bad side of the device's FoM
+    // direction (the isolator's contrast is lower-is-better).
+    const bool lower_better =
+        api::find_device(device).make(spec.base.resolution).objective.fom_lower_better;
     io::console_table detail(detail_header);
     bool any = false;
     for (const job_result_row& row : rows) {
       if (row.device != device) continue;
       any = true;
       const bool mc = row.postfab_samples > 0;
-      // "worst" is the Monte-Carlo extreme on the bad side; the FoM direction
-      // is device-specific, so report the wider |deviation| from the mean.
-      const double worst =
-          mc ? (std::abs(row.postfab_max - row.postfab_mean) >
-                        std::abs(row.postfab_mean - row.postfab_min)
-                    ? row.postfab_max
-                    : row.postfab_min)
-             : 0.0;
+      const double worst = lower_better ? row.postfab_max : row.postfab_min;
       std::vector<std::string> cells{row.method, std::to_string(row.seed)};
       if (!overrides.empty()) cells.push_back(overrides[row.job_index % overrides.size()].name);
       cells.insert(cells.end(), {io::console_table::sci(row.prefab_fom),

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "api/registry.h"
 #include "api/session.h"
 #include "api/spec.h"
 #include "io/json.h"
@@ -118,38 +117,30 @@ TEST(json_parse, reports_line_and_column) {
       [] { io::json_value::parse("{\n  \"a\": @\n}"); }, "2:8");
 }
 
-// -------------------------------------------------------------- registry ---
+// ------------------------------------------------------------------ names ---
 
 TEST(api_registry, built_in_scenarios_are_registered) {
-  auto& reg = api::registry::global();
-  for (const char* device : {"bend", "crossing", "isolator"})
-    EXPECT_TRUE(reg.has_device(device)) << device;
-  EXPECT_GE(reg.method_names().size(), 15u);
+  EXPECT_TRUE(api::find_device("bend").make == &dev::make_bend);
+  EXPECT_TRUE(api::find_device("crossing").make == &dev::make_crossing);
+  EXPECT_TRUE(api::find_device("isolator").make == &dev::make_isolator);
+  EXPECT_EQ(api::method_names().size(), 15u);
   for (const core::method_preset& preset : core::method_presets())
-    EXPECT_EQ(reg.method(preset.name), preset.recipe) << preset.name;
-  EXPECT_EQ(reg.method("boson").label, "BOSON-1");
-  EXPECT_EQ(reg.method("boson_no_relax").relaxation, "none");
-  EXPECT_TRUE(reg.has_objective("device_default"));
-  EXPECT_EQ(reg.objective("fwd_transmission").override_metric, "fwd_transmission");
+    EXPECT_EQ(api::find_method(preset.name), preset.recipe) << preset.name;
+  EXPECT_EQ(api::find_method("boson").label, "BOSON-1");
+  EXPECT_EQ(api::find_method("boson_no_relax").relaxation, "none");
+  EXPECT_STREQ(api::find_objective("device_default").override_metric, "");
+  EXPECT_STREQ(api::find_objective("fwd_transmission").override_metric, "fwd_transmission");
 }
 
 TEST(api_registry, unknown_names_list_known_entries) {
-  auto& reg = api::registry::global();
-  expect_throw_with<bad_argument>([&] { reg.make_device("warp_core", 0.1); },
+  expect_throw_with<bad_argument>([] { api::find_device("warp_core"); },
                                   "unknown device 'warp_core'");
-  expect_throw_with<bad_argument>([&] { reg.make_device("warp_core", 0.1); }, "bend");
-  expect_throw_with<bad_argument>([&] { reg.method("sgd"); }, "unknown method 'sgd'");
-  expect_throw_with<bad_argument>([&] { reg.objective("q"); }, "unknown objective 'q'");
-}
-
-TEST(api_registry, custom_device_registration) {
-  api::registry reg;  // private registry: no built-ins
-  EXPECT_FALSE(reg.has_device("tiny"));
-  reg.register_device("tiny", [](double res) { return dev::make_bend(res); }, "test");
-  EXPECT_TRUE(reg.has_device("tiny"));
-  const auto spec = reg.make_device("tiny", 0.1);
-  EXPECT_FALSE(spec.name.empty());
-  EXPECT_EQ(reg.device_description("tiny"), "test");
+  expect_throw_with<bad_argument>([] { api::find_device("warp_core"); },
+                                  "(known: bend, crossing, isolator)");
+  expect_throw_with<bad_argument>([] { api::find_method("sgd"); }, "unknown method 'sgd'");
+  expect_throw_with<bad_argument>([] { api::find_objective("q"); },
+                                  "unknown objective 'q' (known: device_default, "
+                                  "fwd_transmission)");
 }
 
 // ------------------------------------------------------------------ spec ---
@@ -640,8 +631,8 @@ TEST(experiment_spec, inline_recipe_round_trips_and_labels_the_method) {
   EXPECT_EQ(*again.recipe, *spec.recipe);
   EXPECT_EQ(again.to_json().dump(), spec.to_json().dump());
 
-  // The inline recipe wins over the method registry: the label need not be
-  // (and here is not) a registered method name.
+  // The inline recipe wins over the method name: the label need not be
+  // (and here is not) a preset name.
   api::experiment_spec labeled = spec;
   labeled.method = "never_registered_hybrid";
   EXPECT_NO_THROW(api::validate(labeled));
@@ -681,29 +672,12 @@ TEST(experiment_spec, inline_recipe_objective_override_is_validated) {
 }
 
 TEST(api_registry, lookup_errors_suggest_the_closest_name) {
-  auto& reg = api::registry::global();
-  expect_throw_with<bad_argument>([&] { (void)reg.method("boson_norelax"); },
+  expect_throw_with<bad_argument>([] { (void)api::find_method("boson_norelax"); },
                                   "did you mean 'boson_no_relax'?");
-  expect_throw_with<bad_argument>([&] { (void)reg.make_device("bendd", 0.1); },
+  expect_throw_with<bad_argument>([] { (void)api::find_device("bendd"); },
                                   "did you mean 'bend'?");
-  expect_throw_with<bad_argument>([&] { (void)reg.objective("device_defautl"); },
+  expect_throw_with<bad_argument>([] { (void)api::find_objective("device_defautl"); },
                                   "did you mean 'device_default'?");
-}
-
-TEST(api_registry, custom_recipes_register_and_validate) {
-  auto& reg = api::registry::global();
-  core::method_recipe hybrid = reg.method("boson");
-  hybrid.label = "BOSON-1 (TV)";
-  hybrid.tv_weight = 0.01;
-  reg.register_method("test_boson_tv", hybrid);
-  EXPECT_TRUE(reg.has_method("test_boson_tv"));
-  EXPECT_EQ(reg.method("test_boson_tv"), hybrid);
-
-  core::method_recipe broken;
-  broken.corners = "no_such_policy";
-  expect_throw_with<bad_argument>([&] { reg.register_method("test_broken", broken); },
-                                  "unknown corners policy 'no_such_policy'");
-  EXPECT_FALSE(reg.has_method("test_broken"));
 }
 
 TEST(api_session, inline_recipe_runs_bit_identical_to_its_preset_name) {
@@ -716,7 +690,7 @@ TEST(api_session, inline_recipe_runs_bit_identical_to_its_preset_name) {
 
   api::experiment_spec inlined = named;
   inlined.recipe = api::recipe_from_json(
-      api::recipe_to_json(api::registry::global().method(named.method)));
+      api::recipe_to_json(api::find_method(named.method)));
 
   api::session_options options;
   options.write_artifacts = false;
@@ -812,7 +786,7 @@ TEST(api_session, summary_records_recipe_provenance) {
   EXPECT_EQ(summary.at("resolved_recipe").at("label").as_string(),
             "BOSON-1 (- subspace relax)");
   EXPECT_EQ(summary.at("recipe_signature").as_string(),
-            api::registry::global().method(spec.method).signature());
+            api::find_method(spec.method).signature());
 }
 
 }  // namespace

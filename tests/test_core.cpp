@@ -3,13 +3,14 @@
 #include <cmath>
 #include <memory>
 
-#include "api/registry.h"
+#include "api/spec.h"
 #include "core/design_problem.h"
 #include "core/evaluate.h"
 #include "core/mask_correction.h"
 #include "core/methods.h"
 #include "core/run.h"
 #include "devices/builders.h"
+#include "param/density.h"
 #include "param/levelset.h"
 
 namespace boson::core {
@@ -32,8 +33,8 @@ experiment_config test_config() {
   return cfg;
 }
 
-/// A built-in method preset, looked up by its registry name.
-method_recipe preset(const std::string& name) { return api::registry::global().method(name); }
+/// A built-in method preset, looked up by its name.
+method_recipe preset(const std::string& name) { return api::find_method(name); }
 
 robust::variation_corner nominal_corner(const design_problem& p) {
   robust::variation_corner c;
@@ -45,13 +46,25 @@ robust::variation_corner nominal_corner(const design_problem& p) {
 /// reuse across tests).
 design_problem& bend_problem() {
   static design_problem p =
-      make_problem(dev::make_bend(0.1), true, test_config());
+      make_problem(dev::make_bend(0.1), method_recipe{}, test_config());
   return p;
 }
 
 design_problem& isolator_problem() {
   static design_problem p =
-      make_problem(dev::make_isolator(0.1), true, test_config());
+      make_problem(dev::make_isolator(0.1), method_recipe{}, test_config());
+  return p;
+}
+
+/// A recipe with the per-pixel density parameterization (LS otherwise).
+method_recipe density_recipe() {
+  method_recipe density;
+  density.parameterization = "density";
+  return density;
+}
+
+design_problem& bend_density_problem() {
+  static design_problem p = make_problem(dev::make_bend(0.1), density_recipe(), test_config());
   return p;
 }
 
@@ -337,6 +350,22 @@ TEST(evaluate, different_seeds_draw_different_variations) {
   const auto a = postfab_monte_carlo(p, mask, 3, 1);
   const auto b = postfab_monte_carlo(p, mask, 3, 2);
   EXPECT_NE(a.fom_mean, b.fom_mean);
+}
+
+TEST(evaluate, one_seed_gives_every_method_the_same_monte_carlo_draws) {
+  // The draws depend on the seed and the device's variation space only, not
+  // on the parameterization or anything else a method chooses: one mask
+  // scores identically on a level-set and a density problem.
+  const dvec theta = concentrated_init(bend_problem());
+  array2d<double> rho;
+  bend_problem().parameterization().forward(theta, rho);
+  const array2d<double> mask = binarize(rho);
+  const auto a = postfab_monte_carlo(bend_problem(), mask, 3, 5);
+  const auto b = postfab_monte_carlo(bend_density_problem(), mask, 3, 5);
+  EXPECT_EQ(a.fom_mean, b.fom_mean);
+  EXPECT_EQ(a.fom_std, b.fom_std);
+  EXPECT_EQ(a.fom_min, b.fom_min);
+  EXPECT_EQ(a.fom_max, b.fom_max);
 }
 
 // ------------------------------------------------------ mask correction ----
@@ -762,7 +791,7 @@ TEST(methods, end_to_end_invfabcor_produces_corrected_mask) {
 // -------------------------------------------------------------- recipes ----
 
 /// The legacy (pre-recipe) per-method ingredient table, hand-copied from the
-/// enum-era dispatch and keyed by registry name. The presets must keep
+/// enum-era dispatch and keyed by preset name. The presets must keep
 /// resolving to exactly these `run_options` — since `run_inverse_design` is a
 /// pure function of (problem, theta0, options), equal options +
 /// parameterization + init keep every preset's results unchanged.
@@ -828,10 +857,7 @@ TEST(recipe, presets_resolve_to_the_legacy_run_options) {
     EXPECT_EQ(recipe.density_blur_mfs, e.density_blur_mfs) << label;
     EXPECT_EQ(recipe.initialization, e.random_initialization ? "random" : "default")
         << label;
-    EXPECT_EQ(recipe_policies::global()
-                  .mask_correction.get(recipe.mask_correction)
-                  .litho_corners,
-              e.correction_corners)
+    EXPECT_EQ(mask_correction_corners(recipe.mask_correction), e.correction_corners)
         << label;
 
     const run_options ro = resolved_run_options(recipe, cfg);
@@ -873,6 +899,104 @@ TEST(recipe, policy_lookup_suggests_the_closest_key) {
   }
 }
 
+/// The keys a family accepts, read off its unknown-key error ("... (known:
+/// a, b)"), so a key added without a row in the table below fails the test.
+std::string known_keys(void (*set)(method_recipe&, const char*)) {
+  method_recipe recipe;
+  set(recipe, "?");
+  try {
+    validate_recipe(recipe);
+  } catch (const bad_argument& e) {
+    const std::string what = e.what();
+    const std::size_t open = what.find("(known: ");
+    if (open != std::string::npos) return what.substr(open + 8, what.size() - open - 9);
+  }
+  return "<no unknown-key error>";
+}
+
+TEST(recipe, every_policy_key_resolves_to_its_documented_setting) {
+  // docs/METHODS.md "Policy keys", one row per key of every family (keys
+  // sorted as the unknown-key error lists them).
+  using st = robust::sampling_strategy;
+  experiment_config cfg = test_config();
+  cfg.relax_epochs = 3;
+  const auto run_with = [&](void (*set)(method_recipe&, const char*), const char* key) {
+    method_recipe recipe;
+    set(recipe, key);
+    return resolved_run_options(recipe, cfg);
+  };
+
+  struct corners_row {
+    const char* key;
+    bool fab_aware;
+    st sampling;
+    bool erosion_dilation;
+  };
+  const auto corners = [](method_recipe& r, const char* k) { r.corners = k; };
+  std::string keys;
+  for (const corners_row& row : std::vector<corners_row>{
+           {"adaptive", true, st::axial_plus_worst, false},
+           {"axial_plus_random", true, st::axial_plus_random, false},
+           {"erosion_dilation", false, st::nominal_only, true},
+           {"exhaustive", true, st::exhaustive, false},
+           {"fixed_axial", true, st::axial_single, false},
+           {"fixed_axial_double", true, st::axial_double, false},
+           {"nominal", true, st::nominal_only, false},
+           {"none", false, st::nominal_only, false}}) {
+    const run_options ro = run_with(corners, row.key);
+    EXPECT_EQ(ro.fab_aware, row.fab_aware) << row.key;
+    EXPECT_EQ(ro.sampling, row.sampling) << row.key;
+    EXPECT_EQ(ro.erosion_dilation, row.erosion_dilation) << row.key;
+    keys += (keys.empty() ? "" : ", ") + std::string(row.key);
+  }
+  EXPECT_EQ(known_keys(corners), keys);
+
+  const auto relaxation = [](method_recipe& r, const char* k) { r.relaxation = k; };
+  EXPECT_EQ(run_with(relaxation, "linear").relax_epochs, 3u);
+  EXPECT_EQ(run_with(relaxation, "none").relax_epochs, 0u);
+  EXPECT_EQ(known_keys(relaxation), "linear, none");
+
+  const auto reshaping = [](method_recipe& r, const char* k) { r.reshaping = k; };
+  EXPECT_TRUE(run_with(reshaping, "dense").dense_objectives);
+  EXPECT_FALSE(run_with(reshaping, "none").dense_objectives);
+  EXPECT_EQ(known_keys(reshaping), "dense, none");
+
+  const auto beta = [](method_recipe& r, const char* k) { r.beta_schedule = k; };
+  EXPECT_DOUBLE_EQ(run_with(beta, "fixed").beta_end, 8.0);
+  EXPECT_DOUBLE_EQ(run_with(beta, "ramp").beta_end, 40.0);
+  EXPECT_EQ(known_keys(beta), "fixed, ramp");
+
+  const auto correction = [](method_recipe& r, const char* k) { r.mask_correction = k; };
+  EXPECT_EQ(mask_correction_corners("all_corners"), 3u);
+  EXPECT_EQ(mask_correction_corners("nominal"), 1u);
+  EXPECT_EQ(mask_correction_corners("none"), 0u);
+  EXPECT_EQ(known_keys(correction), "all_corners, nominal, none");
+
+  const auto parameterization = [](method_recipe& r, const char* k) {
+    r.parameterization = k;
+  };
+  const design_problem& density_problem = bend_density_problem();
+  EXPECT_NE(dynamic_cast<const param::density_param*>(&density_problem.parameterization()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<const param::levelset_param*>(&bend_problem().parameterization()),
+            nullptr);
+  EXPECT_EQ(known_keys(parameterization), "density, levelset");
+
+  const auto init = [](method_recipe& r, const char* k) { r.initialization = k; };
+  const design_problem& levelset_problem = bend_problem();
+  const auto start = [&](const design_problem& problem, method_recipe recipe,
+                         const char* key) {
+    recipe.initialization = key;
+    return initial_theta(problem, recipe, 11);
+  };
+  EXPECT_EQ(start(levelset_problem, {}, "concentrated"), concentrated_init(levelset_problem));
+  EXPECT_EQ(start(levelset_problem, {}, "default"), concentrated_init(levelset_problem));
+  EXPECT_EQ(start(density_problem, density_recipe(), "default"), gray_init(density_problem));
+  EXPECT_EQ(start(levelset_problem, {}, "gray"), gray_init(levelset_problem));
+  EXPECT_EQ(start(levelset_problem, {}, "random"), random_init(levelset_problem, 11));
+  EXPECT_EQ(known_keys(init), "concentrated, default, gray, random");
+}
+
 TEST(recipe, validate_rejects_inconsistent_compositions) {
   const auto expect_fail = [](void (*mutate)(method_recipe&), const std::string& fragment) {
     method_recipe recipe;
@@ -896,19 +1020,6 @@ TEST(recipe, validate_rejects_inconsistent_compositions) {
   expect_fail([](method_recipe& r) { r.beta_start = 0.0; }, "'beta_start'");
   expect_fail([](method_recipe& r) { r.label.clear(); }, "'label'");
   expect_fail([](method_recipe& r) { r.tv_weight = -1.0; }, "'tv_weight'");
-}
-
-TEST(recipe, registrable_policies_extend_the_dispatch) {
-  // A user-registered corner policy becomes addressable from any recipe.
-  recipe_policies::global().corners.add(
-      "test_axial_double_alias",
-      {true, robust::sampling_strategy::axial_double, false, "test alias"});
-  method_recipe recipe;
-  recipe.corners = "test_axial_double_alias";
-  EXPECT_NO_THROW(validate_recipe(recipe));
-  const run_options ro = resolved_run_options(recipe, test_config());
-  EXPECT_TRUE(ro.fab_aware);
-  EXPECT_EQ(ro.sampling, robust::sampling_strategy::axial_double);
 }
 
 TEST(recipe, signature_is_compact_provenance) {

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -28,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/registry.h"
 #include "api/session.h"
 #include "api/spec.h"
 #include "common/rng.h"
@@ -636,9 +636,8 @@ TEST(checkpoint, resumed_run_is_bit_identical_to_uninterrupted) {
   spec.relax_epochs = 2;
 
   const core::experiment_config cfg = api::session::config_for(spec);
-  const core::method_recipe recipe = api::registry::global().method(spec.method);
-  const dev::device_spec device =
-      api::registry::global().make_device(spec.device, spec.resolution);
+  const core::method_recipe recipe = api::find_method(spec.method);
+  const dev::device_spec device = api::find_device(spec.device).make(spec.resolution);
 
   core::method_hooks plain;
   plain.run_postfab_mc = false;
@@ -776,9 +775,69 @@ TEST(result_store, report_names_the_override_of_every_detail_row) {
   EXPECT_EQ(runtime::render_report(spec, rows_of(spec)).find("override"), std::string::npos);
 }
 
+/// One Monte-Carlo result row per job of `spec`, each from `fill`.
+std::vector<runtime::job_result_row> mc_rows(
+    const runtime::campaign_spec& spec,
+    const std::function<void(runtime::job_result_row&)>& fill) {
+  std::vector<runtime::job_result_row> rows;
+  for (const runtime::campaign_job& job : spec.expand()) {
+    runtime::job_result_row row;
+    row.job_index = job.index;
+    row.name = job.name;
+    row.device = job.spec.device;
+    row.method = job.spec.method;
+    row.seed = job.spec.seed;
+    row.postfab_samples = 4;
+    fill(row);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST(result_store, report_worst_is_the_bad_side_of_the_fom_direction) {
+  // In both rows the extreme farther from the mean is the *good* one: the
+  // bend's (higher-is-better) maximum and the isolator's (lower-is-better)
+  // minimum. "worst" must still print the bad side.
+  runtime::campaign_spec spec = synthetic_campaign();
+  spec.devices = {"bend", "isolator"};
+  spec.methods = {"ls"};
+  spec.seeds = {7};
+  spec.overrides.clear();
+  const std::string report =
+      runtime::render_report(spec, mc_rows(spec, [](runtime::job_result_row& row) {
+        const bool bend = row.device == "bend";
+        row.postfab_mean = bend ? 0.9 : 0.05;
+        row.postfab_min = bend ? 0.88 : 0.01;
+        row.postfab_max = bend ? 0.99 : 0.06;
+      }));
+  EXPECT_NE(report.find("| 8.80e-01 |"), std::string::npos) << report;
+  EXPECT_NE(report.find("| 6.00e-02 |"), std::string::npos) << report;
+  EXPECT_EQ(report.find("9.90e-01"), std::string::npos) << report;
+  EXPECT_EQ(report.find("1.00e-02"), std::string::npos) << report;
+}
+
+TEST(result_store, report_header_says_its_spread_is_the_mean_monte_carlo_std) {
+  // Two seeds with means 0.4 / 0.6 and MC stds 0.01 / 0.03: the summary cell
+  // is 0.5 +- 0.02 (the mean per-job std), not the 0.14 spread over seeds.
+  runtime::campaign_spec spec = synthetic_campaign();
+  spec.methods = {"ls"};
+  spec.seeds = {7, 8};
+  spec.overrides.clear();
+  const std::string report =
+      runtime::render_report(spec, mc_rows(spec, [](runtime::job_result_row& row) {
+        row.postfab_mean = row.seed == 7 ? 0.4 : 0.6;
+        row.postfab_std = row.seed == 7 ? 0.01 : 0.03;
+      }));
+  EXPECT_NE(report.find("Post-fab FoM (mean over jobs +- mean per-job Monte-Carlo std)"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("| 5.00e-01 +- 2.00e-02 |"), std::string::npos) << report;
+  EXPECT_EQ(report.find("over seeds"), std::string::npos) << report;
+}
+
 TEST(committed_specs, load_and_expand_against_the_registries) {
   // Every committed spec under examples/specs/ (the paper's tables and
-  // figures in paper/ included) parses and resolves against the registries,
+  // figures in paper/ included) parses and resolves against the name tables,
   // and every campaign expands to exactly the product of its axes.
   std::size_t campaigns = 0;
   std::size_t experiments = 0;

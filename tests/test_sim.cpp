@@ -222,7 +222,7 @@ core::experiment_config fast_config() {
 
 TEST(integration, postfab_monte_carlo_is_deterministic_across_thread_counts) {
   const core::design_problem problem =
-      core::make_problem(dev::make_bend(0.1), true, fast_config());
+      core::make_problem(dev::make_bend(0.1), core::method_recipe{}, fast_config());
   array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
   for (std::size_t i = 0; i < mask.nx(); ++i)
     for (std::size_t j = mask.ny() / 3; j < 2 * mask.ny() / 3; ++j) mask(i, j) = 1.0;
@@ -245,7 +245,7 @@ TEST(integration, postfab_monte_carlo_is_deterministic_across_thread_counts) {
 
 TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
   const core::design_problem problem =
-      core::make_problem(dev::make_bend(0.1), true, fast_config());
+      core::make_problem(dev::make_bend(0.1), core::method_recipe{}, fast_config());
   array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
   for (std::size_t i = 0; i < mask.nx(); ++i)
     for (std::size_t j = mask.ny() / 3; j < 2 * mask.ny() / 3; ++j) mask(i, j) = 1.0;
@@ -287,7 +287,7 @@ TEST(integration, evaluate_agrees_across_backends) {
   // A warm corner evaluated through its own factorization (direct engine)
   // and through the nominal corner's factorization (nearby engine).
   const core::design_problem problem =
-      core::make_problem(dev::make_bend(0.1), true, fast_config());
+      core::make_problem(dev::make_bend(0.1), core::method_recipe{}, fast_config());
   array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
   for (std::size_t i = 0; i < mask.nx(); ++i)
     for (std::size_t j = mask.ny() / 3; j < 2 * mask.ny() / 3; ++j) mask(i, j) = 1.0;

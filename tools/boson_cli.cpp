@@ -42,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/registry.h"
 #include "api/session.h"
 #include "api/spec.h"
 #include "common/env.h"
@@ -120,22 +119,21 @@ int usage(std::FILE* out) {
 }
 
 int cmd_list(const std::string& what, bool as_json) {
-  const api::registry& reg = api::registry::global();
   if (what == "devices") {
     if (as_json) {
       io::json_value arr = io::json_value::array();
-      for (const auto& name : reg.device_names()) {
+      for (const api::device_entry& device : api::device_table) {
         io::json_value e = io::json_value::object();
-        e["name"] = name;
-        e["description"] = reg.device_description(name);
+        e["name"] = device.name;
+        e["description"] = device.description;
         arr.push_back(std::move(e));
       }
       std::printf("%s\n", arr.dump(2).c_str());
       return 0;
     }
     io::console_table table({"device", "description"});
-    for (const auto& name : reg.device_names())
-      table.add_row({name, reg.device_description(name)});
+    for (const api::device_entry& device : api::device_table)
+      table.add_row({device.name, device.description});
     table.print("Registered devices");
     return 0;
   }
@@ -144,8 +142,8 @@ int cmd_list(const std::string& what, bool as_json) {
       // The machine-readable form campaign generators consume: identity,
       // the spec-validation-relevant facts, and the full preset recipe.
       io::json_value arr = io::json_value::array();
-      for (const auto& name : reg.method_names()) {
-        const core::method_recipe recipe = reg.method(name);
+      for (const auto& name : api::method_names()) {
+        const core::method_recipe& recipe = api::find_method(name);
         io::json_value e = io::json_value::object();
         e["name"] = name;
         e["label"] = recipe.label;
@@ -159,8 +157,8 @@ int cmd_list(const std::string& what, bool as_json) {
       return 0;
     }
     io::console_table table({"method", "label", "recipe"});
-    for (const auto& name : reg.method_names()) {
-      const core::method_recipe recipe = reg.method(name);
+    for (const auto& name : api::method_names()) {
+      const core::method_recipe& recipe = api::find_method(name);
       table.add_row({name, recipe.label, recipe.signature()});
     }
     table.print("Registered methods");
@@ -169,20 +167,19 @@ int cmd_list(const std::string& what, bool as_json) {
   if (what == "objectives") {
     if (as_json) {
       io::json_value arr = io::json_value::array();
-      for (const auto& name : reg.objective_names()) {
-        const api::objective_entry entry = reg.objective(name);
+      for (const api::objective_entry& objective : api::objective_table) {
         io::json_value e = io::json_value::object();
-        e["name"] = name;
-        e["override_metric"] = entry.override_metric;
-        e["description"] = entry.description;
+        e["name"] = objective.name;
+        e["override_metric"] = objective.override_metric;
+        e["description"] = objective.description;
         arr.push_back(std::move(e));
       }
       std::printf("%s\n", arr.dump(2).c_str());
       return 0;
     }
     io::console_table table({"objective", "description"});
-    for (const auto& name : reg.objective_names())
-      table.add_row({name, reg.objective(name).description});
+    for (const api::objective_entry& objective : api::objective_table)
+      table.add_row({objective.name, objective.description});
     table.print("Registered objectives");
     return 0;
   }
@@ -199,8 +196,8 @@ int cmd_describe(const std::string& kind, const std::string& name) {
                  kind.c_str());
     return 2;
   }
-  // Throws the registry's did-you-mean error for unknown names.
-  const core::method_recipe recipe = api::registry::global().method(name);
+  // Throws the did-you-mean error for unknown names.
+  const core::method_recipe& recipe = api::find_method(name);
   io::json_value v = io::json_value::object();
   v["name"] = name;
   v["label"] = recipe.label;
