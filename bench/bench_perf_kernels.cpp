@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the computational kernels behind the
-// inverse-design loop: the nested-dissection LU (the FDFD direct solver)
+// inverse-design loop: the nested-dissection LDLᵀ (the FDFD direct solver)
 // against the banded LU test oracle, single- vs multi-RHS substitution, the
 // simulation engine's prepare/solve split, the FFT convolution engine, the
 // Hopkins lithography model's forward/backward passes, slab mode solving and
@@ -68,7 +68,7 @@ void bm_banded_lu(benchmark::State& state) {
 }
 BENCHMARK(bm_banded_lu)->Arg(32)->Arg(48)->Arg(64)->Arg(88)->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------------- nested-dissection LU ----
+// ----------------------------------------------- nested-dissection LDLᵀ ----
 
 /// Random complex 5-point operator on a side x side grid (unknown ix*side+iy).
 sp::csr_c random_grid_operator(std::size_t side, rng& r) {
@@ -88,18 +88,18 @@ sp::csr_c random_grid_operator(std::size_t side, rng& r) {
 
 /// Factor + one solve, like bm_banded_lu; 176 is the 0.025 um-resolution
 /// scaling point of the 88x88 bend.
-void bm_grid_lu(benchmark::State& state) {
+void bm_grid_ldlt(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   rng r(7);
   const sp::csr_c a = random_grid_operator(side, r);
   const cvec b(side * side, cplx{1.0});
   for (auto _ : state) {
-    const sp::grid_lu lu(side, side, a);
-    benchmark::DoNotOptimize(lu.solve(b));
+    const sp::grid_ldlt ldlt(side, side, a);
+    benchmark::DoNotOptimize(ldlt.solve(b));
   }
   state.SetComplexityN(static_cast<benchmark::IterationCount>(side * side));
 }
-BENCHMARK(bm_grid_lu)->Arg(44)->Arg(88)->Arg(176)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_grid_ldlt)->Arg(44)->Arg(88)->Arg(176)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------- single vs multi RHS -------
 
@@ -109,7 +109,7 @@ struct solver_fixture {
   pml_spec pml;
   array2d<double> eps;
   sp::csr_c a;
-  std::unique_ptr<sp::grid_lu> lu;
+  std::unique_ptr<sp::grid_ldlt> ldlt;
   std::vector<cvec> rhs;
 
   explicit solver_fixture(std::size_t side = 88, std::size_t nrhs = 8) {
@@ -121,7 +121,7 @@ struct solver_fixture {
       for (std::size_t iy = side / 2 - 4; iy < side / 2 + 4; ++iy)
         eps(ix, iy) = fab::eps_si(300.0);
     a = fdfd::fdfd_solver(g, pml, 2.0 * pi / 1.55, eps).assemble_csr();
-    lu = std::make_unique<sp::grid_lu>(side, side, a);  // factor outside every timed region
+    ldlt = std::make_unique<sp::grid_ldlt>(side, side, a);  // factor outside every timed region
     rng r(11);
     rhs.assign(nrhs, cvec(g.cell_count(), cplx{}));
     for (auto& b : rhs)
@@ -134,7 +134,7 @@ void bm_solve_single_rhs(benchmark::State& state) {
   const auto nrhs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
     for (std::size_t k = 0; k < nrhs; ++k)
-      benchmark::DoNotOptimize(f.lu->solve(f.rhs[k]));
+      benchmark::DoNotOptimize(f.ldlt->solve(f.rhs[k]));
 }
 BENCHMARK(bm_solve_single_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
@@ -143,7 +143,7 @@ void bm_solve_multi_rhs(benchmark::State& state) {
   const auto nrhs = static_cast<std::size_t>(state.range(0));
   const std::vector<cvec> batch(f.rhs.begin(),
                                 f.rhs.begin() + static_cast<std::ptrdiff_t>(nrhs));
-  for (auto _ : state) benchmark::DoNotOptimize(f.lu->solve(batch));
+  for (auto _ : state) benchmark::DoNotOptimize(f.ldlt->solve(batch));
 }
 BENCHMARK(bm_solve_multi_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
@@ -313,11 +313,11 @@ io::json_value time_solvers() {
       std::size_t fill = 0;
       for (int rep = 0; rep < 5; ++rep) {
         stopwatch sw;
-        const sp::grid_lu lu(side, side, f.a);
+        const sp::grid_ldlt ldlt(side, side, f.a);
         factor_s.push_back(sw.seconds());
-        fill = lu.fill();
+        fill = ldlt.fill();
         sw.reset();
-        benchmark::DoNotOptimize(lu.solve(f.rhs[0]));
+        benchmark::DoNotOptimize(ldlt.solve(f.rhs[0]));
         solve_s.push_back(sw.seconds());
       }
       std::sort(factor_s.begin(), factor_s.end());
@@ -328,7 +328,7 @@ io::json_value time_solvers() {
       j["fill_entries"] = fill;
       const std::string grid = std::to_string(side) + "x" + std::to_string(side);
       sizes[grid] = std::move(j);
-      std::printf("nested-dissection LU (%s): factor %.3f ms, solve %.3f ms\n", grid.c_str(),
+      std::printf("nested-dissection LDLT (%s): factor %.3f ms, solve %.3f ms\n", grid.c_str(),
                   1e3 * factor_s[2], 1e3 * solve_s[2]);
     }
     report["factorization"] = std::move(sizes);
@@ -339,11 +339,11 @@ io::json_value time_solvers() {
     constexpr int reps = 10;
     stopwatch sw;
     for (int rep = 0; rep < reps; ++rep)
-      for (const auto& b : f.rhs) benchmark::DoNotOptimize(f.lu->solve(b));
+      for (const auto& b : f.rhs) benchmark::DoNotOptimize(f.ldlt->solve(b));
     const double single_s = sw.seconds() / reps;
     sw.reset();
     for (int rep = 0; rep < reps; ++rep)
-      benchmark::DoNotOptimize(f.lu->solve(f.rhs));
+      benchmark::DoNotOptimize(f.ldlt->solve(f.rhs));
     const double multi_s = sw.seconds() / reps;
 
     io::json_value j = io::json_value::object();

@@ -37,7 +37,7 @@ int main() {
   // 3. Report.
   const auto& method = result.method;
   std::printf("\nBOSON-1 on the %s benchmark\n", spec.device.c_str());
-  std::printf("  FDFD solver          : nested-dissection multifrontal LU\n");
+  std::printf("  FDFD solver          : nested-dissection multifrontal LDLT\n");
   std::printf("  pre-fab transmission : %.4f\n", method.prefab_fom);
   std::printf("  post-fab transmission: %.4f +- %.4f  (%zu Monte-Carlo samples)\n",
               method.postfab.fom_mean, method.postfab.fom_std, method.postfab.samples);

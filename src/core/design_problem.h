@@ -68,7 +68,7 @@ struct eval_options {
   sim::engine_settings engine;
 
   /// When set, this evaluation's operator is not factored: its solves are
-  /// preconditioned by this engine's LU (a nearby engine, see
+  /// preconditioned by this engine's factor (a nearby engine, see
   /// `sim::simulation_engine`). The caller prepares it, typically at
   /// the nominal corner of the same mask, and it must share this problem's
   /// grid, PML and k0. `engine` is then ignored.

@@ -6,15 +6,6 @@
 
 namespace boson::dev {
 
-const char* to_string(device_kind kind) {
-  switch (kind) {
-    case device_kind::bend: return "bending";
-    case device_kind::crossing: return "crossing";
-    case device_kind::isolator: return "isolator";
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr double lambda_c = 1.55;  ///< central wavelength [um]
@@ -318,15 +309,6 @@ device_spec make_isolator(double resolution) {
     }
   }
   return d;
-}
-
-device_spec make_device(device_kind kind, double resolution) {
-  switch (kind) {
-    case device_kind::bend: return make_bend(resolution);
-    case device_kind::crossing: return make_crossing(resolution);
-    case device_kind::isolator: return make_isolator(resolution);
-  }
-  throw bad_argument("make_device: unknown kind");
 }
 
 }  // namespace boson::dev

@@ -2,21 +2,16 @@
 /// Builders for the paper's three photonic benchmarks (Section IV-A): the
 /// 90-degree bend, the waveguide crossing, and the magneto-optic isolator —
 /// each a `device_spec` with geometry, ports, monitors, and objective at
-/// lambda = 1.55 um on a configurable grid pitch.
+/// lambda = 1.55 um on a configurable grid pitch. A spec names them through
+/// `api::device_table`. `resolution` is the grid pitch in um (default
+/// 50 nm); coarser values are used by fast tests. All builders use a
+/// silicon core and air cladding.
 
 #pragma once
 
 #include "devices/spec.h"
 
 namespace boson::dev {
-
-/// The three photonic benchmarks evaluated in the paper (Section IV-A).
-/// `resolution` is the grid pitch in um (default 50 nm); coarser values are
-/// used by fast tests. All builders target lambda = 1.55 um, silicon core /
-/// air cladding.
-enum class device_kind { bend, crossing, isolator };
-
-const char* to_string(device_kind kind);
 
 /// 90-degree waveguide bend: light enters from the left and must exit
 /// through the top port. FoM: TM1 transmission efficiency (higher better).
@@ -30,7 +25,5 @@ device_spec make_crossing(double resolution = 0.05);
 /// efficiency; backward TM1 must not return to TM1. FoM: isolation contrast
 /// E_bwd / E_fwd (lower better).
 device_spec make_isolator(double resolution = 0.05);
-
-device_spec make_device(device_kind kind, double resolution = 0.05);
 
 }  // namespace boson::dev

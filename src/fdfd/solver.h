@@ -23,9 +23,11 @@ using field_gradient = std::vector<std::pair<std::size_t, cplx>>;
 /// factors and solves the operator.
 ///
 /// The discrete operator is scaled by s_x(i) s_y(j) per row, which makes it
-/// *complex symmetric*; a single LU factorization therefore serves both the
-/// forward solve A e = b and every adjoint solve A lambda = g. Unknowns are
-/// ordered ix * ny + iy.
+/// *complex symmetric* (A = Aᵀ, unconjugated, bit for bit: mirrored entries
+/// come from the same expression). A single L D Lᵀ factorization
+/// (`sp::grid_ldlt`, which reads only the lower triangle) therefore serves
+/// both the forward solve A e = b and every adjoint solve A lambda = g.
+/// Unknowns are ordered ix * ny + iy.
 ///
 /// Units: lengths in um, c = eps0 = mu0 = 1, k0 = omega = 2 pi / lambda.
 class fdfd_solver {

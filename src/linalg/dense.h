@@ -11,7 +11,7 @@ namespace boson::la {
 
 /// Row-major dense matrix. Small and simple: it backs the TCC operator in the
 /// lithography model, mode-solver cross-checks, and reference solutions in
-/// tests; the FDFD system itself uses the sparse nested-dissection LU.
+/// tests; the FDFD system itself uses the sparse nested-dissection L D Lᵀ.
 template <class T>
 class dense_matrix {
  public:

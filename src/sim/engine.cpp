@@ -56,16 +56,16 @@ simulation_engine::~simulation_engine() = default;
 void simulation_engine::factor() const {
   const obs::span sp("sim.factorize", "sim");
   const grid2d& g = solver_.grid();
-  lu_ = std::make_unique<const sp::grid_lu>(g.nx, g.ny, solver_.assemble_csr());
+  factor_ = std::make_unique<const sp::grid_ldlt>(g.nx, g.ny, solver_.assemble_csr());
   factored_.store(true, std::memory_order_release);
 }
 
 std::vector<cvec> simulation_engine::solve_nearby(const std::vector<cvec>& rhs) const {
-  const sp::grid_lu& lu = *nominal_->lu_;
+  const sp::grid_ldlt& nominal = *nominal_->factor_;
   std::vector<cvec> xs(rhs.size());
 
   const sp::linear_op op = [this](const cvec& v) { return a_.matvec(v); };
-  const sp::linear_op pre = [&lu](const cvec& r) { return lu.solve(r); };
+  const sp::linear_op pre = [&nominal](const cvec& r) { return nominal.solve(r); };
   std::size_t iterations = 0;
   for (std::size_t k = 0; k < rhs.size(); ++k) {
     const sp::krylov_result res = sp::gmres(op, rhs[k], xs[k], pre, nearby_max_iterations,
@@ -81,7 +81,7 @@ std::vector<cvec> simulation_engine::solve_nearby(const std::vector<cvec>& rhs) 
       counters().refinement_iterations.inc(iterations);
       counters().fallbacks.inc();
       std::call_once(fallback_once_, [this] { factor(); });
-      return lu_->solve(rhs);
+      return factor_->solve(rhs);
     }
   }
   counters().refinement_iterations.inc(iterations);
@@ -96,7 +96,7 @@ std::vector<array2d<cplx>> simulation_engine::solve_batch(const std::vector<cvec
       sp.arg("backend", nominal_ ? "nearby" : "direct");
       sp.arg("batch", std::to_string(rhs.size()));
     }
-    xs = factored_.load(std::memory_order_acquire) ? lu_->solve(rhs) : solve_nearby(rhs);
+    xs = factored_.load(std::memory_order_acquire) ? factor_->solve(rhs) : solve_nearby(rhs);
   }
 
   const grid2d& g = solver_.grid();

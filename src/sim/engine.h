@@ -30,11 +30,13 @@ struct engine_settings {
 /// One prepared FDFD simulation. All solve methods are const and
 /// thread-safe.
 ///
-/// A direct engine factors its operator (nested-dissection LU,
-/// `sp::grid_lu`) in the constructor, under the `sim.factorize` span.
+/// A direct engine factors its operator (nested-dissection L D Lᵀ,
+/// `sp::grid_ldlt`) in the constructor, under the `sim.factorize` span. The
+/// operator is complex symmetric, so that one factor serves the forward and
+/// the adjoint solves.
 ///
 /// A nearby engine never factors its (perturbed) operator up front: the
-/// nominal engine's LU left-preconditions a short GMRES outer loop on the
+/// nominal engine's factor left-preconditions a short GMRES outer loop on the
 /// perturbed CSR operator, started from zero so the first Krylov vector is the
 /// nominal solution (M^{-1} A is a low-rank perturbation of the identity when
 /// the permittivity change is localized, so a handful of iterations reach the
@@ -49,7 +51,7 @@ class simulation_engine {
   simulation_engine(const grid2d& grid, const pml_spec& pml, double k0,
                     const array2d<double>& eps, engine_settings settings = {});
 
-  /// Nearby engine for `eps`, preconditioned by `nominal`'s LU; `nominal`
+  /// Nearby engine for `eps`, preconditioned by `nominal`'s factor; `nominal`
   /// must be a direct engine (else `bad_argument`). Grid, PML, k0 and
   /// settings are inherited from it, and it is kept alive for the lifetime
   /// of this one.
@@ -89,9 +91,9 @@ class simulation_engine {
   /// operator.
   std::shared_ptr<const simulation_engine> nominal_;
   sp::csr_c a_;
-  /// This operator's LU: set in a direct engine's constructor, or once by a
+  /// This operator's factor: set in a direct engine's constructor, or once by a
   /// nearby engine's fallback. `factored_` is released after it is set.
-  mutable std::unique_ptr<const sp::grid_lu> lu_;
+  mutable std::unique_ptr<const sp::grid_ldlt> factor_;
   mutable std::once_flag fallback_once_;
   mutable std::atomic<bool> factored_{false};
 };

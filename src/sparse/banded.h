@@ -10,7 +10,7 @@ namespace boson::sp {
 
 /// Complex banded matrix with LU factorization and partial pivoting, in the
 /// style of LAPACK's gbtrf/gbtrs. The test oracle of the nested-dissection
-/// `grid_lu` (and the `bm_banded_lu` microbenchmark): a 2-D grid operator
+/// `grid_ldlt` (and the `bm_banded_lu` microbenchmark): a 2-D grid operator
 /// with unknowns ix * ny + iy is banded with kl = ku = ny, and a banded LU
 /// factors it in O(n * kl * (kl + ku)) time.
 ///

@@ -8,8 +8,8 @@
 namespace boson::sp {
 
 /// Matrix-free linear operator (or preconditioner application): the nearby
-/// engine passes the perturbed operator as a CSR matvec and a *nominal* LU
-/// solve as the preconditioner. An empty function means the identity.
+/// engine passes the perturbed operator as a CSR matvec and a *nominal*
+/// factor's solve as the preconditioner. An empty function means the identity.
 using linear_op = std::function<cvec(const cvec&)>;
 
 /// Outcome of an iterative solve.
@@ -21,7 +21,7 @@ struct krylov_result {
 
 /// Matrix-free restarted GMRES(m) with optional left preconditioning (empty
 /// `precond` = none). This is the outer loop of the nearby engine: with
-/// M = LU of a *nominal* operator and A a diagonally-perturbed corner
+/// M = L D Lᵀ of a *nominal* operator and A a diagonally-perturbed corner
 /// operator, M^{-1} A is a low-rank perturbation of the identity and the
 /// iteration converges in roughly one step per perturbed cell or better.
 /// `x` carries the initial guess in and the solution out; the convergence

@@ -9,7 +9,18 @@
 
 namespace boson::sp {
 
-std::size_t grid_lu::bisect(std::size_t x0, std::size_t x1, std::size_t y0, std::size_t y1) {
+namespace {
+
+/// |Re z| + |Im z|: LAPACK's cheap magnitude for complex pivot choices.
+double cabs1(double re, double im) { return std::abs(re) + std::abs(im); }
+
+/// Bunch–Kaufman threshold (1 + sqrt(17)) / 8: bounds the element growth of
+/// the 1x1 and 2x2 pivots alike.
+const double bk_alpha = (1.0 + std::sqrt(17.0)) / 8.0;
+
+}  // namespace
+
+std::size_t grid_ldlt::bisect(std::size_t x0, std::size_t x1, std::size_t y0, std::size_t y1) {
   const std::size_t w = x1 - x0;
   const std::size_t h = y1 - y0;
   node nd;
@@ -55,200 +66,311 @@ std::size_t grid_lu::bisect(std::size_t x0, std::size_t x1, std::size_t y0, std:
   return nodes_.size() - 1;
 }
 
-grid_lu::grid_lu(std::size_t nx, std::size_t ny, const csr_c& a) : nx_(nx), ny_(ny) {
+grid_ldlt::grid_ldlt(std::size_t nx, std::size_t ny, const csr_c& a) : nx_(nx), ny_(ny) {
   const std::size_t n = nx * ny;
-  require(n > 0, "grid_lu: empty grid");
-  require(a.rows() == n && a.cols() == n, "grid_lu: operator size does not match the grid");
+  require(n > 0, "grid_ldlt: empty grid");
+  require(a.rows() == n && a.cols() == n, "grid_ldlt: operator size does not match the grid");
   const auto& row_ptr = a.row_ptr();
   const auto& col = a.col_index();
   const auto& val = a.values();
-  bool five_point = true;
+  bool five_point = true, symmetric = true;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const std::size_t lo = std::min(i, col[k]), hi = std::max(i, col[k]);
+      const std::size_t j = col[k];
+      const std::size_t lo = std::min(i, j), hi = std::max(i, j);
       five_point = five_point && (hi == lo || hi == lo + ny || (hi == lo + 1 && hi % ny != 0));
+      // Only the lower triangle is read, so the upper one must mirror it
+      // exactly (an absent entry mirrors zero).
+      if (j == i) continue;
+      cplx mirror{};
+      for (std::size_t q = row_ptr[j]; q < row_ptr[j + 1]; ++q)
+        if (col[q] == i) mirror = val[q];
+      symmetric = symmetric && val[k] == mirror;
     }
   }
-  require(five_point, "grid_lu: operator entry couples cells that are not grid neighbours");
+  require(five_point, "grid_ldlt: operator entry couples cells that are not grid neighbours");
+  require(symmetric, "grid_ldlt: operator is not symmetric");
 
   // Symbolic step: the separator tree, then every node's storage.
   bisect(0, nx, 0, ny);
   std::size_t stored = 0, pivots = 0, widest = 0;
   for (node& nd : nodes_) {
-    const std::size_t m = nd.own + nd.ring;
+    const std::size_t s = nd.own;
+    const std::size_t m = s + nd.ring;
     nd.pivot_begin = pivots;
     nd.offset = stored;
-    pivots += nd.own;
-    stored += m * nd.own + nd.own * nd.ring;
+    pivots += s;
+    stored += m * s - s * (s - 1) / 2;
     widest = std::max(widest, m);
   }
   pivots_.resize(pivots);
   factors_.resize(stored);
 
-  // Numeric step, serially in postorder. Fronts and contribution blocks are
-  // kept as separate real and imaginary planes so the update kernel is plain
-  // vertical arithmetic.
+  // Numeric step, serially in postorder. A front is an m x m row-major array
+  // kept as separate real and imaginary planes, so the update kernel is plain
+  // vertical arithmetic. Its lower triangle holds the assembled entries,
+  // overwritten by L and D. The strictly upper part of the own rows holds
+  // W = D Lᵀ, each pivot column as it was just before scaling, so every
+  // update reads a contiguous row of W.
   std::vector<std::size_t> pos(n, none);  // cell -> row of the current front
+  std::vector<std::size_t> ring_pos(widest);  // a child's ring -> rows of the front
   std::vector<dvec> contributions(nodes_.size());
-  dvec fr, fi;
-  fr.reserve(widest * widest);
-  fi.reserve(widest * widest);
-  cvec inv_diag(widest);
+  dvec fr(widest * widest), fi(widest * widest);
+  cvec d11(widest), d22(widest), d21(widest);  // per pivot step: see `eliminate`
   for (std::size_t t = 0; t < nodes_.size(); ++t) {
     const node& nd = nodes_[t];
     const std::size_t s = nd.own;
     const std::size_t m = s + nd.ring;
     const std::size_t* cells = &front_cells_[nd.front_begin];
-    for (std::size_t i = 0; i < m; ++i) pos[cells[i]] = i;
-    fr.assign(m * m, 0.0);
-    fi.assign(m * m, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      pos[cells[i]] = i;
+      std::fill(&fr[i * m], &fr[i * m] + i + 1, 0.0);
+      std::fill(&fi[i * m], &fi[i * m] + i + 1, 0.0);
+    }
 
-    // Operator entries with an own cell as row or column; every other
-    // column of an own row was eliminated by a descendant, which assembled
-    // that entry into its own front.
+    // Operator entries with an own cell as row or column, lower triangle
+    // only; every other column of an own row was eliminated by a descendant,
+    // which assembled that entry into its own front.
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t cell = cells[i];
       for (std::size_t k = row_ptr[cell]; k < row_ptr[cell + 1]; ++k) {
         const std::size_t p = pos[col[k]];
-        if (p == none || (i >= s && p >= s)) continue;
+        if (p == none || p > i || p >= s) continue;
         fr[i * m + p] += val[k].real();
         fi[i * m + p] += val[k].imag();
       }
     }
 
-    // Extend-add the children's contribution blocks, in child order.
+    // Extend-add the children's contribution blocks (packed lower
+    // triangles), in child order. A child's ring order is not the parent's
+    // front order, so an entry may land above the diagonal: it goes to its
+    // mirror.
     for (const std::size_t c : nd.children) {
       if (c == none) continue;
       const node& child = nodes_[c];
       const std::size_t r = child.ring;
       const std::size_t* ring = &front_cells_[child.front_begin + child.own];
       const double* cr = contributions[c].data();
-      const double* ci = cr + r * r;
+      const double* ci = cr + r * (r + 1) / 2;
+      for (std::size_t a = 0; a < r; ++a) ring_pos[a] = pos[ring[a]];
       for (std::size_t a = 0; a < r; ++a) {
-        const std::size_t row = pos[ring[a]] * m;
-        for (std::size_t b = 0; b < r; ++b) {
-          fr[row + pos[ring[b]]] += cr[a * r + b];
-          fi[row + pos[ring[b]]] += ci[a * r + b];
+        const std::size_t pa = ring_pos[a];
+        for (std::size_t b = 0; b <= a; ++b) {
+          const std::size_t pb = ring_pos[b];
+          const std::size_t at = pa >= pb ? pa * m + pb : pb * m + pa;
+          fr[at] += *cr++;
+          fi[at] += *ci++;
         }
       }
       dvec().swap(contributions[c]);
     }
 
-    // Multiplier of row i at pivot k, stored in place of the eliminated
-    // entry, followed by the row update over columns (k, m).
+    const auto swap_entries = [&](std::size_t x, std::size_t y) {
+      std::swap(fr[x], fr[y]);
+      std::swap(fi[x], fi[y]);
+    };
+    // Row i's part in the pivot step starting at k: its pivot-column entries
+    // become W's column i, their multipliers replace them, and its columns
+    // up to the diagonal take the update by the matching rows of W (whose
+    // columns up to i are in place: rows are eliminated in increasing order
+    // within a step). A 1x1 step keeps 1/d in d11[k]; a 2x2 step keeps
+    // LAPACK's scaled form of D^{-1} in d11/d22/d21[k].
+    std::size_t* piv = &pivots_[nd.pivot_begin];
     const auto eliminate = [&](std::size_t i, std::size_t k) {
-      const cplx l = cplx(fr[i * m + k], fi[i * m + k]) * inv_diag[k];
-      fr[i * m + k] = l.real();
-      fi[i * m + k] = l.imag();
-      if (l == cplx{}) return;
-      const std::size_t d = i * m + k + 1, u = k * m + k + 1;
-      sub_scaled(&fr[d], &fi[d], &fr[u], &fi[u], l, m - k - 1);
+      double* ri = &fr[i * m];
+      double* ii = &fi[i * m];
+      double* wr = &fr[k * m];
+      double* wi = &fi[k * m];
+      if (piv[k] != none) {
+        wr[i] = ri[k];
+        wi[i] = ii[k];
+        const cplx l = cplx(ri[k], ii[k]) * d11[k];
+        ri[k] = l.real();
+        ii[k] = l.imag();
+        if (l != cplx{}) sub_scaled(ri + k + 1, ii + k + 1, wr + k + 1, wi + k + 1, l, i - k);
+        return;
+      }
+      const cplx w0(ri[k], ii[k]), w1(ri[k + 1], ii[k + 1]);
+      wr[i] = w0.real();
+      wi[i] = w0.imag();
+      wr[m + i] = w1.real();
+      wi[m + i] = w1.imag();
+      const cplx l0 = d21[k] * (d11[k] * w0 - w1);
+      const cplx l1 = d21[k] * (d22[k] * w1 - w0);
+      ri[k] = l0.real();
+      ii[k] = l0.imag();
+      ri[k + 1] = l1.real();
+      ii[k + 1] = l1.imag();
+      const std::size_t n2 = i - k - 1;
+      if (l0 != cplx{}) sub_scaled(ri + k + 2, ii + k + 2, wr + k + 2, wi + k + 2, l0, n2);
+      if (l1 != cplx{}) sub_scaled(ri + k + 2, ii + k + 2, wr + m + k + 2, wi + m + k + 2, l1, n2);
     };
 
-    // LU of the own rows, pivoting among them only. Whole rows are swapped
-    // (LAPACK-style), so the stored L is that of the permuted rows.
-    std::size_t* piv = &pivots_[nd.pivot_begin];
-    for (std::size_t k = 0; k < s; ++k) {
-      std::size_t p = k;
-      double best = std::hypot(fr[k * m + k], fi[k * m + k]);
+    // The own block, right-looking: choose each step's pivot among the own
+    // rows, swap it into place symmetrically, eliminate the own rows. The
+    // swap covers the trailing own block only: the substitutions apply each
+    // step's swap in turn, so earlier L columns stay as they are, and the
+    // ring rows take theirs in the sweep below.
+    const auto entry = [&](std::size_t i, std::size_t j) {
+      return cabs1(fr[i * m + j], fi[i * m + j]);
+    };
+    for (std::size_t k = 0; k < s;) {
+      const double absakk = entry(k, k);
+      double colmax = 0.0;
+      std::size_t imax = k;
       for (std::size_t i = k + 1; i < s; ++i) {
-        const double mag = std::hypot(fr[i * m + k], fi[i * m + k]);
-        if (mag > best) {
-          best = mag;
-          p = i;
+        const double v = entry(i, k);
+        if (v > colmax) {
+          colmax = v;
+          imax = i;
         }
       }
-      if (!(best > 1e-300)) throw numeric_error("grid_lu: singular pivot");
-      piv[k] = p;
-      if (p != k) {
-        std::swap_ranges(&fr[k * m], &fr[k * m] + m, &fr[p * m]);
-        std::swap_ranges(&fi[k * m], &fi[k * m] + m, &fi[p * m]);
+      if (!(std::max(absakk, colmax) > 1e-300)) throw numeric_error("grid_ldlt: singular pivot");
+      // LAPACK sytf2's choice: a 1x1 pivot at k, a 1x1 pivot at imax, or a
+      // 2x2 pivot on (k, imax). The step ends at row kk, into which own row
+      // kp is swapped.
+      std::size_t kk = k, kp = k;
+      if (absakk < bk_alpha * colmax) {
+        double rowmax = 0.0;
+        for (std::size_t j = k; j < imax; ++j) rowmax = std::max(rowmax, entry(imax, j));
+        for (std::size_t j = imax + 1; j < s; ++j) rowmax = std::max(rowmax, entry(j, imax));
+        if (absakk < bk_alpha * colmax * (colmax / rowmax)) {
+          kp = imax;
+          if (entry(imax, imax) < bk_alpha * rowmax) kk = k + 1;
+        }
       }
-      inv_diag[k] = 1.0 / cplx(fr[k * m + k], fi[k * m + k]);
-      for (std::size_t i = k + 1; i < s; ++i) eliminate(i, k);
+      if (kp != kk) {
+        for (std::size_t i = kp + 1; i < s; ++i) swap_entries(i * m + kk, i * m + kp);
+        for (std::size_t j = kk + 1; j < kp; ++j) swap_entries(j * m + kk, kp * m + j);
+        swap_entries(kk * m + kk, kp * m + kp);
+        if (kk != k) swap_entries(kk * m + k, kp * m + k);
+      }
+      if (kk == k) {
+        piv[k] = kp;
+        d11[k] = 1.0 / cplx(fr[k * m + k], fi[k * m + k]);
+      } else {
+        piv[k] = none;
+        piv[k + 1] = kp;
+        const cplx b(fr[(k + 1) * m + k], fi[(k + 1) * m + k]);
+        d11[k] = cplx(fr[(k + 1) * m + k + 1], fi[(k + 1) * m + k + 1]) / b;
+        d22[k] = cplx(fr[k * m + k], fi[k * m + k]) / b;
+        d21[k] = 1.0 / (d11[k] * d22[k] - 1.0) / b;
+      }
+      for (std::size_t i = kk + 1; i < s; ++i) eliminate(i, k);
+      k = kk + 1;
     }
-    // Ring rows, one at a time (i-k-j): L21 = A21 U11^{-1}, and the same
-    // sweep leaves the Schur complement A22 - L21 U12 in the ring columns.
-    for (std::size_t i = s; i < m; ++i)
-      for (std::size_t k = 0; k < s; ++k) eliminate(i, k);
 
-    // Keep the factors column-major (the substitutions stream down columns)
-    // and hand the Schur complement to the parent.
-    cplx* lu = factors_.data() + nd.offset;
+    // Ring rows, one at a time (left-looking): each step applies its column
+    // swap and eliminates. This forms L21, and the same sweep leaves the
+    // Schur complement in the ring columns up to the diagonal.
+    for (std::size_t i = s; i < m; ++i) {
+      for (std::size_t k = 0; k < s;) {
+        const std::size_t kk = piv[k] == none ? k + 1 : k;
+        if (piv[kk] != kk) swap_entries(i * m + kk, i * m + piv[kk]);
+        eliminate(i, k);
+        k = kk + 1;
+      }
+    }
+
+    // Keep the trapezoid column-major (the substitutions stream down
+    // columns) and hand the Schur complement's lower triangle to the parent.
+    cplx* out = factors_.data() + nd.offset;
     for (std::size_t k = 0; k < s; ++k)
-      for (std::size_t i = 0; i < m; ++i) lu[k * m + i] = cplx(fr[i * m + k], fi[i * m + k]);
-    cplx* u12 = lu + m * s;
-    for (std::size_t j = s; j < m; ++j)
-      for (std::size_t i = 0; i < s; ++i) u12[(j - s) * s + i] = cplx(fr[i * m + j], fi[i * m + j]);
+      for (std::size_t i = k; i < m; ++i) *out++ = cplx(fr[i * m + k], fi[i * m + k]);
     if (nd.ring > 0) {
       const std::size_t r = nd.ring;
       dvec& cb = contributions[t];
-      cb.resize(2 * r * r);
+      cb.resize(r * (r + 1));
+      double* cr = cb.data();
+      double* ci = cr + r * (r + 1) / 2;
       for (std::size_t a = 0; a < r; ++a) {
         const std::size_t row = (s + a) * m + s;
-        std::copy(&fr[row], &fr[row] + r, &cb[a * r]);
-        std::copy(&fi[row], &fi[row] + r, &cb[r * r + a * r]);
+        cr = std::copy(&fr[row], &fr[row] + a + 1, cr);
+        ci = std::copy(&fi[row], &fi[row] + a + 1, ci);
       }
     }
     for (std::size_t i = 0; i < m; ++i) pos[cells[i]] = none;
   }
 }
 
-cvec grid_lu::solve(const cvec& b) const {
+cvec grid_ldlt::solve(const cvec& b) const {
   std::vector<cvec> xs{b};
   substitute(xs);
   return std::move(xs.front());
 }
 
-std::vector<cvec> grid_lu::solve(const std::vector<cvec>& bs) const {
+std::vector<cvec> grid_ldlt::solve(const std::vector<cvec>& bs) const {
   std::vector<cvec> xs = bs;
   substitute(xs);
   return xs;
 }
 
-void grid_lu::substitute(std::vector<cvec>& xs) const {
+void grid_ldlt::substitute(std::vector<cvec>& xs) const {
   const std::size_t n = size();
-  for (const auto& x : xs) require(x.size() == n, "grid_lu::solve: rhs size mismatch");
+  for (const auto& x : xs) require(x.size() == n, "grid_ldlt::solve: rhs size mismatch");
   const std::size_t nb = xs.size();
   cvec block;  // the current front's entries of every right-hand side
 
-  // Forward: per node, all of its row swaps, then the unit-lower solve,
-  // which also updates the ring entries owned by ancestors.
+  // Forward: per node, each pivot step's swap, its L columns (which also
+  // update the ring entries owned by ancestors) and its D block.
   for (const node& nd : nodes_) {
     const std::size_t s = nd.own;
     const std::size_t m = s + nd.ring;
     const std::size_t* cells = &front_cells_[nd.front_begin];
     const std::size_t* piv = &pivots_[nd.pivot_begin];
-    const cplx* lu = panel(nd);
     block.resize(m * nb);
     for (std::size_t c = 0; c < nb; ++c) {
       cplx* xf = &block[c * m];
       for (std::size_t i = 0; i < m; ++i) xf[i] = xs[c][cells[i]];
-      for (std::size_t k = 0; k < s; ++k)
-        if (piv[k] != k) std::swap(xf[k], xf[piv[k]]);
-      for (std::size_t k = 0; k < s; ++k)
-        if (xf[k] != cplx{}) sub_scaled(xf + k + 1, lu + k * m + k + 1, xf[k], m - k - 1);
+      for (std::size_t k = 0; k < s;) {
+        const cplx* lk = column(nd, k);
+        if (piv[k] != none) {
+          if (piv[k] != k) std::swap(xf[k], xf[piv[k]]);
+          if (xf[k] != cplx{}) {
+            sub_scaled(xf + k + 1, lk + 1, xf[k], m - k - 1);
+            xf[k] /= lk[0];
+          }
+          k += 1;
+          continue;
+        }
+        const cplx* lk1 = column(nd, k + 1);
+        if (piv[k + 1] != k + 1) std::swap(xf[k + 1], xf[piv[k + 1]]);
+        if (xf[k] != cplx{} || xf[k + 1] != cplx{}) {
+          sub_scaled(xf + k + 2, lk + 2, xf[k], m - k - 2);
+          sub_scaled(xf + k + 2, lk1 + 1, xf[k + 1], m - k - 2);
+          // LAPACK's scaled solve with D = [lk[0] lk[1]; lk[1] lk1[0]].
+          const cplx b = lk[1];
+          const cplx a = lk[0] / b, d = lk1[0] / b;
+          const cplx denom = a * d - 1.0;
+          const cplx u = xf[k] / b, v = xf[k + 1] / b;
+          xf[k] = (d * u - v) / denom;
+          xf[k + 1] = (a * v - u) / denom;
+        }
+        k += 2;
+      }
       for (std::size_t i = 0; i < m; ++i) xs[c][cells[i]] = xf[i];
     }
   }
 
-  // Backward, in reverse postorder: the ring (ancestor) unknowns are final.
+  // Backward, in reverse postorder: the ring (ancestor) unknowns are final,
+  // so each own entry subtracts its L column's dot product with the entries
+  // below it, then the step's swap is undone.
   for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
     const node& nd = *it;
     const std::size_t s = nd.own;
     const std::size_t m = s + nd.ring;
     const std::size_t* cells = &front_cells_[nd.front_begin];
-    const cplx* lu = panel(nd);
-    const cplx* u12 = upper(nd);
+    const std::size_t* piv = &pivots_[nd.pivot_begin];
     block.resize(m * nb);
     for (std::size_t c = 0; c < nb; ++c) {
       cplx* xf = &block[c * m];
       for (std::size_t i = 0; i < m; ++i) xf[i] = xs[c][cells[i]];
-      for (std::size_t j = s; j < m; ++j)
-        if (xf[j] != cplx{}) sub_scaled(xf, u12 + (j - s) * s, xf[j], s);
-      for (std::size_t k = s; k-- > 0;) {
-        xf[k] /= lu[k * m + k];
-        if (xf[k] != cplx{}) sub_scaled(xf, lu + k * m, xf[k], k);
+      for (std::size_t k = s; k > 0;) {
+        const bool two = k >= 2 && piv[k - 2] == none;  // a 2x2 step ends at k - 1
+        xf[k - 1] -= dot(column(nd, k - 1) + 1, xf + k, m - k);
+        if (two) xf[k - 2] -= dot(column(nd, k - 2) + 2, xf + k, m - k);
+        if (piv[k - 1] != k - 1) std::swap(xf[k - 1], xf[piv[k - 1]]);
+        k -= two ? 2 : 1;
       }
       for (std::size_t i = 0; i < s; ++i) xs[c][cells[i]] = xf[i];
     }

@@ -8,9 +8,11 @@
 
 namespace boson::sp {
 
-/// Sparse LU of a 5-point operator on an nx x ny grid (unknown ix * ny + iy),
-/// ordered by geometric nested dissection and factored by the multifrontal
-/// method. This is the direct solver behind every FDFD simulation.
+/// Sparse L D Lᵀ factorization of a complex-symmetric (A = Aᵀ, unconjugated)
+/// 5-point operator on an nx x ny grid (unknown ix * ny + iy), ordered by
+/// geometric nested dissection and factored by the multifrontal method. This
+/// is the direct solver behind every FDFD simulation: the forward and the
+/// adjoint solves share one factor.
 ///
 /// Symbolic step: the grid is bisected recursively from (nx, ny) alone. Each
 /// region is cut across its longer side by a one-cell-wide separator until it
@@ -19,27 +21,31 @@ namespace boson::sp {
 /// (the separator, or every cell of a leaf) followed by the ring of cells
 /// bordering its region; ring cells always lie in ancestor separators.
 ///
-/// Numeric step, serially in postorder: each node assembles a dense front
-/// from the operator entries of its own cells plus its children's
-/// contribution blocks (extend-add), LU-factors the own (fully summed) rows
-/// with row pivoting restricted to them, and leaves the Schur complement on
-/// the ring as its contribution block to the parent. The fixed tree and the
-/// fixed assembly order make the factors deterministic by construction.
-/// Cost: O(n^1.5) flops and O(n log n) stored entries, against O(n ny^2) for
-/// a banded LU.
-class grid_lu {
+/// Numeric step, serially in postorder: each node assembles the lower
+/// triangle of a dense front from the operator entries of its own cells plus
+/// its children's contribution blocks (extend-add). It factors the own (fully
+/// summed) block as P F11 Pᵀ = L11 D L11ᵀ, D block diagonal with 1x1 and 2x2
+/// blocks chosen by Bunch–Kaufman pivoting restricted to the own cells, forms
+/// L21, and leaves the lower triangle of the Schur complement
+/// F22 - L21 D L21ᵀ on the ring as its contribution block to the parent. The
+/// fixed tree and the fixed assembly order make the factors deterministic by
+/// construction. Cost: O(n^1.5) flops and O(n log n) stored entries, about
+/// half of an LU on the same tree, against O(n ny^2) for a banded LU.
+class grid_ldlt {
  public:
   /// Largest leaf region of the separator tree, in cells.
   static constexpr std::size_t leaf_cells = 16;
 
   /// Factor the n x n operator `a` (n = nx * ny). Every entry must couple a
-  /// cell with itself or one of its four grid neighbours (else
-  /// `bad_argument`). Throws `numeric_error` on a zero pivot.
-  grid_lu(std::size_t nx, std::size_t ny, const csr_c& a);
+  /// cell with itself or one of its four grid neighbours, and `a` must be
+  /// exactly symmetric, since only its lower triangle is read (else
+  /// `bad_argument`). Throws `numeric_error` when a front's own block is
+  /// singular.
+  grid_ldlt(std::size_t nx, std::size_t ny, const csr_c& a);
 
   std::size_t size() const { return nx_ * ny_; }
 
-  /// Stored complex entries of the L and U factors.
+  /// Stored complex entries: every node's lower trapezoid of L and D.
   std::size_t fill() const { return factors_.size(); }
 
   /// Solve A x = b; returns x.
@@ -54,18 +60,24 @@ class grid_lu {
   std::vector<cvec> solve(const std::vector<cvec>& bs) const;
 
  private:
-  /// "No index": absent children, cells outside the current front.
+  /// "No index": absent children, cells outside the current front, and the
+  /// pivot entry of the first row of a 2x2 block.
   static constexpr std::size_t none = static_cast<std::size_t>(-1);
 
-  /// One separator-tree node after factorization. Its factors live in
-  /// `factors_` from `offset`: first the m x s column-major panel holding
-  /// U11 on and above the diagonal and the unit-lower L11 / L21 below it,
-  /// then U12 as an s x r column-major block (m = s + r front cells).
+  /// One separator-tree node after factorization (m = s + r front cells).
+  /// Its factor lives in `factors_` from `offset`: the m x s lower
+  /// trapezoid, column-major, column k holding rows k..m-1. A 1x1 block keeps
+  /// D on the diagonal and L below it. A 2x2 block on (k, k+1) keeps D in
+  /// (k, k), (k+1, k) and (k+1, k+1), and its L columns start at row k+2.
+  /// Its pivots (s entries from `pivot_begin`, in step order, LAPACK
+  /// `sytrf` style) name the own row swapped with row k just before step k;
+  /// for a 2x2 block the first entry is `none` and the second holds the swap
+  /// of row k+1.
   struct node {
     std::size_t front_begin = 0;  ///< into front_cells_
     std::size_t own = 0;          ///< s: fully summed cells
     std::size_t ring = 0;         ///< r: update cells
-    std::size_t pivot_begin = 0;  ///< into pivots_ (s local row swaps)
+    std::size_t pivot_begin = 0;  ///< into pivots_
     std::size_t offset = 0;       ///< into factors_
     std::size_t children[2] = {none, none};
   };
@@ -78,18 +90,17 @@ class grid_lu {
   /// Overwrite every right-hand side in `xs` with its solution.
   void substitute(std::vector<cvec>& xs) const;
 
-  // Pointer arithmetic, not &factors_[i]: the root's U12 block is empty and
-  // starts one past the last factor, which operator[] may not index.
-  const cplx* panel(const node& nd) const { return factors_.data() + nd.offset; }
-  const cplx* upper(const node& nd) const {
-    return factors_.data() + nd.offset + (nd.own + nd.ring) * nd.own;
+  /// Column k of a node's trapezoid, starting at its diagonal entry.
+  const cplx* column(const node& nd, std::size_t k) const {
+    const std::size_t m = nd.own + nd.ring;
+    return factors_.data() + nd.offset + k * (2 * m + 1 - k) / 2;
   }
 
   std::size_t nx_;
   std::size_t ny_;
   std::vector<node> nodes_;               // postorder
   std::vector<std::size_t> front_cells_;  // each node's own cells, then its ring
-  std::vector<std::size_t> pivots_;       // node-local pivot row per own row
+  std::vector<std::size_t> pivots_;       // node-local pivot steps
   cvec factors_;
 };
 

@@ -3,8 +3,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 
+#include "api/spec.h"
 #include "devices/builders.h"
 #include "io/csv.h"
 #include "io/json.h"
@@ -21,18 +23,18 @@ namespace {
 // stack garbage into the case names and change them from run to run. The tag
 // values keep the case names these suites are listed under.
 struct device_case {
-  dev::device_kind kind;
+  std::uint32_t device;  ///< index into api::device_table
   std::uint32_t name_tag;
   double resolution;
+
+  dev::device_spec make() const { return api::device_table[device].make(resolution); }
 };
 static_assert(sizeof(device_case) == 16, "device_case must have no padding");
 
 class device_builders : public ::testing::TestWithParam<device_case> {};
 
 TEST_P(device_builders, geometry_is_well_formed) {
-  const auto kind = GetParam().kind;
-  const double res = GetParam().resolution;
-  const auto d = dev::make_device(kind, res);
+  const auto d = GetParam().make();
 
   EXPECT_FALSE(d.name.empty());
   EXPECT_GT(d.k0, 0.0);
@@ -59,9 +61,7 @@ TEST_P(device_builders, geometry_is_well_formed) {
 }
 
 TEST_P(device_builders, ports_are_inside_the_interior) {
-  const auto kind = GetParam().kind;
-  const double res = GetParam().resolution;
-  const auto d = dev::make_device(kind, res);
+  const auto d = GetParam().make();
   const std::size_t pml = d.pml.cells;
 
   auto check_port = [&](const dev::port& p) {
@@ -89,9 +89,7 @@ TEST_P(device_builders, ports_are_inside_the_interior) {
 }
 
 TEST_P(device_builders, objective_references_defined_metrics_and_monitors) {
-  const auto kind = GetParam().kind;
-  const double res = GetParam().resolution;
-  const auto d = dev::make_device(kind, res);
+  const auto d = GetParam().make();
 
   std::set<std::string> monitor_names;
   for (const auto& exc : d.excitations) {
@@ -118,17 +116,18 @@ TEST_P(device_builders, objective_references_defined_metrics_and_monitors) {
 
 INSTANTIATE_TEST_SUITE_P(
     all, device_builders,
-    ::testing::Values(device_case{dev::device_kind::bend, 0, 0.05},
-                      device_case{dev::device_kind::bend, 0x7fff, 0.1},
-                      device_case{dev::device_kind::crossing, 0, 0.05},
-                      device_case{dev::device_kind::crossing, 0, 0.1},
-                      device_case{dev::device_kind::isolator, 0, 0.05},
-                      device_case{dev::device_kind::isolator, 0x7fff, 0.1}));
+    ::testing::Values(device_case{0, 0, 0.05}, device_case{0, 0x7fff, 0.1},
+                      device_case{1, 0, 0.05}, device_case{1, 0, 0.1},
+                      device_case{2, 0, 0.05}, device_case{2, 0x7fff, 0.1}));
 
 TEST(devices, names_match_paper_benchmarks) {
-  EXPECT_STREQ(dev::to_string(dev::device_kind::bend), "bending");
-  EXPECT_STREQ(dev::to_string(dev::device_kind::crossing), "crossing");
-  EXPECT_STREQ(dev::to_string(dev::device_kind::isolator), "isolator");
+  ASSERT_EQ(std::size(api::device_table), 3u);
+  EXPECT_STREQ(api::device_table[0].name, "bend");
+  EXPECT_STREQ(api::device_table[1].name, "crossing");
+  EXPECT_STREQ(api::device_table[2].name, "isolator");
+  EXPECT_EQ(api::device_table[0].make(0.1).name, "bending");
+  EXPECT_EQ(api::device_table[1].make(0.1).name, "crossing");
+  EXPECT_EQ(api::device_table[2].make(0.1).name, "isolator");
 }
 
 TEST(devices, isolator_has_forward_and_backward_excitations) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "api/spec.h"
 #include "common/rng.h"
 #include "devices/builders.h"
 #include "fab/temperature.h"
@@ -18,24 +19,25 @@ namespace {
 constexpr double k0_default = 2.0 * pi / 1.55;
 
 /// Direct solves of one discretization: its operator factored once by the
-/// nested-dissection LU, serving forward and adjoint right-hand sides alike.
+/// nested-dissection L D Lᵀ, serving forward and adjoint right-hand sides
+/// alike.
 class direct_solve {
  public:
   explicit direct_solve(const fdfd_solver& solver)
-      : solver_(solver), lu_(solver.grid().nx, solver.grid().ny, solver.assemble_csr()) {}
+      : solver_(solver), factor_(solver.grid().nx, solver.grid().ny, solver.assemble_csr()) {}
 
   /// Field of one current-density excitation.
   array2d<cplx> operator()(const array2d<cplx>& current_density) const {
     cvec b;
     solver_.build_rhs(current_density, b);
-    return as_grid(lu_.solve(b));
+    return as_grid(factor_.solve(b));
   }
 
   /// Adjoint field of one sparse field gradient.
   array2d<cplx> adjoint(const field_gradient& g) const {
     cvec b;
     solver_.build_adjoint_rhs(g, b);
-    return as_grid(lu_.solve(b));
+    return as_grid(factor_.solve(b));
   }
 
  private:
@@ -46,7 +48,7 @@ class direct_solve {
   }
 
   const fdfd_solver& solver_;
-  sp::grid_lu lu_;
+  sp::grid_ldlt factor_;
 };
 
 array2d<cplx> solve(const fdfd_solver& solver, const array2d<cplx>& current_density) {
@@ -459,13 +461,12 @@ TEST(gradients, adjoint_eps_gradient_matches_fd) {
 }
 
 TEST(fdfd_solver, factorization_matches_banded_oracle_on_all_devices) {
-  // The nested-dissection LU against the banded LU on every device operator
+  // The nested-dissection LDLᵀ against the banded LU on every device operator
   // at two resolutions, with a random binary design in the window.
   const double eps_si = fab::eps_si(300.0);
-  for (const auto kind :
-       {dev::device_kind::bend, dev::device_kind::crossing, dev::device_kind::isolator}) {
+  for (const api::device_entry& device : api::device_table) {
     for (const double res : {0.1, 0.05}) {
-      const dev::device_spec spec = dev::make_device(kind, res);
+      const dev::device_spec spec = device.make(res);
       const grid2d& g = spec.grid;
       array2d<double> eps(g.nx, g.ny);
       for (std::size_t ix = 0; ix < g.nx; ++ix)
@@ -480,7 +481,7 @@ TEST(fdfd_solver, factorization_matches_banded_oracle_on_all_devices) {
 
       cvec b(g.cell_count());
       for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-      const cvec x = sp::grid_lu(g.nx, g.ny, a).solve(b);
+      const cvec x = sp::grid_ldlt(g.nx, g.ny, a).solve(b);
       sp::banded_lu oracle(a.rows(), g.ny, g.ny);
       for (std::size_t i = 0; i < a.rows(); ++i)
         for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)
@@ -496,7 +497,7 @@ TEST(fdfd_solver, factorization_matches_banded_oracle_on_all_devices) {
         diff2 += std::norm(x[i] - xb[i]);
         x2 += std::norm(xb[i]);
       }
-      const std::string where = std::string(dev::to_string(kind)) + " @ " + std::to_string(res);
+      const std::string where = std::string(device.name) + " @ " + std::to_string(res);
       EXPECT_LT(std::sqrt(res2 / b2), 1e-12) << where;
       EXPECT_LT(std::sqrt(diff2 / x2), 1e-10) << where;
     }
@@ -504,7 +505,7 @@ TEST(fdfd_solver, factorization_matches_banded_oracle_on_all_devices) {
 }
 
 TEST(gradients, adjoint_reuses_factorization) {
-  // An adjoint solve through the LU that served a forward solve must agree
+  // An adjoint solve through the factor that served a forward solve must agree
   // with one through a fresh factorization.
   waveguide_fixture f(48, 36);
   const fdfd_solver solver(f.g, f.pml, k0_default, f.eps);

@@ -113,7 +113,7 @@ TEST(engine, batched_adjoints_match_fdfd_solver) {
   const auto lambdas = engine.solve_adjoints(gradients);
   ASSERT_EQ(lambdas.size(), gradients.size());
   const fdfd::fdfd_solver plain(f.g, f.pml, k0_default, f.eps);
-  const sp::grid_lu lu(f.g.nx, f.g.ny, plain.assemble_csr());
+  const sp::grid_ldlt lu(f.g.nx, f.g.ny, plain.assemble_csr());
   for (std::size_t k = 0; k < gradients.size(); ++k) {
     cvec b;
     plain.build_adjoint_rhs(gradients[k], b);
@@ -180,7 +180,7 @@ TEST(reuse, large_perturbation_triggers_counted_fallback_and_still_agrees) {
   const auto nominal =
       std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
 
-  // A distant operator: the nominal LU no longer clusters the spectrum
+  // A distant operator: the nominal factor no longer clusters the spectrum
   // enough for the outer loop's iteration cap.
   array2d<double> eps2 = f.eps;
   for (auto& v : eps2) v += 6.0;
