@@ -70,20 +70,19 @@ BENCHMARK(bm_banded_lu)->Arg(32)->Arg(48)->Arg(64)->Arg(88)->Unit(benchmark::kMi
 
 // ----------------------------------------------- nested-dissection LDLᵀ ----
 
-/// Random complex 5-point operator on a side x side grid (unknown ix*side+iy).
-sp::csr_c random_grid_operator(std::size_t side, rng& r) {
-  std::vector<sp::triplet<cplx>> t;
+/// Random complex 5-point stencil on a side x side grid (unknown ix*side+iy).
+sp::grid_stencil random_grid_stencil(std::size_t side, rng& r) {
+  const std::size_t n = side * side;
+  sp::grid_stencil a{side, side, cvec(n), cvec(n), cvec(n)};
   for (std::size_t ix = 0; ix < side; ++ix) {
     for (std::size_t iy = 0; iy < side; ++iy) {
       const std::size_t i = ix * side + iy;
-      t.push_back({i, i, cplx(4.0 + r.uniform(0, 1), 1.0)});
-      if (iy + 1 < side) t.push_back({i, i + 1, cplx(-1.0, 0.0)});
-      if (iy >= 1) t.push_back({i, i - 1, cplx(-1.0, 0.0)});
-      if (ix + 1 < side) t.push_back({i, i + side, cplx(-1.0, 0.0)});
-      if (ix >= 1) t.push_back({i, i - side, cplx(-1.0, 0.0)});
+      a.diag[i] = cplx(4.0 + r.uniform(0, 1), 1.0);
+      if (iy + 1 < side) a.y[i] = cplx(-1.0, 0.0);
+      if (ix + 1 < side) a.x[i] = cplx(-1.0, 0.0);
     }
   }
-  return sp::csr_c(side * side, side * side, std::move(t));
+  return a;
 }
 
 /// Factor + one solve, like bm_banded_lu; 176 is the 0.025 um-resolution
@@ -91,10 +90,10 @@ sp::csr_c random_grid_operator(std::size_t side, rng& r) {
 void bm_grid_ldlt(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   rng r(7);
-  const sp::csr_c a = random_grid_operator(side, r);
+  const sp::grid_stencil a = random_grid_stencil(side, r);
   const cvec b(side * side, cplx{1.0});
   for (auto _ : state) {
-    const sp::grid_ldlt ldlt(side, side, a);
+    const sp::grid_ldlt ldlt(a);
     benchmark::DoNotOptimize(ldlt.solve(b));
   }
   state.SetComplexityN(static_cast<benchmark::IterationCount>(side * side));
@@ -108,7 +107,7 @@ struct solver_fixture {
   grid2d g;
   pml_spec pml;
   array2d<double> eps;
-  sp::csr_c a;
+  sp::grid_stencil a;
   std::unique_ptr<sp::grid_ldlt> ldlt;
   std::vector<cvec> rhs;
 
@@ -120,8 +119,8 @@ struct solver_fixture {
     for (std::size_t ix = 0; ix < side; ++ix)
       for (std::size_t iy = side / 2 - 4; iy < side / 2 + 4; ++iy)
         eps(ix, iy) = fab::eps_si(300.0);
-    a = fdfd::fdfd_solver(g, pml, 2.0 * pi / 1.55, eps).assemble_csr();
-    ldlt = std::make_unique<sp::grid_ldlt>(side, side, a);  // factor outside every timed region
+    a = fdfd::fdfd_solver(g, pml, 2.0 * pi / 1.55, eps).stencil();
+    ldlt = std::make_unique<sp::grid_ldlt>(a);  // factor outside every timed region
     rng r(11);
     rhs.assign(nrhs, cvec(g.cell_count(), cplx{}));
     for (auto& b : rhs)
@@ -313,7 +312,7 @@ io::json_value time_solvers() {
       std::size_t fill = 0;
       for (int rep = 0; rep < 5; ++rep) {
         stopwatch sw;
-        const sp::grid_ldlt ldlt(side, side, f.a);
+        const sp::grid_ldlt ldlt(f.a);
         factor_s.push_back(sw.seconds());
         fill = ldlt.fill();
         sw.reset();

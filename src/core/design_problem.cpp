@@ -90,17 +90,11 @@ objective_eval eval_objective(const dev::objective_spec& obj,
   return out;
 }
 
-/// The engine of one evaluation: nearby to `opts.nominal_engine` when set,
-/// a full preparation otherwise.
+/// The engine of one evaluation: its operator, assembled and factored.
 std::shared_ptr<const sim::simulation_engine> make_engine(const dev::device_spec& spec,
-                                                          const array2d<double>& eps,
-                                                          const eval_options& opts) {
-  obs::span sp("sim.prepare", "sim");
-  if (sp.active()) sp.arg("mode", opts.nominal_engine ? "nearby" : "full");
-  if (opts.nominal_engine)
-    return std::make_shared<const sim::simulation_engine>(opts.nominal_engine, eps);
-  return std::make_shared<const sim::simulation_engine>(spec.grid, spec.pml, spec.k0, eps,
-                                                        opts.engine);
+                                                          const array2d<double>& eps) {
+  const obs::span sp("sim.prepare", "sim");
+  return std::make_shared<const sim::simulation_engine>(spec.grid, spec.pml, spec.k0, eps);
 }
 
 fab::etch_model etch_for(double beta, const eval_options& opts) {
@@ -185,10 +179,10 @@ array2d<double> design_problem::embed_in_halo(const array2d<double>& rho_design)
 }
 
 design_problem::solved_excitations design_problem::solve_excitations(
-    const array2d<double>& eps, const eval_options& opts) const {
+    const array2d<double>& eps) const {
   const auto& g = spec_.grid;
   solved_excitations out;
-  out.engine = make_engine(spec_, eps, opts);
+  out.engine = make_engine(spec_, eps);
 
   std::vector<array2d<cplx>> currents;
   currents.reserve(spec_.excitations.size());
@@ -223,7 +217,7 @@ void design_problem::compute_input_powers() {
     eps.data()[i] =
         fab::eps_void + (eps_s - fab::eps_void) * spec_.reference_occupancy.data()[i];
 
-  const solved_excitations sol = solve_excitations(eps, eval_options{});
+  const solved_excitations sol = solve_excitations(eps);
 
   input_power_.clear();
   for (std::size_t ei = 0; ei < spec_.excitations.size(); ++ei) {
@@ -267,20 +261,6 @@ design_problem design_problem::with_fab(fab_context fab) const {
   out.fab_ = std::move(fab);
   out.compute_halo_occupancy();
   return out;
-}
-
-std::shared_ptr<const sim::simulation_engine> design_problem::prepare_engine(
-    const array2d<double>& rho_design, const robust::variation_corner& corner,
-    const eval_options& opts) const {
-  require(rho_design.nx() == spec_.design.nx && rho_design.ny() == spec_.design.ny,
-          "prepare_engine: pattern shape mismatch");
-  array2d<double> occ(spec_.grid.nx, spec_.grid.ny);
-  array2d<double> eps(spec_.grid.nx, spec_.grid.ny);
-  fill_permittivity(fabricate(rho_design, corner, opts).rho_final, corner.temperature, occ,
-                    eps);
-  eval_options full = opts;
-  full.nominal_engine = nullptr;
-  return make_engine(spec_, eps, full);
 }
 
 design_problem::fabricated design_problem::fabricate(const array2d<double>& rho,
@@ -371,7 +351,7 @@ eval_result design_problem::evaluate_impl(const dvec* theta, const array2d<doubl
   array2d<double> eps(g.nx, g.ny);
   fill_permittivity(fabbed.rho_final, corner.temperature, occ, eps);
 
-  solved_excitations sol = solve_excitations(eps, opts);
+  solved_excitations sol = solve_excitations(eps);
   const sim::simulation_engine& engine = *sol.engine;
 
   struct monitor_entry {

@@ -64,15 +64,8 @@ struct eval_options {
   int morphology_shift = 0;
   double morphology_radius_cells = 1.2;
 
-  /// Solver settings for the FDFD solves of this evaluation.
+  /// Empty (see `sim::engine_settings`).
   sim::engine_settings engine;
-
-  /// When set, this evaluation's operator is not factored: its solves are
-  /// preconditioned by this engine's factor (a nearby engine, see
-  /// `sim::simulation_engine`). The caller prepares it, typically at
-  /// the nominal corner of the same mask, and it must share this problem's
-  /// grid, PML and k0. `engine` is then ignored.
-  std::shared_ptr<const sim::simulation_engine> nominal_engine;
 };
 
 /// Result of one evaluation: scalar loss, named metrics (including the
@@ -109,13 +102,6 @@ class design_problem {
 
   /// Launched power per excitation, measured on the reference structure.
   double input_power(std::size_t excitation_index) const;
-
-  /// Prepare (assemble and factor) the operator that `evaluate_pattern`
-  /// would solve for this mask and corner, without solving it. Used as the
-  /// `eval_options::nominal_engine` of nearby evaluations.
-  std::shared_ptr<const sim::simulation_engine> prepare_engine(
-      const array2d<double>& rho_design, const robust::variation_corner& corner,
-      const eval_options& opts) const;
 
   /// Full pipeline from latent variables.
   eval_result evaluate(const dvec& theta, const robust::variation_corner& corner,
@@ -158,8 +144,7 @@ class design_problem {
     std::shared_ptr<const sim::simulation_engine> engine;
     std::vector<array2d<cplx>> fields;
   };
-  solved_excitations solve_excitations(const array2d<double>& eps,
-                                       const eval_options& opts) const;
+  solved_excitations solve_excitations(const array2d<double>& eps) const;
 
   /// Forward fabrication chain of one evaluation: the (MFS-blurred)
   /// pattern, and through litho + etch (or the no-fab variants) the

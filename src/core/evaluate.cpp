@@ -30,12 +30,6 @@ mc_stats postfab_monte_carlo(const design_problem& problem, const array2d<double
   o.hard_etch = true;
   o.dense_objectives = false;
   o.compute_gradient = false;
-  // Every sample perturbs the same mask's nominal operator (boundary pixels
-  // through the litho/etch draw, the silicon permittivity through the
-  // temperature), so one nominal factorization preconditions them all.
-  robust::variation_corner nominal;
-  nominal.xi.assign(problem.fab().space.eole_terms, 0.0);
-  o.nominal_engine = problem.prepare_engine(mask, nominal, o);
 
   std::vector<std::map<std::string, double>> metric_samples(num_samples);
   parallel_for(num_samples, [&](std::size_t s) {

@@ -33,10 +33,9 @@ struct mc_stats {
 
 /// Post-fabrication evaluation protocol (Section IV-B): `num_samples` Monte
 /// Carlo draws of (lithography corner, temperature, EOLE etch field), hard
-/// etch binarization, FoM per the device objective. The mask's operator at
-/// the nominal corner is factored once per call and preconditions every
-/// sample's solves (`eval_options::nominal_engine`); samples run
-/// concurrently, and the statistics are a function of the arguments alone.
+/// etch binarization, FoM per the device objective. Every sample factors its
+/// own operator; samples run concurrently, and the statistics are a function
+/// of the arguments alone.
 mc_stats postfab_monte_carlo(const design_problem& problem, const array2d<double>& mask,
                              std::size_t num_samples, std::uint64_t seed);
 

@@ -205,7 +205,6 @@ run_options resolved_run_options(const method_recipe& recipe,
   ro.seed = cfg.seed;
   ro.objective_override = recipe.objective_override.empty() ? cfg.objective_override
                                                             : recipe.objective_override;
-  ro.engine = cfg.engine;
   ro.record_trajectory = cfg.record_trajectory;
   return ro;
 }

@@ -50,9 +50,6 @@ struct experiment_config {
   fab::eole_settings eole;
   robust::variation_space space;
 
-  /// Solver settings for the optimization's FDFD solves.
-  sim::engine_settings engine;
-
   /// Record the per-iteration trajectory in `run_result` (the Fig. 5
   /// series); observers receive the records either way.
   bool record_trajectory = true;

@@ -93,7 +93,7 @@ struct run_options {
   std::string objective_override;  ///< e.g. "fwd_transmission" for '-eff'
   bool record_trajectory = true;
 
-  /// Solver settings for every FDFD solve of the run.
+  /// Empty (see `sim::engine_settings`).
   sim::engine_settings engine;
 
   /// Observer hook called after every iteration with the nominal-corner

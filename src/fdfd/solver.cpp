@@ -17,13 +17,13 @@ fdfd_solver::fdfd_solver(const grid2d& grid, const pml_spec& pml, double k0,
 namespace {
 
 /// Stencil coefficients for cell (ix, iy) of the s_x s_y - scaled operator.
-struct stencil {
+struct cell_stencil {
   cplx east, west, north, south, diag;
 };
 
-stencil stencil_at(const grid2d& g, double k0, const array2d<double>& eps,
-                   const stretch_profile& sx, const stretch_profile& sy,
-                   std::size_t ix, std::size_t iy) {
+cell_stencil stencil_at(const grid2d& g, double k0, const array2d<double>& eps,
+                        const stretch_profile& sx, const stretch_profile& sy,
+                        std::size_t ix, std::size_t iy) {
   const double inv_dx2 = 1.0 / (g.dx * g.dx);
   const double inv_dy2 = 1.0 / (g.dy * g.dy);
   const cplx sxc = sx.center[ix];
@@ -34,7 +34,7 @@ stencil stencil_at(const grid2d& g, double k0, const array2d<double>& eps,
   const cplx sy_s = sy.iface[iy];
   const cplx sy_n = sy.iface[iy + 1];
 
-  stencil st;
+  cell_stencil st;
   st.east = syc / sx_e * inv_dx2;
   st.west = syc / sx_w * inv_dx2;
   st.north = sxc / sy_n * inv_dy2;
@@ -81,13 +81,28 @@ void fdfd_solver::accumulate_eps_gradient(const array2d<cplx>& field,
   }
 }
 
+sp::grid_stencil fdfd_solver::stencil() const {
+  const std::size_t n = grid_.cell_count();
+  sp::grid_stencil a{grid_.nx, grid_.ny, cvec(n), cvec(n), cvec(n)};
+  for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
+    for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
+      const cell_stencil st = stencil_at(grid_, k0_, eps_, sx_, sy_, ix, iy);
+      const std::size_t c = flat(ix, iy);
+      a.diag[c] = st.diag;
+      if (iy + 1 < grid_.ny) a.y[c] = st.north;
+      if (ix + 1 < grid_.nx) a.x[c] = st.east;
+    }
+  }
+  return a;
+}
+
 sp::csr_c fdfd_solver::assemble_csr() const {
   const std::size_t n = grid_.cell_count();
   std::vector<sp::triplet<cplx>> entries;
   entries.reserve(5 * n);
   for (std::size_t ix = 0; ix < grid_.nx; ++ix) {
     for (std::size_t iy = 0; iy < grid_.ny; ++iy) {
-      const stencil st = stencil_at(grid_, k0_, eps_, sx_, sy_, ix, iy);
+      const cell_stencil st = stencil_at(grid_, k0_, eps_, sx_, sy_, ix, iy);
       const std::size_t row = flat(ix, iy);
       // Column order within the row, so the CSR build skips its sort.
       if (ix > 0) entries.push_back({row, flat(ix - 1, iy), st.west});

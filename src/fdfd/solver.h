@@ -9,6 +9,7 @@
 #include "grid/grid2d.h"
 #include "grid/pml.h"
 #include "sparse/csr.h"
+#include "sparse/multifrontal.h"
 
 namespace boson::fdfd {
 
@@ -24,9 +25,9 @@ using field_gradient = std::vector<std::pair<std::size_t, cplx>>;
 ///
 /// The discrete operator is scaled by s_x(i) s_y(j) per row, which makes it
 /// *complex symmetric* (A = Aᵀ, unconjugated, bit for bit: mirrored entries
-/// come from the same expression). A single L D Lᵀ factorization
-/// (`sp::grid_ldlt`, which reads only the lower triangle) therefore serves
-/// both the forward solve A e = b and every adjoint solve A lambda = g.
+/// come from the same expression). A single L D Lᵀ factorization of its
+/// `stencil()` (`sp::grid_ldlt`) therefore serves both the forward solve
+/// A e = b and every adjoint solve A lambda = g.
 /// Unknowns are ordered ix * ny + iy.
 ///
 /// Units: lengths in um, c = eps0 = mu0 = 1, k0 = omega = 2 pi / lambda.
@@ -55,8 +56,12 @@ class fdfd_solver {
                                const array2d<cplx>& adjoint_field,
                                array2d<double>& grad) const;
 
-  /// Assemble the scaled operator A in CSR form — the input of the
-  /// factorization, the nearby engine's operator, and the tests' residuals.
+  /// The scaled operator A as a 5-point stencil: the factorization's input.
+  /// Each coupling is computed once, at the lower of its two cells.
+  sp::grid_stencil stencil() const;
+
+  /// The same operator assembled in CSR form, every row from its own cell's
+  /// coefficients: the tests' residual and banded-oracle operator.
   sp::csr_c assemble_csr() const;
 
   /// Per-axis complex stretch profiles (exposed for monitors and tests).

@@ -66,33 +66,18 @@ std::size_t grid_ldlt::bisect(std::size_t x0, std::size_t x1, std::size_t y0, st
   return nodes_.size() - 1;
 }
 
-grid_ldlt::grid_ldlt(std::size_t nx, std::size_t ny, const csr_c& a) : nx_(nx), ny_(ny) {
-  const std::size_t n = nx * ny;
+grid_ldlt::grid_ldlt(const grid_stencil& a) : nx_(a.nx), ny_(a.ny) {
+  const std::size_t n = nx_ * ny_;
   require(n > 0, "grid_ldlt: empty grid");
-  require(a.rows() == n && a.cols() == n, "grid_ldlt: operator size does not match the grid");
-  const auto& row_ptr = a.row_ptr();
-  const auto& col = a.col_index();
-  const auto& val = a.values();
-  bool five_point = true, symmetric = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const std::size_t j = col[k];
-      const std::size_t lo = std::min(i, j), hi = std::max(i, j);
-      five_point = five_point && (hi == lo || hi == lo + ny || (hi == lo + 1 && hi % ny != 0));
-      // Only the lower triangle is read, so the upper one must mirror it
-      // exactly (an absent entry mirrors zero).
-      if (j == i) continue;
-      cplx mirror{};
-      for (std::size_t q = row_ptr[j]; q < row_ptr[j + 1]; ++q)
-        if (col[q] == i) mirror = val[q];
-      symmetric = symmetric && val[k] == mirror;
-    }
-  }
-  require(five_point, "grid_ldlt: operator entry couples cells that are not grid neighbours");
-  require(symmetric, "grid_ldlt: operator is not symmetric");
+  require(a.diag.size() == n && a.y.size() == n && a.x.size() == n,
+          "grid_ldlt: stencil size does not match the grid");
+  for (std::size_t c = ny_ - 1; c < n; c += ny_)
+    require(a.y[c] == cplx{}, "grid_ldlt: y coupling past the last row");
+  for (std::size_t c = n - ny_; c < n; ++c)
+    require(a.x[c] == cplx{}, "grid_ldlt: x coupling past the last column");
 
   // Symbolic step: the separator tree, then every node's storage.
-  bisect(0, nx, 0, ny);
+  bisect(0, nx_, 0, ny_);
   std::size_t stored = 0, pivots = 0, widest = 0;
   for (node& nd : nodes_) {
     const std::size_t s = nd.own;
@@ -128,17 +113,23 @@ grid_ldlt::grid_ldlt(std::size_t nx, std::size_t ny, const csr_c& a) : nx_(nx), 
       std::fill(&fi[i * m], &fi[i * m] + i + 1, 0.0);
     }
 
-    // Operator entries with an own cell as row or column, lower triangle
+    // Stencil entries with an own cell as row or column, lower triangle
     // only; every other column of an own row was eliminated by a descendant,
     // which assembled that entry into its own front.
+    const auto assemble = [&](std::size_t i, std::size_t cell, cplx v) {
+      const std::size_t p = pos[cell];
+      if (p == none || p > i || p >= s) return;
+      fr[i * m + p] += v.real();
+      fi[i * m + p] += v.imag();
+    };
     for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t cell = cells[i];
-      for (std::size_t k = row_ptr[cell]; k < row_ptr[cell + 1]; ++k) {
-        const std::size_t p = pos[col[k]];
-        if (p == none || p > i || p >= s) continue;
-        fr[i * m + p] += val[k].real();
-        fi[i * m + p] += val[k].imag();
-      }
+      const std::size_t c = cells[i];
+      const std::size_t iy = c % ny_;
+      if (c >= ny_) assemble(i, c - ny_, a.x[c - ny_]);
+      if (iy > 0) assemble(i, c - 1, a.y[c - 1]);
+      assemble(i, c, a.diag[c]);
+      if (iy + 1 < ny_) assemble(i, c + 1, a.y[c]);
+      if (c + ny_ < n) assemble(i, c + ny_, a.x[c]);
     }
 
     // Extend-add the children's contribution blocks (packed lower

@@ -4,12 +4,22 @@
 #include <vector>
 
 #include "common/types.h"
-#include "sparse/csr.h"
 
 namespace boson::sp {
 
-/// Sparse L D Lᵀ factorization of a complex-symmetric (A = Aᵀ, unconjugated)
-/// 5-point operator on an nx x ny grid (unknown ix * ny + iy), ordered by
+/// A complex-symmetric (A = Aᵀ, unconjugated) 5-point operator on an
+/// nx x ny grid (unknown c = ix * ny + iy), stored as its diagonal and its
+/// two upward couplings. Each coupling is stored once, so the operator is
+/// symmetric by construction.
+struct grid_stencil {
+  std::size_t nx = 0;
+  std::size_t ny = 0;
+  cvec diag;  ///< A(c, c)
+  cvec y;     ///< A(c, c + 1) = A(c + 1, c); zero on the last row (iy = ny - 1)
+  cvec x;     ///< A(c, c + ny) = A(c + ny, c); zero on the last column (ix = nx - 1)
+};
+
+/// Sparse L D Lᵀ factorization of a `grid_stencil` operator, ordered by
 /// geometric nested dissection and factored by the multifrontal method. This
 /// is the direct solver behind every FDFD simulation: the forward and the
 /// adjoint solves share one factor.
@@ -36,12 +46,10 @@ class grid_ldlt {
   /// Largest leaf region of the separator tree, in cells.
   static constexpr std::size_t leaf_cells = 16;
 
-  /// Factor the n x n operator `a` (n = nx * ny). Every entry must couple a
-  /// cell with itself or one of its four grid neighbours, and `a` must be
-  /// exactly symmetric, since only its lower triangle is read (else
-  /// `bad_argument`). Throws `numeric_error` when a front's own block is
-  /// singular.
-  grid_ldlt(std::size_t nx, std::size_t ny, const csr_c& a);
+  /// Factor `a`. Its three arrays must hold nx * ny entries each, and a
+  /// coupling past the grid edge must be zero (else `bad_argument`). Throws
+  /// `numeric_error` when a front's own block is singular.
+  explicit grid_ldlt(const grid_stencil& a);
 
   std::size_t size() const { return nx_ * ny_; }
 

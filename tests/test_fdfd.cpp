@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "api/spec.h"
 #include "common/rng.h"
@@ -24,7 +26,7 @@ constexpr double k0_default = 2.0 * pi / 1.55;
 class direct_solve {
  public:
   explicit direct_solve(const fdfd_solver& solver)
-      : solver_(solver), factor_(solver.grid().nx, solver.grid().ny, solver.assemble_csr()) {}
+      : solver_(solver), factor_(solver.stencil()) {}
 
   /// Field of one current-density excitation.
   array2d<cplx> operator()(const array2d<cplx>& current_density) const {
@@ -100,6 +102,37 @@ struct waveguide_fixture {
 
 // ------------------------------------------------------------- operator ----
 
+bool same_bits(const cplx& a, const cplx& b) { return std::memcmp(&a, &b, sizeof(cplx)) == 0; }
+
+/// Every entry of `assemble_csr()`, in both triangles, equals bit for bit
+/// the `stencil()` entry that the factorization reads in its place, and the
+/// stencil's couplings past the grid edge are zero.
+void expect_stencil_is_the_csr_operator(const fdfd_solver& solver) {
+  const sp::grid_stencil st = solver.stencil();
+  const sp::csr_c a = solver.assemble_csr();
+  const std::size_t nx = solver.grid().nx, ny = solver.grid().ny, n = nx * ny;
+  ASSERT_EQ(st.nx, nx);
+  ASSERT_EQ(st.ny, ny);
+  ASSERT_EQ(st.diag.size(), n);
+  ASSERT_EQ(st.y.size(), n);
+  ASSERT_EQ(st.x.size(), n);
+  EXPECT_EQ(a.nnz(), 5 * n - 2 * nx - 2 * ny);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k) {
+      const std::size_t j = a.col_index()[k];
+      const std::size_t lo = std::min(i, j), hi = std::max(i, j);
+      const cplx& v = hi == lo ? st.diag[lo] : hi == lo + 1 ? st.y[lo] : st.x[lo];
+      ASSERT_TRUE(hi == lo || (hi == lo + 1 && hi % ny != 0) || hi == lo + ny)
+          << "entry (" << i << ", " << j << ") is outside the 5-point stencil";
+      mismatches += !same_bits(a.values()[k], v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  for (std::size_t c = ny - 1; c < n; c += ny) EXPECT_EQ(st.y[c], cplx{}) << c;
+  for (std::size_t c = n - ny; c < n; ++c) EXPECT_EQ(st.x[c], cplx{}) << c;
+}
+
 class operator_grids : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 
 TEST_P(operator_grids, scaled_helmholtz_matrix_is_complex_symmetric) {
@@ -116,12 +149,29 @@ TEST_P(operator_grids, scaled_helmholtz_matrix_is_complex_symmetric) {
   for (auto& v : eps) v = 1.0 + 11.0 * r.uniform(0, 1);
   fdfd_solver solver(g, pml, k0_default, eps);
   EXPECT_LT(solver.assemble_csr().asymmetry(), 1e-12);
+  expect_stencil_is_the_csr_operator(solver);
 }
 
 INSTANTIATE_TEST_SUITE_P(grids, operator_grids,
                          ::testing::Values(std::pair<std::size_t, std::size_t>{24, 20},
                                            std::pair<std::size_t, std::size_t>{40, 16},
                                            std::pair<std::size_t, std::size_t>{16, 40}));
+
+TEST(operator, stencil_is_the_csr_operator_on_all_devices) {
+  // The factorization reads each coupling once, from the stencil; the CSR
+  // operator computes every row from its own cell. On every device with a
+  // random design the two agree bit for bit, so the operator the residual
+  // tests check is the one that is factored.
+  const double eps_si = fab::eps_si(300.0);
+  for (const api::device_entry& device : api::device_table) {
+    const dev::device_spec spec = device.make(0.1);
+    array2d<double> eps(spec.grid.nx, spec.grid.ny);
+    rng r(5);
+    for (auto& v : eps) v = r.uniform(0, 1) < 0.5 ? 1.0 : eps_si;
+    SCOPED_TRACE(device.name);
+    expect_stencil_is_the_csr_operator(fdfd_solver(spec.grid, spec.pml, spec.k0, eps));
+  }
+}
 
 TEST(fdfd_solver, solution_satisfies_csr_residual) {
   waveguide_fixture f(48, 36);
@@ -481,7 +531,7 @@ TEST(fdfd_solver, factorization_matches_banded_oracle_on_all_devices) {
 
       cvec b(g.cell_count());
       for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-      const cvec x = sp::grid_ldlt(g.nx, g.ny, a).solve(b);
+      const cvec x = sp::grid_ldlt(solver.stencil()).solve(b);
       sp::banded_lu oracle(a.rows(), g.ny, g.ny);
       for (std::size_t i = 0; i < a.rows(); ++i)
         for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)

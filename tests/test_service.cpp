@@ -797,8 +797,8 @@ TEST(control_plane, prometheus_exposition_serves_request_series) {
             std::string::npos);
 
   // The sim counters and the service gauges ride the same page.
-  EXPECT_NE(res.body.find("boson_sim_reuse_refinement_iterations"), std::string::npos);
-  EXPECT_NE(res.body.find("boson_sim_reuse_fallbacks"), std::string::npos);
+  EXPECT_NE(res.body.find("boson_sim_factorizations"), std::string::npos);
+  EXPECT_NE(res.body.find("boson_sim_solves"), std::string::npos);
   EXPECT_NE(res.body.find("# TYPE boson_service_campaigns_running gauge"),
             std::string::npos);
 

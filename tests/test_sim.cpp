@@ -1,13 +1,11 @@
-// Tests for the simulation-engine layer: direct/nearby engine agreement,
-// batched multi-RHS solves, the nearby engine's counted fallback, and the
-// Monte-Carlo protocol's nominal preconditioner and determinism under varying
-// BOSON_THREADS.
+// Tests for the simulation-engine layer: agreement with the banded-LU
+// oracle, batched multi-RHS solves, and the Monte-Carlo protocol's
+// per-sample factorizations and determinism under varying BOSON_THREADS.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 
 #include "common/rng.h"
 #include "core/evaluate.h"
@@ -19,6 +17,7 @@
 #include "obs/trace.h"
 #include "robust/sampler.h"
 #include "sim/engine.h"
+#include "sparse/banded.h"
 #include "sparse/multifrontal.h"
 
 namespace boson {
@@ -26,8 +25,7 @@ namespace {
 
 constexpr double k0_default = 2.0 * pi / 1.55;
 
-/// Straight silicon waveguide through a small PML-bounded domain — the
-/// Helmholtz system the direct and nearby engines must agree on.
+/// Straight silicon waveguide through a small PML-bounded domain.
 struct waveguide_fixture {
   grid2d g;
   pml_spec pml;
@@ -72,20 +70,27 @@ array2d<cplx> solve_one(const sim::simulation_engine& engine, const array2d<cplx
 // --------------------------------------------------------------- engine ----
 
 TEST(engine, all_backends_agree_on_pml_helmholtz_system) {
-  // A direct engine and a nearby engine (serving the nominal operator itself)
-  // solve one PML Helmholtz system; test_fdfd checks the nested-dissection
-  // factorization against the banded-LU oracle.
+  // The engine and the banded-LU oracle solve one PML Helmholtz system;
+  // test_fdfd checks the factorization against the oracle on every device.
   const waveguide_fixture f;
   const auto current = f.point_source(14, f.g.ny / 2);
+  const sim::simulation_engine engine(f.g, f.pml, k0_default, f.eps);
+  const auto field = solve_one(engine, current);
 
-  const auto direct =
-      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
-  const auto reference = solve_one(*direct, current);
+  const fdfd::fdfd_solver plain(f.g, f.pml, k0_default, f.eps);
+  const sp::csr_c a = plain.assemble_csr();
+  sp::banded_lu oracle(a.rows(), f.g.ny, f.g.ny);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)
+      oracle.add(i, a.col_index()[k], a.values()[k]);
+  oracle.factor();
+  cvec b;
+  plain.build_rhs(current, b);
+  array2d<cplx> reference(f.g.nx, f.g.ny);
+  reference.raw() = oracle.solve(b);
   const double scale = max_abs(reference);
   ASSERT_GT(scale, 0.0);
-
-  const sim::simulation_engine nearby(direct, f.eps);
-  EXPECT_LT(max_diff(solve_one(nearby, current), reference), 1e-8 * scale);
+  EXPECT_LT(max_diff(field, reference), 1e-10 * scale);
 }
 
 TEST(engine, batched_excitations_match_individual_solves) {
@@ -113,7 +118,7 @@ TEST(engine, batched_adjoints_match_fdfd_solver) {
   const auto lambdas = engine.solve_adjoints(gradients);
   ASSERT_EQ(lambdas.size(), gradients.size());
   const fdfd::fdfd_solver plain(f.g, f.pml, k0_default, f.eps);
-  const sp::grid_ldlt lu(f.g.nx, f.g.ny, plain.assemble_csr());
+  const sp::grid_ldlt lu(plain.stencil());
   for (std::size_t k = 0; k < gradients.size(); ++k) {
     cvec b;
     plain.build_adjoint_rhs(gradients[k], b);
@@ -122,86 +127,6 @@ TEST(engine, batched_adjoints_match_fdfd_solver) {
     EXPECT_LT(max_diff(lambdas[k], reference), 1e-10 * (1.0 + max_abs(reference)))
         << "adjoint " << k;
   }
-}
-
-// ---------------------------------------------------- nearby-operator reuse ----
-
-std::uint64_t counter_total(const char* name) {
-  return obs::registry::global().counter_total(name);
-}
-
-TEST(reuse, nearby_engine_agrees_with_full_reprepare_across_perturbations) {
-  const waveguide_fixture f;
-  const auto nominal =
-      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
-  const auto current = f.point_source(14, f.g.ny / 2);
-  const double eps_si = fab::eps_si(300.0);
-
-  // Perturbation matrix: a wide-support temperature-like shift, a handful of
-  // full-contrast cell flips, and both at once.
-  std::vector<array2d<double>> corners;
-  {
-    array2d<double> thermal = f.eps;
-    for (auto& v : thermal)
-      if (v > 2.0) v += 0.02;
-    corners.push_back(thermal);
-
-    array2d<double> flips = f.eps;
-    flips(10, f.g.ny / 2 - 6) = eps_si;
-    flips(22, f.g.ny / 2 + 6) = eps_si;
-    flips(30, f.g.ny / 2) = 1.0;
-    corners.push_back(flips);
-
-    array2d<double> both = thermal;
-    both(18, f.g.ny / 2 - 6) = eps_si;
-    both(25, f.g.ny / 2 + 7) = eps_si;
-    corners.push_back(both);
-  }
-
-  const std::uint64_t iterations_before = counter_total("sim.reuse.refinement_iterations");
-  const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
-  for (std::size_t k = 0; k < corners.size(); ++k) {
-    const sim::simulation_engine reused(nominal, corners[k]);
-    const sim::simulation_engine fresh(f.g, f.pml, k0_default, corners[k]);
-    const auto a = solve_one(reused, current);
-    const auto b = solve_one(fresh, current);
-    const double scale = max_abs(b);
-    ASSERT_GT(scale, 0.0);
-    EXPECT_LT(max_diff(a, b), 1e-6 * scale) << "corner " << k;
-  }
-  EXPECT_GE(counter_total("sim.reuse.refinement_iterations") - iterations_before,
-            corners.size());
-  EXPECT_EQ(counter_total("sim.reuse.fallbacks") - fallbacks_before, 0u)
-      << "every corner must be served by the nominal factorization";
-}
-
-TEST(reuse, large_perturbation_triggers_counted_fallback_and_still_agrees) {
-  const waveguide_fixture f;
-  const auto nominal =
-      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
-
-  // A distant operator: the nominal factor no longer clusters the spectrum
-  // enough for the outer loop's iteration cap.
-  array2d<double> eps2 = f.eps;
-  for (auto& v : eps2) v += 6.0;
-
-  const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
-  const sim::simulation_engine reused(nominal, eps2);
-  const auto current = f.point_source(14, f.g.ny / 2);
-  const auto a = solve_one(reused, current);
-  EXPECT_GE(counter_total("sim.reuse.fallbacks") - fallbacks_before, 1u);
-
-  const sim::simulation_engine fresh(f.g, f.pml, k0_default, eps2);
-  const auto b = solve_one(fresh, current);
-  EXPECT_EQ(max_diff(a, b), 0.0) << "the fallback path is a full re-prepare and must match it";
-}
-
-TEST(reuse, nearby_engine_requires_a_direct_nominal) {
-  const waveguide_fixture f;
-  const auto nominal =
-      std::make_shared<const sim::simulation_engine>(f.g, f.pml, k0_default, f.eps);
-  const auto nearby = std::make_shared<const sim::simulation_engine>(nominal, f.eps);
-  EXPECT_THROW(sim::simulation_engine(nearby, f.eps), bad_argument);
 }
 
 // ---------------------------------------------------- end-to-end protocol ----
@@ -243,7 +168,11 @@ TEST(integration, postfab_monte_carlo_is_deterministic_across_thread_counts) {
   unsetenv("BOSON_THREADS");
 }
 
-TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
+std::uint64_t counter_total(const char* name) {
+  return obs::registry::global().counter_total(name);
+}
+
+TEST(monte_carlo, every_sample_factors_its_own_operator) {
   const core::design_problem problem =
       core::make_problem(dev::make_bend(0.1), core::method_recipe{}, fast_config());
   array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
@@ -254,20 +183,23 @@ TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
 
   obs::trace_collector collector;
   obs::set_global_trace(&collector);
-  const std::uint64_t fallbacks_before = counter_total("sim.reuse.fallbacks");
+  const std::uint64_t factorizations_before = counter_total("sim.factorizations");
+  const std::uint64_t solves_before = counter_total("sim.solves");
   const core::mc_stats mc = core::postfab_monte_carlo(problem, mask, samples, seed);
   obs::set_global_trace(nullptr);
-  std::size_t factorizations = 0;
-  std::size_t nearby = 0;
+  std::size_t factorizations = 0, prepares = 0;
   for (const auto& e : collector.events()) {
     factorizations += e.name == "sim.factorize";
-    for (const auto& [key, value] : e.args)
-      nearby += e.name == "sim.solve" && key == "backend" && value == "nearby";
+    prepares += e.name == "sim.prepare";
   }
-  EXPECT_EQ(nearby, samples) << "every sample solves through the nominal factorization";
-  EXPECT_EQ(factorizations, 1 + counter_total("sim.reuse.fallbacks") - fallbacks_before);
+  EXPECT_EQ(factorizations, samples) << "one factorization per sample, no nominal one";
+  EXPECT_EQ(prepares, samples);
+  EXPECT_EQ(counter_total("sim.factorizations") - factorizations_before, samples);
+  EXPECT_EQ(counter_total("sim.solves") - solves_before,
+            samples * problem.spec().excitations.size())
+      << "one right-hand side per excitation, no adjoints";
 
-  // The samples agree with fully factored evaluations of the same draws.
+  // The protocol is the per-sample evaluation of the same draws, exactly.
   const rng base(seed);
   double fom_sum = 0.0;
   for (std::size_t s = 0; s < samples; ++s) {
@@ -280,35 +212,7 @@ TEST(reuse, monte_carlo_preconditions_samples_with_one_nominal_factorization) {
     o.compute_gradient = false;
     fom_sum += problem.fom_of(problem.evaluate_pattern(mask, corner, o).metrics);
   }
-  EXPECT_NEAR(mc.fom_mean, fom_sum / samples, 1e-8);
-}
-
-TEST(integration, evaluate_agrees_across_backends) {
-  // A warm corner evaluated through its own factorization (direct engine)
-  // and through the nominal corner's factorization (nearby engine).
-  const core::design_problem problem =
-      core::make_problem(dev::make_bend(0.1), core::method_recipe{}, fast_config());
-  array2d<double> mask(problem.spec().design.nx, problem.spec().design.ny, 0.0);
-  for (std::size_t i = 0; i < mask.nx(); ++i)
-    for (std::size_t j = mask.ny() / 3; j < 2 * mask.ny() / 3; ++j) mask(i, j) = 1.0;
-  robust::variation_corner nominal;
-  nominal.xi.assign(problem.fab().space.eole_terms, 0.0);
-  robust::variation_corner warm = nominal;
-  warm.temperature = 320.0;
-  warm.name = "warm";
-
-  core::eval_options o;
-  o.hard_etch = true;
-  o.dense_objectives = false;
-  o.compute_gradient = false;
-  const auto direct = problem.evaluate_pattern(mask, warm, o);
-  o.nominal_engine = problem.prepare_engine(mask, nominal, o);
-  const auto nearby = problem.evaluate_pattern(mask, warm, o);
-
-  EXPECT_NEAR(nearby.loss, direct.loss, 1e-8 * (1.0 + std::abs(direct.loss)));
-  ASSERT_EQ(nearby.metrics.size(), direct.metrics.size());
-  for (const auto& [name, value] : direct.metrics)
-    EXPECT_NEAR(nearby.metrics.at(name), value, 1e-8 * (1.0 + std::abs(value))) << name;
+  EXPECT_EQ(mc.fom_mean, fom_sum / static_cast<double>(samples));
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "linalg/vec.h"
 #include "sparse/banded.h"
 #include "sparse/csr.h"
-#include "sparse/krylov.h"
 #include "sparse/multifrontal.h"
 
 namespace boson::sp {
@@ -240,113 +239,6 @@ TEST(banded, pivoting_handles_zero_leading_diagonal) {
   EXPECT_NEAR(std::abs(x[1] - cplx{3.0}), 0.0, 1e-14);
 }
 
-// --------------------------------------------------------------- krylov ----
-
-csr_c random_banded_csr(std::size_t n, std::size_t band, std::uint64_t seed,
-                        double diag_boost) {
-  rng r(seed);
-  std::vector<triplet<cplx>> t;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = (i > band ? i - band : 0); j <= std::min(i + band, n - 1); ++j) {
-      cplx v(r.uniform(-1, 1), r.uniform(-1, 1));
-      if (i == j) v += cplx(diag_boost, 0.0);
-      t.push_back({i, j, v});
-    }
-  }
-  return csr_c(n, n, t);
-}
-
-/// The operator as a matrix-free linear_op.
-linear_op as_op(const csr_c& a) {
-  return [&a](const cvec& v) { return a.matvec(v); };
-}
-
-TEST(krylov, zero_rhs_returns_zero) {
-  // A zero right-hand side stays zero through the preconditioner too.
-  const auto a = random_banded_csr(10, 2, 3, 5.0);
-  cvec x(10, cplx{1.0});
-  const linear_op jacobi = [&a](const cvec& r) {
-    cvec z(r.size());
-    for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] / a.at(i, i);
-    return z;
-  };
-  const auto res = gmres(as_op(a), cvec(10), x, jacobi);
-  EXPECT_TRUE(res.converged);
-  for (const auto& v : x) EXPECT_EQ(v, cplx{});
-}
-
-class gmres_systems : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(gmres_systems, converges_and_matches_truth) {
-  const std::size_t n = GetParam();
-  const auto a = random_banded_csr(n, 3, 400 + n, 5.0);
-  rng r(401 + n);
-  cvec x_true(n);
-  for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const auto b = a.matvec(x_true);
-  cvec x;
-  const auto res = gmres(as_op(a), b, x, linear_op{}, 40, 1e-10, 2000);
-  ASSERT_TRUE(res.converged) << "residual " << res.relative_residual;
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(sizes, gmres_systems, ::testing::Values(10, 50, 120));
-
-TEST(krylov, gmres_left_preconditioning_reduces_iterations) {
-  // A strongly varying diagonal slows plain GMRES; Jacobi left
-  // preconditioning clusters the spectrum.
-  const std::size_t n = 150;
-  std::vector<triplet<cplx>> t;
-  rng r(501);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = (i > 3 ? i - 3 : 0); j <= std::min(i + 3, n - 1); ++j) {
-      cplx v(r.uniform(-1, 1), r.uniform(-1, 1));
-      if (i == j) v += cplx(8.0 * (1.0 + static_cast<double>(i % 17)), 0.0);
-      t.push_back({i, j, v});
-    }
-  }
-  const csr_c a(n, n, t);
-  cvec x_true(n);
-  for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const auto b = a.matvec(x_true);
-  const linear_op jacobi = [&a](const cvec& v) {
-    cvec z(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) z[i] = v[i] / a.at(i, i);
-    return z;
-  };
-  cvec x_plain, x_prec;
-  const auto plain = gmres(as_op(a), b, x_plain, linear_op{}, 30, 1e-10, 2000);
-  const auto preconditioned = gmres(as_op(a), b, x_prec, jacobi, 30, 1e-10, 2000);
-  ASSERT_TRUE(plain.converged);
-  ASSERT_TRUE(preconditioned.converged);
-  EXPECT_LT(preconditioned.iterations, plain.iterations);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x_prec[i] - x_true[i]), 0.0, 1e-6);
-}
-
-TEST(krylov, gmres_restart_still_converges) {
-  // A restart shorter than the natural Krylov dimension must still reach the
-  // solution through repeated cycles.
-  const std::size_t n = 80;
-  const auto a = random_banded_csr(n, 2, 600, 6.0);
-  rng r(601);
-  cvec x_true(n);
-  for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const auto b = a.matvec(x_true);
-  cvec x;
-  const auto res = gmres(as_op(a), b, x, linear_op{}, 5, 1e-9, 4000);
-  ASSERT_TRUE(res.converged);
-  EXPECT_GT(res.iterations, 5u) << "the solve must span more than one restart cycle";
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-5);
-}
-
-TEST(krylov, gmres_zero_rhs_returns_zero) {
-  const auto a = random_banded_csr(12, 2, 700, 5.0);
-  cvec x(12, cplx{1.0});
-  const auto res = gmres(as_op(a), cvec(12), x, linear_op{});
-  EXPECT_TRUE(res.converged);
-  for (const auto& v : x) EXPECT_EQ(v, cplx{});
-}
-
 // ------------------------------------------------ batched solve identities ----
 
 /// Random well-conditioned banded operator shared by the bit-identity tests.
@@ -404,26 +296,40 @@ TEST(banded, packed_batch_matches_scalar_solves_to_rounding) {
 
 // ---------------------------------------------- nested-dissection LDLᵀ ----
 
-/// Complex-symmetric 5-point operator on an nx x ny grid (unknown ix*ny+iy),
-/// Helmholtz-like: an indefinite real part and a positive imaginary diagonal
-/// (which keeps it nonsingular), with real symmetric couplings.
-csr_c random_grid_operator(std::size_t nx, std::size_t ny, std::uint64_t seed) {
+/// Helmholtz-like random stencil on an nx x ny grid: an indefinite real
+/// diagonal with a positive imaginary part (which keeps it nonsingular), and
+/// real couplings.
+grid_stencil random_grid_stencil(std::size_t nx, std::size_t ny, std::uint64_t seed) {
   rng r(seed);
-  std::vector<triplet<cplx>> t;
-  const auto couple = [&](std::size_t i, std::size_t j) {
-    const cplx v(-1.0 + 0.3 * r.uniform(-1, 1), 0.0);
-    t.push_back({i, j, v});
-    t.push_back({j, i, v});
-  };
+  const std::size_t n = nx * ny;
+  grid_stencil a{nx, ny, cvec(n), cvec(n), cvec(n)};
   for (std::size_t ix = 0; ix < nx; ++ix) {
     for (std::size_t iy = 0; iy < ny; ++iy) {
       const std::size_t i = ix * ny + iy;
-      t.push_back({i, i, cplx(r.uniform(-4.0, 4.0), r.uniform(0.1, 1.0))});
-      if (iy + 1 < ny) couple(i, i + 1);
-      if (ix + 1 < nx) couple(i, i + ny);
+      a.diag[i] = cplx(r.uniform(-4.0, 4.0), r.uniform(0.1, 1.0));
+      if (iy + 1 < ny) a.y[i] = cplx(-1.0 + 0.3 * r.uniform(-1, 1), 0.0);
+      if (ix + 1 < nx) a.x[i] = cplx(-1.0 + 0.3 * r.uniform(-1, 1), 0.0);
     }
   }
-  return csr_c(nx * ny, nx * ny, std::move(t));
+  return a;
+}
+
+/// The stencil's operator in CSR form, both triangles: the residual operator.
+csr_c to_csr(const grid_stencil& a) {
+  const std::size_t n = a.nx * a.ny;
+  std::vector<triplet<cplx>> t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.push_back({i, i, a.diag[i]});
+    if ((i + 1) % a.ny != 0) {
+      t.push_back({i, i + 1, a.y[i]});
+      t.push_back({i + 1, i, a.y[i]});
+    }
+    if (i + a.ny < n) {
+      t.push_back({i, i + a.ny, a.x[i]});
+      t.push_back({i + a.ny, i, a.x[i]});
+    }
+  }
+  return csr_c(n, n, std::move(t));
 }
 
 /// The banded LU of the same operator (bandwidth ny): the test oracle.
@@ -453,17 +359,6 @@ double rel_diff(const cvec& x, const cvec& y) {
   return std::sqrt(num / den);
 }
 
-/// `a` with the diagonal zeroed on the cells (ix, iy) with ix, iy < corner.
-csr_c zero_corner_diagonal(const csr_c& a, std::size_t ny, std::size_t corner) {
-  std::vector<triplet<cplx>> t;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const bool zero = i / ny < corner && i % ny < corner;
-    for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k)
-      t.push_back({i, a.col_index()[k], zero && a.col_index()[k] == i ? cplx{} : a.values()[k]});
-  }
-  return csr_c(a.rows(), a.cols(), std::move(t));
-}
-
 struct grid_case {
   std::size_t nx;
   std::size_t ny;
@@ -477,10 +372,12 @@ class grid_ldlt_grids : public ::testing::TestWithParam<grid_case> {};
 
 TEST_P(grid_ldlt_grids, matches_banded_oracle) {
   const auto [nx, ny, zero_corner] = GetParam();
-  const csr_c a =
-      zero_corner_diagonal(random_grid_operator(nx, ny, 1000 + nx * ny), ny, zero_corner);
-  const grid_ldlt lu(nx, ny, a);
+  grid_stencil st = random_grid_stencil(nx, ny, 1000 + nx * ny);
+  for (std::size_t ix = 0; ix < zero_corner; ++ix)
+    for (std::size_t iy = 0; iy < zero_corner; ++iy) st.diag[ix * ny + iy] = cplx{};
+  const grid_ldlt lu(st);
   EXPECT_EQ(lu.size(), nx * ny);
+  const csr_c a = to_csr(st);
   const cvec b = random_cvec(nx * ny, 7 + nx);
   const cvec x = lu.solve(b);
   const cvec oracle = banded_oracle(a, ny).solve(b);
@@ -499,9 +396,8 @@ INSTANTIATE_TEST_SUITE_P(shapes, grid_ldlt_grids,
                          });
 
 TEST(grid_ldlt, singleton_batch_is_bit_identical_to_scalar_solve) {
-  const csr_c a = random_grid_operator(20, 16, 41);
-  const grid_ldlt lu(20, 16, a);
-  const cvec b = random_cvec(a.rows(), 42);
+  const grid_ldlt lu(random_grid_stencil(20, 16, 41));
+  const cvec b = random_cvec(lu.size(), 42);
   const cvec scalar = lu.solve(b);
   const auto batch = lu.solve(std::vector<cvec>{b});
   ASSERT_EQ(batch.size(), 1u);
@@ -510,10 +406,9 @@ TEST(grid_ldlt, singleton_batch_is_bit_identical_to_scalar_solve) {
 }
 
 TEST(grid_ldlt, batch_is_bit_identical_to_scalar_solves) {
-  const csr_c a = random_grid_operator(24, 19, 43);
-  const grid_ldlt lu(24, 19, a);
+  const grid_ldlt lu(random_grid_stencil(24, 19, 43));
   std::vector<cvec> bs;
-  for (std::uint64_t k = 0; k < 5; ++k) bs.push_back(random_cvec(a.rows(), 44 + k));
+  for (std::uint64_t k = 0; k < 5; ++k) bs.push_back(random_cvec(lu.size(), 44 + k));
   const auto batch = lu.solve(bs);
   ASSERT_EQ(batch.size(), bs.size());
   for (std::size_t k = 0; k < bs.size(); ++k) {
@@ -524,8 +419,7 @@ TEST(grid_ldlt, batch_is_bit_identical_to_scalar_solves) {
 }
 
 TEST(grid_ldlt, empty_batch_returns_empty_batch) {
-  const csr_c a = random_grid_operator(8, 8, 45);
-  const grid_ldlt lu(8, 8, a);
+  const grid_ldlt lu(random_grid_stencil(8, 8, 45));
   EXPECT_TRUE(lu.solve(std::vector<cvec>{}).empty());
 }
 
@@ -533,120 +427,56 @@ TEST(grid_ldlt, singular_operator_throws) {
   // Zero every entry of one cell's row and column: the matrix stays
   // symmetric but is singular, and the restricted pivoting reaches an
   // exactly-zero pivot column.
-  const csr_c good = random_grid_operator(12, 10, 46);
-  std::vector<triplet<cplx>> t;
-  for (std::size_t i = 0; i < good.rows(); ++i)
-    for (std::size_t k = good.row_ptr()[i]; k < good.row_ptr()[i + 1]; ++k)
-      t.push_back({i, good.col_index()[k],
-                   i == 57 || good.col_index()[k] == 57 ? cplx{} : good.values()[k]});
-  const csr_c a(good.rows(), good.cols(), std::move(t));
-  EXPECT_THROW(grid_ldlt(12, 10, a), numeric_error);
+  const std::size_t ny = 10, cell = 57;
+  grid_stencil st = random_grid_stencil(12, ny, 46);
+  st.diag[cell] = st.y[cell] = st.y[cell - 1] = st.x[cell] = st.x[cell - ny] = cplx{};
+  EXPECT_THROW(grid_ldlt{st}, numeric_error);
 }
 
 TEST(grid_ldlt, pivoting_handles_zero_leading_diagonal) {
-  const csr_c good = random_grid_operator(10, 9, 47);
-  std::vector<triplet<cplx>> t;
-  for (std::size_t i = 0; i < good.rows(); ++i)
-    for (std::size_t k = good.row_ptr()[i]; k < good.row_ptr()[i + 1]; ++k)
-      t.push_back({i, good.col_index()[k], good.col_index()[k] == 0 && i == 0
-                                               ? cplx{}
-                                               : good.values()[k]});
-  const csr_c a(good.rows(), good.cols(), std::move(t));
-  ASSERT_EQ(a.at(0, 0), cplx{});
-  const grid_ldlt lu(10, 9, a);
-  const cvec b = random_cvec(a.rows(), 48);
-  EXPECT_LT(rel_diff(lu.solve(b), banded_oracle(a, 9).solve(b)), 1e-10);
+  grid_stencil st = random_grid_stencil(10, 9, 47);
+  st.diag[0] = cplx{};
+  const grid_ldlt lu(st);
+  const cvec b = random_cvec(lu.size(), 48);
+  EXPECT_LT(rel_diff(lu.solve(b), banded_oracle(to_csr(st), 9).solve(b)), 1e-10);
 }
 
-TEST(grid_ldlt, rejects_operators_outside_the_stencil) {
+TEST(grid_ldlt, rejects_stencil_size_mismatch) {
+  const grid_stencil good = random_grid_stencil(8, 8, 50);
+  EXPECT_NO_THROW(grid_ldlt{good});
+  for (cvec grid_stencil::*field : {&grid_stencil::diag, &grid_stencil::y, &grid_stencil::x}) {
+    grid_stencil st = good;
+    (st.*field).pop_back();
+    EXPECT_THROW(grid_ldlt{st}, bad_argument);
+  }
+  grid_stencil wider = good;
+  wider.ny += 1;
+  EXPECT_THROW(grid_ldlt{wider}, bad_argument);
+  EXPECT_THROW(grid_ldlt{grid_stencil{}}, bad_argument);
+}
+
+TEST(grid_ldlt, rejects_couplings_past_the_grid_edge) {
   // Unknowns ny - 1 and ny are adjacent in the flat order, but they are
-  // cells (0, ny - 1) and (1, 0), which are not grid neighbours.
-  const std::size_t nx = 8, ny = 8;
-  std::vector<triplet<cplx>> t{{ny - 1, ny, cplx{1.0}}};
-  for (std::size_t i = 0; i < nx * ny; ++i) t.push_back({i, i, cplx{2.0}});
-  EXPECT_THROW(grid_ldlt(nx, ny, csr_c(nx * ny, nx * ny, t)), bad_argument);
-  const csr_c empty(nx * ny, nx * ny, std::vector<triplet<cplx>>{});
-  EXPECT_THROW(grid_ldlt(nx, ny + 1, empty), bad_argument);
-}
-
-TEST(grid_ldlt, rejects_asymmetric_operators) {
-  // Only the lower triangle is read, so one upper entry off by one ulp must
-  // be rejected rather than silently mirrored.
-  const csr_c good = random_grid_operator(9, 7, 50);
-  std::vector<triplet<cplx>> t;
-  for (std::size_t i = 0; i < good.rows(); ++i)
-    for (std::size_t k = good.row_ptr()[i]; k < good.row_ptr()[i + 1]; ++k) {
-      const std::size_t j = good.col_index()[k];
-      const cplx v = good.values()[k];
-      t.push_back({i, j, i == 19 && j == 20 ? cplx(std::nextafter(v.real(), 0.0), v.imag()) : v});
-    }
-  EXPECT_THROW(grid_ldlt(9, 7, csr_c(good.rows(), good.cols(), std::move(t))), bad_argument);
-  EXPECT_NO_THROW(grid_ldlt(9, 7, good));
+  // cells (0, ny - 1) and (1, 0), which are not grid neighbours; nor does
+  // the last column couple to anything in x.
+  const std::size_t nx = 8, ny = 7;
+  const grid_stencil good = random_grid_stencil(nx, ny, 51);
+  grid_stencil past_row = good;
+  past_row.y[ny - 1] = cplx{1.0};
+  EXPECT_THROW(grid_ldlt{past_row}, bad_argument);
+  grid_stencil past_column = good;
+  past_column.x[(nx - 1) * ny + 3] = cplx{0.0, 1.0};
+  EXPECT_THROW(grid_ldlt{past_column}, bad_argument);
 }
 
 TEST(grid_ldlt, stores_far_less_than_the_banded_factors) {
   // Exactly each node's m x s lower trapezoid, sum of m*s - s*(s-1)/2: the
   // LU on the same tree stored 465 646 entries here, the banded LU 8 x more.
   const std::size_t side = 88;
-  const grid_ldlt ldlt(side, side, random_grid_operator(side, side, 49));
+  const grid_ldlt ldlt(random_grid_stencil(side, side, 49));
   const std::size_t banded_storage = side * side * (3 * side + 1);
   EXPECT_EQ(ldlt.fill(), 236695u);
   EXPECT_LT(ldlt.fill(), banded_storage / 8);
-}
-
-// -------------------------------------------------- matrix-free gmres ------
-
-TEST(krylov, gmres_accepts_converged_initial_guess_without_touching_x) {
-  const std::size_t n = 40;
-  const auto a = random_banded_csr(n, 2, 910, 6.0);
-  rng r(911);
-  cvec x_true(n);
-  for (auto& v : x_true) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const cvec b = a.matvec(x_true);
-  cvec x = x_true;  // start at the answer
-  const auto res = gmres(as_op(a), b, x, linear_op{}, 30, 1e-10, 2000);
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.iterations, 0u);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_EQ(x[i], x_true[i]) << "x must be returned untouched at row " << i;
-}
-
-TEST(krylov, nominal_lu_preconditioner_resolves_diagonal_perturbation_quickly) {
-  // The nearby-operator reuse identity: with M = LU(A_nom) and
-  // A = A_nom + D where D hits c diagonal entries, M^{-1} A is a rank-c
-  // perturbation of the identity, so left-preconditioned GMRES needs about
-  // c + 1 iterations regardless of the grid size.
-  const std::size_t n = 100, band = 5, c = 4;
-  rng r(920);
-  banded_lu nominal(n, band, band);
-  std::vector<triplet<cplx>> entries;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = (i > band ? i - band : 0); j <= std::min(i + band, n - 1);
-         ++j) {
-      cplx v(r.uniform(-1, 1), r.uniform(-1, 1));
-      if (i == j) v += cplx(5.0, 0.5);
-      nominal.add(i, j, v);
-      entries.push_back({i, j, v});
-    }
-  }
-  for (std::size_t k = 0; k < c; ++k)  // perturbed operator: c diagonal bumps
-    entries.push_back({11 + 13 * k, 11 + 13 * k, cplx(2.5, -0.75)});
-  const csr_c perturbed(n, n, entries);
-  nominal.factor();
-
-  cvec b(n);
-  for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  cvec x = nominal.solve(b);  // warm start from the nominal factorization
-  const linear_op op = [&perturbed](const cvec& v) { return perturbed.matvec(v); };
-  const linear_op pre = [&nominal](const cvec& v) { return nominal.solve(v); };
-  const auto res = gmres(op, b, x, pre, 32, 1e-11, 32);
-  ASSERT_TRUE(res.converged);
-  EXPECT_LE(res.iterations, c + 2);
-
-  cvec ax = perturbed.matvec(x);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) worst = std::max(worst, std::abs(ax[i] - b[i]));
-  EXPECT_LT(worst, 1e-8 * (1.0 + la::nrm2(b)));
 }
 
 }  // namespace
