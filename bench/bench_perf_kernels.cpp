@@ -1,13 +1,12 @@
 // Microbenchmarks (google-benchmark) of the computational kernels behind the
 // inverse-design loop: the nested-dissection LDLᵀ (the FDFD direct solver)
-// against the banded LU test oracle, single- vs multi-RHS substitution, the
-// simulation engine's prepare/solve split, the FFT convolution engine, the
-// Hopkins lithography model's forward/backward passes, slab mode solving and
-// one full pipeline evaluation. These quantify where an optimization
-// iteration's time goes. After the google-benchmark run the program times the
-// solver comparisons (factorization scaling, single vs multi RHS, engine
-// split) with a wall clock and writes them to BENCH_solvers.json so the
-// performance trajectory is recorded run over run.
+// and its substitutions, the simulation engine's prepare/solve split, the FFT
+// convolution engine, the Hopkins lithography model's forward/backward
+// passes, slab mode solving and one full pipeline evaluation. These quantify
+// where an optimization iteration's time goes. After the google-benchmark run
+// the program times the solver figures (factorization scaling, engine split)
+// with a wall clock and writes them to BENCH_solvers.json so the performance
+// trajectory is recorded run over run.
 
 #include <benchmark/benchmark.h>
 
@@ -35,38 +34,11 @@
 #include "runtime/scheduler.h"
 #include "sim/engine.h"
 #include "store/segment_log.h"
-#include "sparse/banded.h"
 #include "sparse/multifrontal.h"
 
 namespace {
 
 using namespace boson;
-
-// ------------------------------------------------------------- banded LU ----
-
-void bm_banded_lu(benchmark::State& state) {
-  const auto n_side = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = n_side * n_side;
-  const std::size_t band = n_side;
-  rng r(7);
-  for (auto _ : state) {
-    state.PauseTiming();
-    sp::banded_lu lu(n, band, band);
-    for (std::size_t i = 0; i < n; ++i) {
-      lu.add(i, i, cplx(4.0 + r.uniform(0, 1), 1.0));
-      if (i + 1 < n) lu.add(i, i + 1, cplx(-1.0, 0.0));
-      if (i >= 1) lu.add(i, i - 1, cplx(-1.0, 0.0));
-      if (i + band < n) lu.add(i, i + band, cplx(-1.0, 0.0));
-      if (i >= band) lu.add(i, i - band, cplx(-1.0, 0.0));
-    }
-    state.ResumeTiming();
-    lu.factor();
-    cvec b(n, cplx{1.0});
-    benchmark::DoNotOptimize(lu.solve(b));
-  }
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
-}
-BENCHMARK(bm_banded_lu)->Arg(32)->Arg(48)->Arg(64)->Arg(88)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------- nested-dissection LDLᵀ ----
 
@@ -85,8 +57,8 @@ sp::grid_stencil random_grid_stencil(std::size_t side, rng& r) {
   return a;
 }
 
-/// Factor + one solve, like bm_banded_lu; 176 is the 0.025 um-resolution
-/// scaling point of the 88x88 bend.
+/// Factor + one solve; 176 is the 0.025 um-resolution scaling point of the
+/// 88x88 bend.
 void bm_grid_ldlt(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
   rng r(7);
@@ -100,7 +72,7 @@ void bm_grid_ldlt(benchmark::State& state) {
 }
 BENCHMARK(bm_grid_ldlt)->Arg(44)->Arg(88)->Arg(176)->Unit(benchmark::kMillisecond);
 
-// ----------------------------------------------- single vs multi RHS -------
+// ------------------------------------------------------ substitution ------
 
 /// FDFD waveguide operator, factored once, plus a pool of right-hand sides.
 struct solver_fixture {
@@ -136,15 +108,6 @@ void bm_solve_single_rhs(benchmark::State& state) {
       benchmark::DoNotOptimize(f.ldlt->solve(f.rhs[k]));
 }
 BENCHMARK(bm_solve_single_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void bm_solve_multi_rhs(benchmark::State& state) {
-  static solver_fixture f;
-  const auto nrhs = static_cast<std::size_t>(state.range(0));
-  const std::vector<cvec> batch(f.rhs.begin(),
-                                f.rhs.begin() + static_cast<std::ptrdiff_t>(nrhs));
-  for (auto _ : state) benchmark::DoNotOptimize(f.ldlt->solve(batch));
-}
-BENCHMARK(bm_solve_multi_rhs)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------ engine split ------
 
@@ -297,10 +260,10 @@ BENCHMARK(bm_pipeline_evaluate)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- BENCH_solvers.json report ----
 
-/// Wall-clock the solver-level comparisons the microbenchmarks sample — the
-/// FDFD factorization at 88x88 and 176x176, single vs multi RHS through one
-/// factorization, and the engine's prepare/solve split — and write them to
-/// BENCH_solvers.json so the perf trajectory is recorded run to run.
+/// Wall-clock the solver-level figures the microbenchmarks sample — the FDFD
+/// factorization at 88x88 and 176x176 and the engine's prepare/solve split —
+/// and write them to BENCH_solvers.json so the perf trajectory is recorded
+/// run to run.
 io::json_value time_solvers() {
   io::json_value report = io::json_value::object();
 
@@ -331,29 +294,6 @@ io::json_value time_solvers() {
                   1e3 * factor_s[2], 1e3 * solve_s[2]);
     }
     report["factorization"] = std::move(sizes);
-  }
-
-  {  // single- vs multi-RHS substitution through one factorization.
-    solver_fixture f(88, 8);
-    constexpr int reps = 10;
-    stopwatch sw;
-    for (int rep = 0; rep < reps; ++rep)
-      for (const auto& b : f.rhs) benchmark::DoNotOptimize(f.ldlt->solve(b));
-    const double single_s = sw.seconds() / reps;
-    sw.reset();
-    for (int rep = 0; rep < reps; ++rep)
-      benchmark::DoNotOptimize(f.ldlt->solve(f.rhs));
-    const double multi_s = sw.seconds() / reps;
-
-    io::json_value j = io::json_value::object();
-    j["grid"] = std::string("88x88");
-    j["num_rhs"] = f.rhs.size();
-    j["single_rhs_seconds"] = single_s;
-    j["multi_rhs_seconds"] = multi_s;
-    j["speedup"] = single_s / multi_s;
-    report["multi_rhs"] = std::move(j);
-    std::printf("multi-RHS (8 rhs, 88x88): %.3f ms vs %.3f ms single => %.2fx\n",
-                1e3 * multi_s, 1e3 * single_s, single_s / multi_s);
   }
 
   {  // engine prepare + solve on one operator.

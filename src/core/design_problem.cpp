@@ -203,8 +203,7 @@ design_problem::solved_excitations design_problem::solve_excitations(
     currents.push_back(std::move(current));
   }
 
-  // All excitations of the corner share the prepared operator through one
-  // blocked multi-RHS substitution.
+  // All excitations of the corner share the prepared operator's factor.
   out.fields = out.engine->solve_excitations(currents);
   return out;
 }
@@ -412,8 +411,7 @@ eval_result design_problem::evaluate_impl(const dvec* theta, const array2d<doubl
   }
 
   // --- backward: adjoint solves and dLoss/deps ------------------------------------
-  // All adjoints of the corner reuse the engine's prepared operator and go
-  // through one blocked multi-RHS substitution.
+  // All adjoints of the corner reuse the engine's prepared operator.
   array2d<double> d_eps(g.nx, g.ny, 0.0);
   std::vector<fdfd::field_gradient> adjoint_rhs;
   std::vector<std::size_t> adjoint_run;

@@ -1,17 +1,10 @@
 #include "runtime/journal.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <filesystem>
 #include <set>
 #include <utility>
 
 #include "common/error.h"
-#include "common/log.h"
-#include "runtime/jsonl.h"
 #include "runtime/lease.h"
 #include "store/segment_log.h"
 
@@ -78,82 +71,14 @@ journal_entry journal_entry::from_json(const io::json_value& v) {
   return e;
 }
 
-namespace {
-
-/// Serializes migrators of one campaign through an exclusive flock on the
-/// single file itself; the kernel drops it when a migrator dies, so a
-/// crashed migration never wedges the next one.
-class file_lock {
- public:
-  explicit file_lock(const std::string& path)
-      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
-    if (fd_ < 0) return;  // moved aside already
-    while (::flock(fd_, LOCK_EX) != 0)
-      if (errno != EINTR) throw io_error("journal: cannot lock '" + path + "'");
-  }
-  ~file_lock() {
-    if (fd_ >= 0) ::close(fd_);  // closing drops the flock
-  }
-  file_lock(const file_lock&) = delete;
-  file_lock& operator=(const file_lock&) = delete;
-
-  bool held() const { return fd_ >= 0; }
-
- private:
-  int fd_;
-};
-
-/// One-shot migration of a single-file journal into the store at `dir`:
-/// copy its complete records verbatim (dropping retired `scheduled`
-/// records) into a fresh store built beside `dir`, rename that store into
-/// place, then move the file aside. Each rename is atomic, so a crash
-/// leaves the file untouched (and a half-built copy the next migrator
-/// discards) or one complete store (and a file the next call moves aside).
-void migrate_single_file(const std::string& file, const std::string& dir) {
-  const file_lock lock(file);
-  if (!lock.held()) return;  // a concurrent migrator finished first
-  std::error_code ec;
-  if (!store::segment_log::is_store_dir(dir)) {
-    // Replay first, write after: the torn-tail contract only forgives a
-    // malformed *final* line, so a corrupt record must fail the migration
-    // before anything is written.
-    std::vector<std::string> lines;
-    replay_jsonl_lines(file, "journal", [&lines](const std::string& line) {
-      const io::json_value record = io::json_value::parse(line);
-      if (record.at("state").as_string() == "scheduled") return;
-      (void)journal_entry::from_json(record);
-      lines.push_back(line);
-    });
-    const std::string draft = dir + ".migrating";
-    fs::remove_all(draft);  // a crashed migrator's half-built copy
-    {
-      store::segment_log out(draft, store::default_log_options, "journal");
-      for (const std::string& line : lines) out.append(line);
-    }
-    store::crash_point("migrate:before_rename");
-    fs::rename(draft, dir, ec);
-    if (ec) {
-      fs::remove_all(draft);
-      throw io_error("journal: cannot move the migrated store to '" + dir +
-                     "': " + ec.message());
-    }
-    store::crash_point("migrate:after_rename");
-    log_info("journal: migrated ", lines.size(), " records from '", file, "' to '",
-             dir, "'");
-  }
-  fs::rename(file, file + ".migrated", ec);
-  if (ec && fs::exists(file))
-    throw io_error("journal: cannot move '" + file + "' aside: " + ec.message());
-}
-
-}  // namespace
-
 std::string journal_path(const std::string& campaign_dir) {
-  const std::string dir = (fs::path(campaign_dir) / "journal").string();
   const std::string file = (fs::path(campaign_dir) / "journal.jsonl").string();
   std::error_code ec;
-  if (fs::exists(file, ec)) migrate_single_file(file, dir);
-  return dir;
+  if (fs::exists(file, ec))
+    throw io_error("journal: '" + file +
+                   "' is a pre-store single-file journal; open this campaign once "
+                   "with a build that still migrates it into journal/");
+  return (fs::path(campaign_dir) / "journal").string();
 }
 
 journal::journal(std::string dir)

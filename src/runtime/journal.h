@@ -15,9 +15,9 @@
 /// replay order is a total order and resolves every claim race
 /// deterministically (see `lease.h`).
 ///
-/// `journal_path(campaign_dir)` names the store and migrates a campaign
-/// written before the store existed (a single `journal.jsonl` file) once,
-/// so every reader sees the whole history.
+/// `journal_path(campaign_dir)` names the store. It refuses a campaign
+/// written before the store existed (a single `journal.jsonl` file) instead
+/// of reading only part of its history.
 
 #pragma once
 
@@ -87,12 +87,10 @@ struct journal_cursor {
   std::size_t line = 0;      ///< complete lines already consumed
 };
 
-/// The campaign journal's store directory (`<campaign_dir>/journal`). A
-/// campaign still holding a single-file `journal.jsonl` is migrated into
-/// the store first: its complete records are copied verbatim (minus the
-/// retired `scheduled` records) into a fresh store that is renamed into
-/// place, and the file is renamed to `journal.jsonl.migrated`. A crash at
-/// any point leaves either the untouched file or one complete store.
+/// The campaign journal's store directory (`<campaign_dir>/journal`); it
+/// creates nothing. A campaign still holding a pre-store single-file
+/// `journal.jsonl` throws `io_error` naming the file, since the store would
+/// hide that history.
 std::string journal_path(const std::string& campaign_dir);
 
 /// Append-only JSONL writer + replayer over one store directory.

@@ -1,14 +1,22 @@
 #include "runtime/result_store.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
+#include "common/log.h"
 #include "io/table.h"
 
 namespace boson::runtime {
@@ -64,26 +72,99 @@ std::string result_store::store_path(const std::string& campaign_dir) {
 
 namespace {
 
-std::string prepared_store_path(const std::string& campaign_dir) {
-  std::filesystem::create_directories(campaign_dir);
-  return result_store::store_path(campaign_dir);
+/// Holds flock(2) `op` on `fd` for one scope.
+class file_lock {
+ public:
+  file_lock(int fd, int op, const std::string& path) : fd_(fd) {
+    while (::flock(fd_, op) != 0)
+      if (errno != EINTR) throw io_error("result_store: cannot lock '" + path + "'");
+  }
+  ~file_lock() { ::flock(fd_, LOCK_UN); }
+  file_lock(const file_lock&) = delete;
+  file_lock& operator=(const file_lock&) = delete;
+
+ private:
+  int fd_;
+};
+
+/// Replay the store's lines in order, invoking `on_line` with each non-blank
+/// line (without its newline). A malformed line (`on_line` throws `error`)
+/// is only fatal when another line follows it: the torn tail a crash
+/// mid-append (or a reader racing a writer's write) leaves behind is
+/// ignored, while corruption anywhere else throws `io_error` naming the
+/// line. A missing file replays to nothing.
+void replay_lines(const std::string& path,
+                  const std::function<void(const std::string& line)>& on_line) {
+  std::ifstream in(path);
+  if (!in) return;  // no file yet: empty history
+
+  std::string line;
+  std::size_t line_number = 0;
+  std::string failure;
+  while (std::getline(in, line)) {
+    ++line_number;
+    if (!failure.empty()) throw io_error(failure);
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    try {
+      on_line(line);
+    } catch (const error& e) {
+      failure = "result_store: '" + path + "' line " + std::to_string(line_number) +
+                ": " + e.what();
+    }
+  }
 }
 
 }  // namespace
 
 result_store::result_store(const std::string& campaign_dir)
-    : out_(prepared_store_path(campaign_dir), "result_store") {}
+    : path_(store_path(campaign_dir)) {
+  std::filesystem::create_directories(campaign_dir);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (fd_ < 0) throw io_error("result_store: cannot open '" + path_ + "' for appending");
 
-void result_store::append(const job_result_row& row) { out_.append(row.to_json()); }
+  // Heal under the exclusive lock: an appender holds the shared one across
+  // its write, so the boundary computed here cannot be stale by the time
+  // the file is cut to it.
+  try {
+    const file_lock lock(fd_, LOCK_EX, path_);
+    std::ifstream in(path_, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (!text.empty() && text.back() != '\n') {
+      const std::size_t cut = text.find_last_of('\n');
+      const std::size_t keep = cut == std::string::npos ? 0 : cut + 1;
+      log_warn("result_store: dropping torn trailing fragment of '", path_, "' (",
+               text.size() - keep, " bytes)");
+      if (::ftruncate(fd_, static_cast<off_t>(keep)) != 0)
+        throw io_error("result_store: cannot truncate torn tail of '" + path_ + "'");
+    }
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
+}
+
+result_store::~result_store() { ::close(fd_); }
+
+void result_store::append(const job_result_row& row) {
+  const std::string line = row.to_json().dump(-1) + "\n";
+  const std::lock_guard<std::mutex> guard(mutex_);
+  const file_lock lock(fd_, LOCK_SH, path_);
+  for (std::size_t written = 0; written < line.size();) {
+    const ssize_t n = ::write(fd_, line.data() + written, line.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw io_error("result_store: append to '" + path_ + "' failed");
+    written += static_cast<std::size_t>(n);
+  }
+}
 
 std::vector<job_result_row> result_store::load(const std::string& campaign_dir) {
   std::map<std::size_t, job_result_row> latest;
-  replay_jsonl(store_path(campaign_dir), "result_store",
-               [&latest](const io::json_value& record) {
-                 job_result_row row = job_result_row::from_json(record);
-                 const std::size_t index = row.job_index;
-                 latest.insert_or_assign(index, std::move(row));
-               });
+  replay_lines(store_path(campaign_dir), [&latest](const std::string& line) {
+    job_result_row row = job_result_row::from_json(io::json_value::parse(line));
+    const std::size_t index = row.job_index;
+    latest.insert_or_assign(index, std::move(row));
+  });
   std::vector<job_result_row> rows;
   rows.reserve(latest.size());
   for (auto& [index, row] : latest) {
@@ -95,26 +176,25 @@ std::vector<job_result_row> result_store::load(const std::string& campaign_dir) 
 
 std::size_t result_store::count_rows(const std::string& campaign_dir) {
   std::set<std::size_t> jobs;
-  replay_jsonl_lines(
-      store_path(campaign_dir), "result_store", [&jobs](const std::string& line) {
-        // Fast path: rows this store writes start exactly with {"job":N, —
-        // peel the index straight off the text. Anything else (hand-edited
-        // or foreign rows) goes through the full parser.
-        const std::string prefix = "{\"job\":";
-        if (line.rfind(prefix, 0) == 0) {
-          std::size_t value = 0;
-          std::size_t i = prefix.size();
-          const std::size_t start = i;
-          while (i < line.size() && line[i] >= '0' && line[i] <= '9')
-            value = value * 10 + static_cast<std::size_t>(line[i++] - '0');
-          if (i > start && i < line.size() && (line[i] == ',' || line[i] == '}')) {
-            jobs.insert(value);
-            return;
-          }
-        }
-        jobs.insert(static_cast<std::size_t>(
-            io::json_value::parse(line).at("job").as_number()));
-      });
+  replay_lines(store_path(campaign_dir), [&jobs](const std::string& line) {
+    // Fast path: rows this store writes start exactly with {"job":N, —
+    // peel the index straight off the text. Anything else (hand-edited
+    // or foreign rows) goes through the full parser.
+    const std::string prefix = "{\"job\":";
+    if (line.rfind(prefix, 0) == 0) {
+      std::size_t value = 0;
+      std::size_t i = prefix.size();
+      const std::size_t start = i;
+      while (i < line.size() && line[i] >= '0' && line[i] <= '9')
+        value = value * 10 + static_cast<std::size_t>(line[i++] - '0');
+      if (i > start && i < line.size() && (line[i] == ',' || line[i] == '}')) {
+        jobs.insert(value);
+        return;
+      }
+    }
+    jobs.insert(static_cast<std::size_t>(
+        io::json_value::parse(line).at("job").as_number()));
+  });
   return jobs.size();
 }
 

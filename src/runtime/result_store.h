@@ -1,7 +1,9 @@
 /// \file result_store.h
 /// Persistent campaign-level results: every completed job appends one JSON
 /// line to `<campaign_dir>/results.jsonl` (thread-safe, latest-attempt-wins
-/// on reload), and `render_report` pivots the stored rows into the paper's
+/// on reload). The store stays one plain file, not a `store::segment_log`:
+/// status polls count its rows on every request, and one file is the
+/// cheapest thing to scan. `render_report` pivots the stored rows into the paper's
 /// Table 1/2/3 layouts — a method x device grid of post-fab FoM mean +- std
 /// aggregated over seeds/overrides, plus a per-device detail table — via
 /// `io::table`.
@@ -9,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "runtime/campaign.h"
-#include "runtime/jsonl.h"
 
 namespace boson::runtime {
 
@@ -40,16 +42,29 @@ struct job_result_row {
 };
 
 /// Append-only JSONL store of job results inside a campaign directory.
+///
+/// Concurrent worker processes share one file through flock(2) on it, the
+/// protocol of `store::segment_log`: an append is one O_APPEND write under a
+/// shared lock, so appends interleave whole lines only; healing a torn tail
+/// takes the exclusive lock, so it never truncates a row another worker
+/// appended after the healer looked. Readers (`load`, `count_rows`) take no
+/// lock and tolerate the torn tail instead.
 class result_store {
  public:
-  /// Opens (and heals, see `jsonl_appender`) the store for appending.
+  /// Opens the store for appending, creating `campaign_dir` and the file if
+  /// needed. A crash-torn trailing fragment is truncated away first, so the
+  /// next row cannot merge into it and become mid-file corruption.
   explicit result_store(const std::string& campaign_dir);
+  ~result_store();
 
-  /// Append one row; thread-safe and flushed (line-atomic, so concurrent
-  /// worker processes share one store).
+  result_store(const result_store&) = delete;
+  result_store& operator=(const result_store&) = delete;
+
+  /// Append one row as a single write; thread-safe, and in the kernel before
+  /// returning.
   void append(const job_result_row& row);
 
-  const std::string& path() const { return out_.path(); }
+  const std::string& path() const { return path_; }
 
   /// Load every row of a campaign's store; duplicate job indices (retries,
   /// re-runs) collapse to the latest row. A missing store loads empty; a
@@ -70,7 +85,9 @@ class result_store {
   static std::string store_path(const std::string& campaign_dir);
 
  private:
-  jsonl_appender out_;
+  std::mutex mutex_;  ///< serializes this instance's appends
+  std::string path_;
+  int fd_ = -1;       ///< O_WRONLY | O_APPEND
 };
 
 /// Render the paper-shaped report: a coverage line ("N/M jobs"), the

@@ -153,12 +153,11 @@ scheduler_report scheduler::run() {
   cancel_.store(false);
   const scheduler_settings settings = effective_settings();
   const bool tracing = options_.trace || env_int("BOSON_TRACE", 0) != 0;
-  fs::create_directories(fs::path(options_.campaign_dir) / "jobs");
-
   const std::vector<campaign_job> all_jobs = spec_.expand();
 
   journal log(journal_path(options_.campaign_dir));
   result_store store(options_.campaign_dir);
+  fs::create_directories(fs::path(options_.campaign_dir) / "jobs");
   lease_manager manager(log, worker_id(), settings.lease_ttl, options_.clock);
   fault_injector* const faults = options_.faults;
 

@@ -5,8 +5,6 @@
 #include <filesystem>
 #include <system_error>
 
-#include "common/log.h"
-#include "runtime/jsonl.h"
 #include "runtime/scheduler.h"
 #include "store/segment_log.h"
 
@@ -51,10 +49,6 @@ bool valid_tenant(const std::string& tenant) {
 }
 
 namespace {
-
-std::string legacy_manifest_path(const std::string& data_dir) {
-  return (std::filesystem::path(data_dir) / "registry.jsonl").string();
-}
 
 std::string ledger_dir(const std::string& data_dir) {
   return (std::filesystem::path(data_dir) / "registry").string();
@@ -103,38 +97,18 @@ std::vector<std::string> registry_fold(const std::vector<std::string>& lines) {
 campaign_registry::campaign_registry(options opts) : options_(std::move(opts)) {
   require(!options_.data_dir.empty(), "campaign_registry: data_dir must not be empty");
   require(options_.tenant_quota >= 1, "campaign_registry: tenant quota must be >= 1");
-  std::filesystem::create_directories(options_.data_dir);
-
+  // A pre-store data root keeps its ledger in `registry.jsonl`. Starting an
+  // empty ledger beside it would mint ids from c0001 again, colliding with
+  // the campaign directories already on disk.
+  const std::string legacy =
+      (std::filesystem::path(options_.data_dir) / "registry.jsonl").string();
+  std::error_code ec;
+  if (std::filesystem::exists(legacy, ec))
+    throw io_error("campaign_registry: '" + legacy +
+                   "' is a pre-store ledger; open this data root once with a build "
+                   "that still migrates it into registry/");
   log_ = std::make_unique<store::segment_log>(ledger_dir(options_.data_dir),
                                               store::default_log_options, "registry");
-
-  // One-shot migration of a pre-store data root: fold the legacy file's
-  // complete records into the ledger, then move it aside. Idempotent — a
-  // crash mid-migration re-appends the same latest-wins records, and a
-  // concurrent migrating process just loses the rename race.
-  const std::string legacy = legacy_manifest_path(options_.data_dir);
-  std::error_code ec;
-  if (std::filesystem::exists(legacy, ec) && std::filesystem::file_size(legacy, ec) > 0) {
-    log_->with_exclusive([&] {
-      // Replay first, append after: replay_jsonl's torn-tail contract
-      // swallows a callback throw on the final line, and a corrupt id must
-      // fail the migration loudly (blaming the legacy file) wherever it
-      // sits — never silently enter the ledger.
-      std::vector<io::json_value> legacy_records;
-      runtime::replay_jsonl(legacy, "campaign_registry",
-                            [&](const io::json_value& record) {
-                              legacy_records.push_back(record);
-                            });
-      std::size_t migrated = 0;
-      for (const io::json_value& record : legacy_records) {
-        id_number(record.at("id").as_string(), legacy);
-        log_->append(record.dump(-1));
-        ++migrated;
-      }
-      std::filesystem::rename(legacy, legacy + ".migrated", ec);
-      log_info("campaign_registry: migrated ", migrated, " records from ", legacy);
-    });
-  }
 
   const std::lock_guard<std::mutex> lock(mutex_);
   sync_locked();

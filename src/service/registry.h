@@ -8,9 +8,8 @@
 /// because every mutation runs under the store's cross-process exclusive
 /// lock, *several service processes can share one data root*: ids stay
 /// unique, quotas are enforced against the union of submits, and a
-/// queued→running claim is atomic across the fleet. A legacy
-/// `registry.jsonl` from an older data root is migrated into the store on
-/// first open. Tenants are directories: quota and listing are per tenant,
+/// queued→running claim is atomic across the fleet. A data root that still
+/// holds a pre-store `registry.jsonl` is refused. Tenants are directories: quota and listing are per tenant,
 /// and two tenants can submit campaigns with the same name without
 /// colliding.
 
@@ -74,9 +73,10 @@ class campaign_registry {
     std::size_t tenant_quota = 8;  ///< max queued+running campaigns per tenant
   };
 
-  /// Creates `data_dir` if needed, opens (creating/migrating if needed) the
+  /// Creates `data_dir` if needed, opens (creating if needed) the
   /// `registry/` segment store, and folds it (latest record per id wins), so
-  /// restarts resume the ledger.
+  /// restarts resume the ledger. A pre-store `registry.jsonl` in `data_dir`
+  /// throws `io_error` naming it, before anything is created.
   explicit campaign_registry(options opts);
   ~campaign_registry();
 

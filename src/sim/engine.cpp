@@ -46,7 +46,8 @@ std::vector<array2d<cplx>> simulation_engine::solve_batch(const std::vector<cvec
     obs::span sp("sim.solve", "sim");
     if (sp.active()) sp.arg("batch", std::to_string(rhs.size()));
     counters().solves.inc(rhs.size());
-    xs = factor_.solve(rhs);
+    xs.reserve(rhs.size());
+    for (const cvec& b : rhs) xs.push_back(factor_.solve(b));
   }
 
   const grid2d& g = solver_.grid();

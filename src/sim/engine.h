@@ -1,9 +1,9 @@
 /// \file engine.h
 /// The simulation engine: one assembled FDFD operator (grid + PML + k0 +
-/// permittivity) and the factorization that solves it. The engine batches all
-/// excitations and adjoints of one variation corner through a single
-/// factorization (blocked multi-RHS substitution), and is immutable after
-/// construction so one instance can serve several threads.
+/// permittivity) and the factorization that solves it. All excitations and
+/// adjoints of one variation corner are solved through a single
+/// factorization, one substitution per right-hand side, and the engine is
+/// immutable after construction so one instance can serve several threads.
 
 #pragma once
 
@@ -39,13 +39,12 @@ class simulation_engine {
   simulation_engine(const simulation_engine&) = delete;
   simulation_engine& operator=(const simulation_engine&) = delete;
 
-  /// Batched forward solves: one field per excitation, all pushed through
-  /// the prepared operator together.
+  /// Forward solves: one field per excitation, all through the prepared
+  /// factor.
   std::vector<array2d<cplx>> solve_excitations(
       const std::vector<array2d<cplx>>& current_densities) const;
 
-  /// Batched adjoint solves A lambda = g for the monitor gradients of one
-  /// corner.
+  /// Adjoint solves A lambda = g for the monitor gradients of one corner.
   std::vector<array2d<cplx>> solve_adjoints(
       const std::vector<fdfd::field_gradient>& gradients) const;
 

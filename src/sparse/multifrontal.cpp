@@ -284,23 +284,10 @@ grid_ldlt::grid_ldlt(const grid_stencil& a) : nx_(a.nx), ny_(a.ny) {
   }
 }
 
-cvec grid_ldlt::solve(const cvec& b) const {
-  std::vector<cvec> xs{b};
-  substitute(xs);
-  return std::move(xs.front());
-}
-
-std::vector<cvec> grid_ldlt::solve(const std::vector<cvec>& bs) const {
-  std::vector<cvec> xs = bs;
-  substitute(xs);
-  return xs;
-}
-
-void grid_ldlt::substitute(std::vector<cvec>& xs) const {
-  const std::size_t n = size();
-  for (const auto& x : xs) require(x.size() == n, "grid_ldlt::solve: rhs size mismatch");
-  const std::size_t nb = xs.size();
-  cvec block;  // the current front's entries of every right-hand side
+cvec grid_ldlt::solve(const cvec& rhs) const {
+  require(rhs.size() == size(), "grid_ldlt::solve: rhs size mismatch");
+  cvec x = rhs;
+  cvec front;  // the current front's entries of x
 
   // Forward: per node, each pivot step's swap, its L columns (which also
   // update the ring entries owned by ancestors) and its D block.
@@ -309,38 +296,36 @@ void grid_ldlt::substitute(std::vector<cvec>& xs) const {
     const std::size_t m = s + nd.ring;
     const std::size_t* cells = &front_cells_[nd.front_begin];
     const std::size_t* piv = &pivots_[nd.pivot_begin];
-    block.resize(m * nb);
-    for (std::size_t c = 0; c < nb; ++c) {
-      cplx* xf = &block[c * m];
-      for (std::size_t i = 0; i < m; ++i) xf[i] = xs[c][cells[i]];
-      for (std::size_t k = 0; k < s;) {
-        const cplx* lk = column(nd, k);
-        if (piv[k] != none) {
-          if (piv[k] != k) std::swap(xf[k], xf[piv[k]]);
-          if (xf[k] != cplx{}) {
-            sub_scaled(xf + k + 1, lk + 1, xf[k], m - k - 1);
-            xf[k] /= lk[0];
-          }
-          k += 1;
-          continue;
+    front.resize(m);
+    cplx* xf = front.data();
+    for (std::size_t i = 0; i < m; ++i) xf[i] = x[cells[i]];
+    for (std::size_t k = 0; k < s;) {
+      const cplx* lk = column(nd, k);
+      if (piv[k] != none) {
+        if (piv[k] != k) std::swap(xf[k], xf[piv[k]]);
+        if (xf[k] != cplx{}) {
+          sub_scaled(xf + k + 1, lk + 1, xf[k], m - k - 1);
+          xf[k] /= lk[0];
         }
-        const cplx* lk1 = column(nd, k + 1);
-        if (piv[k + 1] != k + 1) std::swap(xf[k + 1], xf[piv[k + 1]]);
-        if (xf[k] != cplx{} || xf[k + 1] != cplx{}) {
-          sub_scaled(xf + k + 2, lk + 2, xf[k], m - k - 2);
-          sub_scaled(xf + k + 2, lk1 + 1, xf[k + 1], m - k - 2);
-          // LAPACK's scaled solve with D = [lk[0] lk[1]; lk[1] lk1[0]].
-          const cplx b = lk[1];
-          const cplx a = lk[0] / b, d = lk1[0] / b;
-          const cplx denom = a * d - 1.0;
-          const cplx u = xf[k] / b, v = xf[k + 1] / b;
-          xf[k] = (d * u - v) / denom;
-          xf[k + 1] = (a * v - u) / denom;
-        }
-        k += 2;
+        k += 1;
+        continue;
       }
-      for (std::size_t i = 0; i < m; ++i) xs[c][cells[i]] = xf[i];
+      const cplx* lk1 = column(nd, k + 1);
+      if (piv[k + 1] != k + 1) std::swap(xf[k + 1], xf[piv[k + 1]]);
+      if (xf[k] != cplx{} || xf[k + 1] != cplx{}) {
+        sub_scaled(xf + k + 2, lk + 2, xf[k], m - k - 2);
+        sub_scaled(xf + k + 2, lk1 + 1, xf[k + 1], m - k - 2);
+        // LAPACK's scaled solve with D = [lk[0] lk[1]; lk[1] lk1[0]].
+        const cplx b = lk[1];
+        const cplx a = lk[0] / b, d = lk1[0] / b;
+        const cplx denom = a * d - 1.0;
+        const cplx u = xf[k] / b, v = xf[k + 1] / b;
+        xf[k] = (d * u - v) / denom;
+        xf[k + 1] = (a * v - u) / denom;
+      }
+      k += 2;
     }
+    for (std::size_t i = 0; i < m; ++i) x[cells[i]] = xf[i];
   }
 
   // Backward, in reverse postorder: the ring (ancestor) unknowns are final,
@@ -352,20 +337,19 @@ void grid_ldlt::substitute(std::vector<cvec>& xs) const {
     const std::size_t m = s + nd.ring;
     const std::size_t* cells = &front_cells_[nd.front_begin];
     const std::size_t* piv = &pivots_[nd.pivot_begin];
-    block.resize(m * nb);
-    for (std::size_t c = 0; c < nb; ++c) {
-      cplx* xf = &block[c * m];
-      for (std::size_t i = 0; i < m; ++i) xf[i] = xs[c][cells[i]];
-      for (std::size_t k = s; k > 0;) {
-        const bool two = k >= 2 && piv[k - 2] == none;  // a 2x2 step ends at k - 1
-        xf[k - 1] -= dot(column(nd, k - 1) + 1, xf + k, m - k);
-        if (two) xf[k - 2] -= dot(column(nd, k - 2) + 2, xf + k, m - k);
-        if (piv[k - 1] != k - 1) std::swap(xf[k - 1], xf[piv[k - 1]]);
-        k -= two ? 2 : 1;
-      }
-      for (std::size_t i = 0; i < s; ++i) xs[c][cells[i]] = xf[i];
+    front.resize(m);
+    cplx* xf = front.data();
+    for (std::size_t i = 0; i < m; ++i) xf[i] = x[cells[i]];
+    for (std::size_t k = s; k > 0;) {
+      const bool two = k >= 2 && piv[k - 2] == none;  // a 2x2 step ends at k - 1
+      xf[k - 1] -= dot(column(nd, k - 1) + 1, xf + k, m - k);
+      if (two) xf[k - 2] -= dot(column(nd, k - 2) + 2, xf + k, m - k);
+      if (piv[k - 1] != k - 1) std::swap(xf[k - 1], xf[piv[k - 1]]);
+      k -= two ? 2 : 1;
     }
+    for (std::size_t i = 0; i < s; ++i) x[cells[i]] = xf[i];
   }
+  return x;
 }
 
 }  // namespace boson::sp

@@ -59,14 +59,6 @@ class grid_ldlt {
   /// Solve A x = b; returns x.
   cvec solve(const cvec& b) const;
 
-  /// Multi-RHS solve, node by node over the whole batch: each node's factors
-  /// are fetched once per batch and stay in cache across its right-hand
-  /// sides. Every right-hand side sees exactly the operations of the scalar
-  /// `solve`, so the batch is bit-identical to one scalar solve per
-  /// right-hand side (a one-RHS batch included). An empty batch returns an
-  /// empty result.
-  std::vector<cvec> solve(const std::vector<cvec>& bs) const;
-
  private:
   /// "No index": absent children, cells outside the current front, and the
   /// pivot entry of the first row of a 2x2 block.
@@ -94,9 +86,6 @@ class grid_ldlt {
   /// to nodes_ in postorder and each node's front to front_cells_; returns
   /// the index of the region's node.
   std::size_t bisect(std::size_t x0, std::size_t x1, std::size_t y0, std::size_t y1);
-
-  /// Overwrite every right-hand side in `xs` with its solution.
-  void substitute(std::vector<cvec>& xs) const;
 
   /// Column k of a node's trapezoid, starting at its diagonal entry.
   const cplx* column(const node& nd, std::size_t k) const {

@@ -69,7 +69,7 @@ std::uintmax_t fd_size(int fd) {
 
 /// Truncate a crash-torn trailing fragment (no final newline) away, so a
 /// fresh append cannot merge into it — the same heal-on-open contract as
-/// `runtime::jsonl_appender`. Callers hold the exclusive lock.
+/// `runtime::result_store`. Callers hold the exclusive lock.
 void heal_file(const std::string& path, const std::string& label) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return;

@@ -1,4 +1,4 @@
-#include "sparse/banded.h"
+#include "banded.h"
 
 #include <algorithm>
 #include <cmath>
@@ -125,72 +125,6 @@ cvec banded_lu::solve(const cvec& b) const {
     sub_scaled(&x[first_row], &ab_(jj, offset(first_row, jj)), xj, jj - first_row);
   }
   return x;
-}
-
-std::vector<cvec> banded_lu::solve(const std::vector<cvec>& bs) const {
-  require(factored_, "banded_lu::solve: factor() first");
-  for (const auto& b : bs) require(b.size() == n_, "banded_lu::solve: rhs size mismatch");
-  const std::size_t m = bs.size();
-  if (m == 0) return {};
-  // A one-RHS batch takes the scalar substitution verbatim, so batched and
-  // scalar callers agree bit-for-bit (and the block pack/unpack is skipped).
-  if (m == 1) {
-    std::vector<cvec> xs;
-    xs.push_back(solve(bs[0]));
-    return xs;
-  }
-
-  // Pack the batch into one contiguous row-major n x m block: element
-  // (i, k) is RHS k at row i, so every inner loop below streams over the
-  // batch with unit stride and vectorizes.
-  cvec x(n_ * m);
-  for (std::size_t k = 0; k < m; ++k) {
-    const cvec& b = bs[k];
-    for (std::size_t i = 0; i < n_; ++i) x[i * m + k] = b[i];
-  }
-
-  // Forward substitution, all RHS per column: each stored multiplier is read
-  // once and applied to the whole block row.
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (pivot_[j] != j) {
-      cplx* row_j = &x[j * m];
-      cplx* row_p = &x[pivot_[j] * m];
-      for (std::size_t k = 0; k < m; ++k) std::swap(row_j[k], row_p[k]);
-    }
-    const std::size_t last_row = std::min(j + kl_, n_ - 1);
-    if (last_row == j) continue;
-    const cplx* col_j = &ab_(j, offset(j + 1, j));
-    const cplx* row_j = &x[j * m];
-    for (std::size_t i = j + 1; i <= last_row; ++i) {
-      const cplx a = col_j[i - j - 1];
-      if (a == cplx{}) continue;
-      sub_scaled(&x[i * m], row_j, a, m);
-    }
-  }
-
-  // Back substitution on U (bandwidth ku + kl).
-  const std::size_t band_hi = ku_ + kl_;
-  for (std::size_t jj = n_; jj-- > 0;) {
-    const cplx inv_diag = 1.0 / ab_(jj, offset(jj, jj));
-    cplx* row_j = &x[jj * m];
-    for (std::size_t k = 0; k < m; ++k) row_j[k] *= inv_diag;
-    const std::size_t first_row = (jj > band_hi) ? jj - band_hi : 0;
-    if (first_row == jj) continue;
-    const cplx* col = &ab_(jj, offset(first_row, jj));
-    for (std::size_t i = first_row; i < jj; ++i) {
-      const cplx a = col[i - first_row];
-      if (a == cplx{}) continue;
-      sub_scaled(&x[i * m], row_j, a, m);
-    }
-  }
-
-  std::vector<cvec> xs(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    cvec& out = xs[k];
-    out.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) out[i] = x[i * m + k];
-  }
-  return xs;
 }
 
 cvec banded_lu::matvec(const cvec& x) const {

@@ -10,9 +10,9 @@ namespace boson::sp {
 
 /// Complex banded matrix with LU factorization and partial pivoting, in the
 /// style of LAPACK's gbtrf/gbtrs. The test oracle of the nested-dissection
-/// `grid_ldlt` (and the `bm_banded_lu` microbenchmark): a 2-D grid operator
-/// with unknowns ix * ny + iy is banded with kl = ku = ny, and a banded LU
-/// factors it in O(n * kl * (kl + ku)) time.
+/// `sp::grid_ldlt`: a 2-D grid operator with unknowns ix * ny + iy is banded
+/// with kl = ku = ny, and a banded LU factors it in O(n * kl * (kl + ku))
+/// time.
 ///
 /// Storage reserves kl extra superdiagonals for pivoting fill, so entries may
 /// be set for column offsets j - i in [-kl, ku] and the factorization can
@@ -44,15 +44,6 @@ class banded_lu {
 
   /// Solve A x = b using the factorization; returns x.
   cvec solve(const cvec& b) const;
-
-  /// Blocked multi-RHS solve: the batch is packed into one contiguous
-  /// row-major n x m block and forward/back-substituted together, so each LU
-  /// coefficient is loaded once per column and the innermost loops stream
-  /// over the batch with unit stride. This is how one variation corner's
-  /// excitations and adjoints share the factorization. An empty batch
-  /// returns an empty result; a one-RHS batch matches the scalar `solve`
-  /// bit-for-bit.
-  std::vector<cvec> solve(const std::vector<cvec>& bs) const;
 
   /// y = A x with the *unfactored* matrix (for residual checks).
   cvec matvec(const cvec& x) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "banded.h"
 #include "api/spec.h"
 #include "common/rng.h"
 #include "devices/builders.h"
@@ -12,7 +13,6 @@
 #include "fdfd/solver.h"
 #include "fdfd/source.h"
 #include "modes/slab.h"
-#include "sparse/banded.h"
 #include "sparse/multifrontal.h"
 
 namespace boson::fdfd {

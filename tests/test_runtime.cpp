@@ -1,6 +1,6 @@
 // Tests of the campaign runtime: campaign expansion, the append-only
-// journal and its one-shot single-file migration, bit-exact checkpoint
-// serialization, checkpoint /
+// journal (and its refusal of a pre-store single-file journal), the result
+// store's heal-under-lock, bit-exact checkpoint serialization, checkpoint /
 // resume determinism of the optimization loop, the lease-based elastic
 // scheduler (claim races, steals, heartbeats — all under injected manual
 // clocks, never wall-clock sleeps), and a multi-process fault-injection
@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -38,7 +41,6 @@
 #include "runtime/checkpoint.h"
 #include "runtime/fault.h"
 #include "runtime/journal.h"
-#include "runtime/jsonl.h"
 #include "runtime/lease.h"
 #include "runtime/result_store.h"
 #include "runtime/scheduler.h"
@@ -721,6 +723,69 @@ TEST(result_store, append_load_and_latest_attempt_wins) {
   EXPECT_DOUBLE_EQ(rows[0].postfab_max, 0.25);
   EXPECT_EQ(rows[1].attempt, 2u);
   EXPECT_DOUBLE_EQ(rows[1].prefab_fom, 0.75);
+}
+
+/// A row as the store writes it, for hand-built store files.
+std::string row_line(std::size_t job) {
+  runtime::job_result_row row;
+  row.job_index = job;
+  row.name = "job" + std::to_string(job);
+  return row.to_json().dump(-1);
+}
+
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+TEST(result_store, opening_heals_a_torn_tail_before_appending) {
+  const fs::path dir = fresh_dir("boson_runtime_store_heal");
+  const std::string path = runtime::result_store::store_path(dir.string());
+  std::ofstream(path, std::ios::binary) << row_line(0) << "\n" << R"({"job":1,"na)";
+  EXPECT_EQ(runtime::result_store::load(dir.string()).size(), 1u);  // torn tail ignored
+  {
+    runtime::result_store store(dir.string());
+    EXPECT_EQ(read_text(path), row_line(0) + "\n");
+    runtime::job_result_row row;
+    row.job_index = 2;
+    store.append(row);
+  }
+  const auto rows = runtime::result_store::load(dir.string());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].job_index, 2u);
+}
+
+TEST(result_store, opening_does_not_truncate_while_another_descriptor_holds_the_lock) {
+  // An appender holds a shared flock on results.jsonl across its write. A
+  // worker opening the store meanwhile must wait for it before cutting a
+  // torn tail: a boundary computed earlier would drop the committed row.
+  const fs::path dir = fresh_dir("boson_runtime_store_heal_lock");
+  const std::string path = runtime::result_store::store_path(dir.string());
+  const std::string torn = row_line(0) + "\n" + R"({"job":1,"na)";
+  std::ofstream(path, std::ios::binary) << torn;
+
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::flock(fd, LOCK_SH), 0);
+  std::atomic<bool> opened{false};
+  std::string failure;
+  std::thread opener([&] {
+    try {
+      runtime::result_store store(dir.string());
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+    opened.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(opened.load());
+  EXPECT_EQ(read_text(path), torn);
+
+  ::flock(fd, LOCK_UN);
+  ::close(fd);
+  opener.join();
+  EXPECT_EQ(failure, "");
+  EXPECT_EQ(read_text(path), row_line(0) + "\n");
 }
 
 TEST(result_store, report_covers_the_method_device_grid) {
@@ -1906,173 +1971,47 @@ TEST(scheduler, losing_half_the_fleet_mid_campaign_still_reaches_full_coverage) 
       runtime::journal::replay(runtime::journal_path(dir.string())));
 }
 
-// ------------------------------------------------- single-file migration --
+// ------------------------------------------------ pre-store single file --
 
-/// Rewrite a campaign's journal store as the single `journal.jsonl` file
-/// campaigns kept before the store: every record verbatim, a `scheduled`
-/// record ahead of each job's first line (what the oldest scheduler wrote),
-/// and a crash-torn tail. The store directory is removed.
-void write_single_file_journal(const fs::path& campaign_dir) {
-  const std::string store_dir = runtime::journal_path(campaign_dir.string());
-  const std::vector<std::string> lines =
-      store::segment_log::read_all(store_dir, "test");
-  std::set<std::size_t> announced;
-  std::ofstream out(campaign_dir / "journal.jsonl", std::ios::binary);
-  for (const std::string& line : lines) {
-    const auto job = static_cast<std::size_t>(
-        io::json_value::parse(line).at("job").as_number());
-    if (announced.insert(job).second)
-      out << R"({"job":)" << job << R"(,"name":"j","state":"scheduled","attempt":0})"
-          << "\n";
-    out << line << "\n";
-  }
-  out << R"({"job":0,"name":"j","state":"runn)";  // torn tail
-  out.close();
-  fs::remove_all(store_dir);
+/// Every entry directly under `dir`, by name.
+std::set<std::string> entry_names(const fs::path& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir))
+    names.insert(entry.path().filename().string());
+  return names;
 }
 
-/// The single file's history as the pre-store replay saw it, minus the
-/// retired `scheduled` records.
-std::vector<runtime::journal_entry> single_file_history(const fs::path& file) {
-  std::vector<runtime::journal_entry> entries;
-  runtime::replay_jsonl_lines(file.string(), "test", [&](const std::string& line) {
-    const io::json_value v = io::json_value::parse(line);
-    if (v.at("state").as_string() != "scheduled")
-      entries.push_back(runtime::journal_entry::from_json(v));
-  });
-  return entries;
+TEST(journal, refuses_a_pre_store_single_file_journal_and_writes_nothing) {
+  // A campaign written before the segmented store kept one `journal.jsonl`.
+  // Opening it names the file instead of starting an empty store beside it
+  // that would hide the history; neither the path lookup nor a scheduler
+  // run creates or renames anything.
+  const fs::path dir = fresh_dir("boson_runtime_pre_store");
+  const runtime::campaign_spec spec = synthetic_campaign();
+  spec.to_json().write_file(runtime::campaign_spec_path(dir.string()));
+  std::ofstream(dir / "journal.jsonl")
+      << R"({"job":0,"name":"j","state":"leased","attempt":1})" << "\n";
+  const std::set<std::string> before = entry_names(dir);
+
+  expect_throw_with<io_error>([&] { (void)runtime::journal_path(dir.string()); },
+                              (dir / "journal.jsonl").string());
+  std::atomic<std::size_t> executed{0};
+  runtime::scheduler_options options;
+  options.campaign_dir = dir.string();
+  options.executor = counting_executor(executed);
+  expect_throw_with<io_error>([&] { (void)runtime::scheduler(spec, options).run(); },
+                              "journal.jsonl");
+  EXPECT_EQ(executed.load(), 0u);
+  EXPECT_EQ(entry_names(dir), before);
 }
 
-/// A campaign whose single-file journal holds leases, a steal, checkpoints,
-/// a completion, `scheduled` records and a torn tail.
-fs::path single_file_campaign(const std::string& name) {
-  const fs::path dir = fresh_dir(name);
-  {
-    runtime::journal log(runtime::journal_path(dir.string()));
-    double now = 0.0;
-    runtime::lease_manager a(log, "a", 10.0, [&now] { return now; });
-    runtime::lease_manager b(log, "b", 10.0, [&now] { return now; });
-    std::optional<runtime::job_lease> l0 = a.claim(0, "job0");
-    std::optional<runtime::job_lease> l1 = a.claim(1, "job1");
-    EXPECT_TRUE(l0 && l1);
-    runtime::journal_entry ck;
-    ck.job_index = 0;
-    ck.job_name = "job0";
-    ck.state = runtime::job_state::checkpointed;
-    ck.attempt = 1;
-    ck.detail = "iteration 2/6";
-    ck.worker = "a";
-    ck.lease_id = l0.value().lease_id;
-    log.append(ck);
-    EXPECT_TRUE(a.renew(l0.value()));
-    now = 50.0;  // a's leases lapse: b steals job 1 and finishes it
-    std::optional<runtime::job_lease> stolen = b.claim(1, "job1");
-    EXPECT_TRUE(stolen && stolen->stolen);
-    runtime::journal_entry done;
-    done.job_index = 1;
-    done.job_name = "job1";
-    done.state = runtime::job_state::completed;
-    done.attempt = stolen.value().attempt;
-    done.worker = "b";
-    done.lease_id = stolen.value().lease_id;
-    log.append(done);
-  }
-  write_single_file_journal(dir);
-  return dir;
-}
-
-/// Exact equality of two replayed histories, their lease resolution and
-/// their latest states.
-void expect_same_journal(const std::vector<runtime::journal_entry>& got,
-                         const std::vector<runtime::journal_entry>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i].to_json().dump(-1), want[i].to_json().dump(-1)) << "record " << i;
-  const runtime::lease_table a = runtime::lease_table::resolve(got);
-  const runtime::lease_table b = runtime::lease_table::resolve(want);
-  ASSERT_EQ(a.jobs().size(), b.jobs().size());
-  for (const auto& [job, view] : b.jobs()) {
-    const runtime::lease_view v = a.view(job);
-    EXPECT_EQ(v.state, view.state) << "job " << job;
-    EXPECT_EQ(v.worker, view.worker) << "job " << job;
-    EXPECT_EQ(v.lease_id, view.lease_id) << "job " << job;
-    EXPECT_EQ(v.deadline, view.deadline) << "job " << job;
-    EXPECT_EQ(v.attempts, view.attempts) << "job " << job;
-  }
-  const auto latest_got = runtime::journal::latest_states(got);
-  const auto latest_want = runtime::journal::latest_states(want);
-  ASSERT_EQ(latest_got.size(), latest_want.size());
-  for (const auto& [job, e] : latest_want)
-    EXPECT_EQ(latest_got.at(job).to_json().dump(-1), e.to_json().dump(-1)) << "job " << job;
-}
-
-/// Store directories directly under a campaign directory.
-std::size_t store_count(const fs::path& campaign_dir) {
-  std::size_t stores = 0;
-  for (const auto& entry : fs::directory_iterator(campaign_dir))
-    if (store::segment_log::is_store_dir(entry.path().string())) ++stores;
-  return stores;
-}
-
-TEST(journal_migration, single_file_history_moves_into_the_store_minus_scheduled) {
-  const fs::path dir = single_file_campaign("boson_runtime_migrate");
-  const fs::path file = dir / "journal.jsonl";
-  const std::vector<runtime::journal_entry> want = single_file_history(file);
-  ASSERT_EQ(want.size(), 7u);  // 2 claims, checkpoint, renew, expiry, steal, completion
-
-  const std::string path = runtime::journal_path(dir.string());
-  EXPECT_EQ(path, (dir / "journal").string());
-  EXPECT_FALSE(fs::exists(file));
-  EXPECT_TRUE(fs::exists(dir / "journal.jsonl.migrated"));
-  EXPECT_EQ(store_count(dir), 1u);
-  expect_same_journal(runtime::journal::replay(path), want);
-  const runtime::lease_table table =
-      runtime::lease_table::resolve(runtime::journal::replay(path));
-  EXPECT_EQ(table.view(0).worker, "a");  // lapsed, but nobody stole it
-  EXPECT_TRUE(table.done(1));
-
-  // A second open finds nothing to migrate and changes nothing.
-  const std::vector<std::string> lines = store::segment_log::read_all(path, "test");
-  EXPECT_EQ(runtime::journal_path(dir.string()), path);
-  { runtime::journal reopened(runtime::journal_path(dir.string())); }
-  EXPECT_EQ(store::segment_log::read_all(path, "test"), lines);
-  EXPECT_EQ(store_count(dir), 1u);
-}
-
-TEST(journal_migration, sigkill_around_the_rename_ends_with_one_complete_store) {
-  for (const std::string point : {"migrate:before_rename", "migrate:after_rename"}) {
-    const fs::path dir = single_file_campaign("boson_runtime_migrate_kill");
-    const std::vector<runtime::journal_entry> want =
-        single_file_history(dir / "journal.jsonl");
-    const pid_t child = fork_worker([&dir, point] {
-      store::set_crash_hook([point](const char* at) {
-        if (point == at) ::kill(::getpid(), SIGKILL);
-      });
-      (void)runtime::journal_path(dir.string());
-    });
-    ASSERT_EQ(wait_worker(child), child_end::sigkilled) << point;
-    // Killed before the rename: the file is untouched and only the draft
-    // exists. Killed after it: the store is complete, the file not yet aside.
-    EXPECT_TRUE(fs::exists(dir / "journal.jsonl")) << point;
-    EXPECT_EQ(store::segment_log::is_store_dir((dir / "journal").string()),
-              point == "migrate:after_rename")
-        << point;
-
-    const std::string path = runtime::journal_path(dir.string());
-    EXPECT_FALSE(fs::exists(dir / "journal.jsonl")) << point;
-    EXPECT_FALSE(fs::exists(dir / "journal.migrating")) << point;
-    EXPECT_EQ(store_count(dir), 1u) << point;
-    expect_same_journal(runtime::journal::replay(path), want);
-  }
-}
-
-TEST(scheduler, single_file_campaign_killed_mid_run_resumes_bit_identically) {
-  // A worker process is SIGKILLed mid-run (after its iteration-2
-  // checkpoint); its journal is then put back into the single-file layout.
-  // A rescuer migrates it, steals the dead lease, resumes from the
-  // checkpoint and produces exactly what an uninterrupted run produces.
+TEST(scheduler, sigkilled_mid_run_worker_resumes_bit_identically) {
+  // A worker process running the real physics is SIGKILLed mid-run (after
+  // its iteration-2 checkpoint). A rescuer steals the dead lease, resumes
+  // from the checkpoint and produces exactly what an uninterrupted run
+  // produces.
   runtime::campaign_spec spec;
-  spec.name = "migrate_resume";
+  spec.name = "kill_resume";
   spec.devices = {"bend"};
   spec.methods = {"boson_no_relax"};
   spec.seeds = {7};
@@ -2081,12 +2020,12 @@ TEST(scheduler, single_file_campaign_killed_mid_run_resumes_bit_identically) {
   spec.scheduler.max_retries = 0;
   spec.scheduler.checkpoint_every = 2;
 
-  const fs::path ref_dir = fresh_dir("boson_runtime_migrate_ref");
+  const fs::path ref_dir = fresh_dir("boson_runtime_kill_ref");
   runtime::scheduler_options ref_options;
   ref_options.campaign_dir = ref_dir.string();
   ASSERT_EQ(runtime::scheduler(spec, ref_options).run().completed, 1u);
 
-  const fs::path dir = fresh_dir("boson_runtime_migrate_resume");
+  const fs::path dir = fresh_dir("boson_runtime_kill_resume");
   const pid_t worker = fork_worker([&spec, &dir] {
     runtime::fault_injector faults;
     faults.arm(runtime::fault_point::mid_run, 3, runtime::kill_process);
@@ -2100,7 +2039,6 @@ TEST(scheduler, single_file_campaign_killed_mid_run_resumes_bit_identically) {
   ASSERT_EQ(wait_worker(worker), child_end::sigkilled);
   ASSERT_TRUE(fs::exists(runtime::checkpoint_path(
       runtime::job_directory(dir.string(), "bend_boson_no_relax_s7"))));
-  write_single_file_journal(dir);
 
   runtime::scheduler_options rescue_options;
   rescue_options.campaign_dir = dir.string();
@@ -2110,7 +2048,6 @@ TEST(scheduler, single_file_campaign_killed_mid_run_resumes_bit_identically) {
   EXPECT_EQ(rescue.stolen, 1u);
   EXPECT_EQ(rescue.resumed, 1u);
   EXPECT_EQ(rescue.completed, 1u);
-  EXPECT_TRUE(fs::exists(dir / "journal.jsonl.migrated"));
 
   const auto rows = runtime::result_store::load(dir.string());
   const auto ref_rows = runtime::result_store::load(ref_dir.string());
@@ -2118,15 +2055,10 @@ TEST(scheduler, single_file_campaign_killed_mid_run_resumes_bit_identically) {
   EXPECT_EQ(rows[0].prefab_fom, ref_rows[0].prefab_fom);
   EXPECT_EQ(rows[0].postfab_mean, ref_rows[0].postfab_mean);
   EXPECT_EQ(rows[0].postfab_std, ref_rows[0].postfab_std);
-  const auto read = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
   const std::string ref_csv =
-      read(ref_dir / "jobs" / "bend_boson_no_relax_s7" / "trajectory.csv");
+      read_text(ref_dir / "jobs" / "bend_boson_no_relax_s7" / "trajectory.csv");
   ASSERT_FALSE(ref_csv.empty());
-  EXPECT_EQ(read(dir / "jobs" / "bend_boson_no_relax_s7" / "trajectory.csv"), ref_csv);
+  EXPECT_EQ(read_text(dir / "jobs" / "bend_boson_no_relax_s7" / "trajectory.csv"), ref_csv);
   expect_single_owner_throughout(
       runtime::journal::replay(runtime::journal_path(dir.string())));
 }

@@ -337,6 +337,28 @@ TEST(campaign_status_snapshot, tracks_a_campaign_from_pending_to_completed) {
   EXPECT_NE(text.find("12 completed"), std::string::npos);
 }
 
+/// Every entry under `dir`, recursively, as paths relative to it.
+std::set<std::string> tree(const fs::path& dir) {
+  std::set<std::string> paths;
+  for (const auto& entry : fs::recursive_directory_iterator(dir))
+    paths.insert(fs::relative(entry.path(), dir).string());
+  return paths;
+}
+
+TEST(campaign_status_snapshot, refuses_a_pre_store_journal_and_writes_nothing) {
+  // A status read is read-only: on a campaign that still holds a pre-store
+  // `journal.jsonl` it names the file and leaves the directory as it was.
+  const fs::path dir = fresh_dir("status_pre_store");
+  write_spec(synthetic_campaign(), dir);
+  std::ofstream(dir / "journal.jsonl")
+      << R"({"job":0,"name":"j","state":"leased","attempt":1})" << "\n";
+  const std::set<std::string> before = tree(dir);
+  expect_throw_with<io_error>(
+      [&] { (void)service::read_campaign_status(dir.string(), 0.0); },
+      (dir / "journal.jsonl").string());
+  EXPECT_EQ(tree(dir), before);
+}
+
 // ---------------------------------------------------------------- registry ----
 
 TEST(registry, assigns_sequential_ids_and_rescans_after_restart) {
@@ -413,13 +435,32 @@ TEST(registry, rescan_names_a_corrupt_manifest_id_instead_of_aborting_blind) {
   record["total_jobs"] = 12;
   record["submitted_at"] = 2.0;
   record["updated_at"] = 2.0;
-  std::ofstream(data / "registry.jsonl", std::ios::app) << record.dump(-1) << "\n";
+  {
+    store::segment_log ledger((data / "registry").string(), store::default_log_options,
+                              "test");
+    ledger.append(record.dump(-1));
+  }
 
   expect_throw_with<io_error>(
       [&] { service::campaign_registry reopened({data.string(), 8}); }, "zzz9");
   expect_throw_with<io_error>(
       [&] { service::campaign_registry reopened({data.string(), 8}); },
-      "registry.jsonl");
+      (data / "registry").string());
+}
+
+TEST(registry, refuses_a_pre_store_ledger_and_writes_nothing) {
+  // A data root from before the segmented ledger keeps `registry.jsonl`.
+  // An empty ledger beside it would mint c0001 again over an existing
+  // campaign directory, so the registry names the file and creates nothing.
+  const fs::path data = fresh_dir("registry_pre_store");
+  std::ofstream(data / "registry.jsonl")
+      << R"({"id":"c0001","tenant":"alice","name":"synthetic","state":"done",)"
+      << R"("dir":"alice/c0001","total_jobs":12,"submitted_at":1,"updated_at":2})" << "\n";
+  const std::set<std::string> before = tree(data);
+  expect_throw_with<io_error>(
+      [&] { service::campaign_registry registry({data.string(), 8}); },
+      (data / "registry.jsonl").string());
+  EXPECT_EQ(tree(data), before);
 }
 
 // ---------------------------------------------------------------- service ----

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "banded.h"
 #include "common/rng.h"
 #include "linalg/dense.h"
 #include "linalg/vec.h"
-#include "sparse/banded.h"
 #include "sparse/csr.h"
 #include "sparse/multifrontal.h"
 
@@ -138,44 +138,6 @@ INSTANTIATE_TEST_SUITE_P(shapes, banded_sizes,
                                            band_case{40, 5, 2}, band_case{40, 2, 5},
                                            band_case{100, 10, 10}, band_case{64, 8, 8}));
 
-TEST(banded, multi_rhs_solve_matches_single_rhs_solves) {
-  rng r(321);
-  const std::size_t n = 60, kl = 6, ku = 4, nrhs = 5;
-  banded_lu banded(n, kl, ku);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j + kl < i || i + ku < j) continue;
-      cplx v(r.uniform(-1, 1), r.uniform(-1, 1));
-      if (i == j) v += cplx(3.0, 0.0);
-      banded.add(i, j, v);
-    }
-  }
-  banded.factor();
-
-  std::vector<cvec> bs(nrhs, cvec(n));
-  for (auto& b : bs)
-    for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-
-  const std::vector<cvec> xs = banded.solve(bs);
-  ASSERT_EQ(xs.size(), nrhs);
-  for (std::size_t k = 0; k < nrhs; ++k) {
-    const cvec x_single = banded.solve(bs[k]);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(std::abs(xs[k][i] - x_single[i]), 0.0, 1e-10)
-          << "rhs " << k << " row " << i;
-  }
-}
-
-TEST(banded, multi_rhs_solve_handles_empty_and_singleton_batches) {
-  banded_lu banded(4, 1, 1);
-  for (std::size_t i = 0; i < 4; ++i) banded.add(i, i, cplx{2.0});
-  banded.factor();
-  EXPECT_TRUE(banded.solve(std::vector<cvec>{}).empty());
-  const auto xs = banded.solve(std::vector<cvec>{cvec(4, cplx{1.0})});
-  ASSERT_EQ(xs.size(), 1u);
-  for (const auto& v : xs[0]) EXPECT_NEAR(std::abs(v - cplx{0.5}), 0.0, 1e-14);
-}
-
 TEST(banded, matvec_matches_dense) {
   const std::size_t n = 15, k = 3;
   rng r(9);
@@ -237,61 +199,6 @@ TEST(banded, pivoting_handles_zero_leading_diagonal) {
   const auto x = a.solve(cvec{cplx{3.0}, cplx{5.0}});
   EXPECT_NEAR(std::abs(x[0] - cplx{5.0}), 0.0, 1e-14);
   EXPECT_NEAR(std::abs(x[1] - cplx{3.0}), 0.0, 1e-14);
-}
-
-// ------------------------------------------------ batched solve identities ----
-
-/// Random well-conditioned banded operator shared by the bit-identity tests.
-banded_lu random_banded_lu(std::size_t n, std::size_t kl, std::size_t ku,
-                           std::uint64_t seed) {
-  rng r(seed);
-  banded_lu a(n, kl, ku);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j + kl < i || i + ku < j) continue;
-      cplx v(r.uniform(-1, 1), r.uniform(-1, 1));
-      if (i == j) v += cplx(4.0, 0.5);
-      a.add(i, j, v);
-    }
-  }
-  a.factor();
-  return a;
-}
-
-TEST(banded, empty_batch_returns_empty_batch) {
-  const banded_lu a = random_banded_lu(24, 4, 3, 1234);
-  EXPECT_TRUE(a.solve(std::vector<cvec>{}).empty());
-}
-
-TEST(banded, singleton_batch_is_bit_identical_to_scalar_solve) {
-  const banded_lu a = random_banded_lu(48, 6, 6, 77);
-  rng r(78);
-  cvec b(48);
-  for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const cvec scalar = a.solve(b);
-  const auto batch = a.solve(std::vector<cvec>{b});
-  ASSERT_EQ(batch.size(), 1u);
-  for (std::size_t i = 0; i < scalar.size(); ++i)
-    EXPECT_EQ(batch[0][i], scalar[i]) << "row " << i;
-}
-
-TEST(banded, packed_batch_matches_scalar_solves_to_rounding) {
-  // The packed block substitution streams each LU coefficient across the
-  // whole batch, so the accumulation order differs from the scalar path by
-  // rounding only (the m == 1 case above is the bit-exact delegation).
-  const banded_lu a = random_banded_lu(64, 8, 8, 555);
-  rng r(556);
-  std::vector<cvec> bs(7, cvec(64));
-  for (auto& b : bs)
-    for (auto& v : b) v = cplx(r.uniform(-1, 1), r.uniform(-1, 1));
-  const auto batch = a.solve(bs);
-  ASSERT_EQ(batch.size(), bs.size());
-  for (std::size_t k = 0; k < bs.size(); ++k) {
-    const cvec scalar = a.solve(bs[k]);
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-      EXPECT_NEAR(std::abs(batch[k][i] - scalar[i]), 0.0, 1e-12)
-          << "rhs " << k << " row " << i;
-  }
 }
 
 // ---------------------------------------------- nested-dissection LDLᵀ ----
@@ -394,34 +301,6 @@ INSTANTIATE_TEST_SUITE_P(shapes, grid_ldlt_grids,
                                   std::to_string(info.param.ny) +
                                   (info.param.zero_corner > 0 ? "_zero_leaf_diagonal" : "");
                          });
-
-TEST(grid_ldlt, singleton_batch_is_bit_identical_to_scalar_solve) {
-  const grid_ldlt lu(random_grid_stencil(20, 16, 41));
-  const cvec b = random_cvec(lu.size(), 42);
-  const cvec scalar = lu.solve(b);
-  const auto batch = lu.solve(std::vector<cvec>{b});
-  ASSERT_EQ(batch.size(), 1u);
-  for (std::size_t i = 0; i < scalar.size(); ++i)
-    EXPECT_EQ(batch[0][i], scalar[i]) << "row " << i;
-}
-
-TEST(grid_ldlt, batch_is_bit_identical_to_scalar_solves) {
-  const grid_ldlt lu(random_grid_stencil(24, 19, 43));
-  std::vector<cvec> bs;
-  for (std::uint64_t k = 0; k < 5; ++k) bs.push_back(random_cvec(lu.size(), 44 + k));
-  const auto batch = lu.solve(bs);
-  ASSERT_EQ(batch.size(), bs.size());
-  for (std::size_t k = 0; k < bs.size(); ++k) {
-    const cvec scalar = lu.solve(bs[k]);
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-      ASSERT_EQ(batch[k][i], scalar[i]) << "rhs " << k << " row " << i;
-  }
-}
-
-TEST(grid_ldlt, empty_batch_returns_empty_batch) {
-  const grid_ldlt lu(random_grid_stencil(8, 8, 45));
-  EXPECT_TRUE(lu.solve(std::vector<cvec>{}).empty());
-}
 
 TEST(grid_ldlt, singular_operator_throws) {
   // Zero every entry of one cell's row and column: the matrix stays
