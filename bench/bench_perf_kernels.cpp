@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -261,9 +262,9 @@ BENCHMARK(bm_pipeline_evaluate)->Unit(benchmark::kMillisecond);
 // ------------------------------------------- BENCH_solvers.json report ----
 
 /// Wall-clock the solver-level figures the microbenchmarks sample — the FDFD
-/// factorization at 88x88 and 176x176 and the engine's prepare/solve split —
-/// and write them to BENCH_solvers.json so the perf trajectory is recorded
-/// run to run.
+/// factorization at 88x88 and 176x176, the engine's prepare/solve split and
+/// the Hopkins model's construction — and write them to BENCH_solvers.json
+/// so the perf trajectory is recorded run to run.
 io::json_value time_solvers() {
   io::json_value report = io::json_value::object();
 
@@ -316,6 +317,39 @@ io::json_value time_solvers() {
     report["backends"] = std::move(backends);
     std::printf("engine (64x64): prepare %.3f ms, solve %.3f ms\n", 1e3 * prepare_s,
                 1e3 * solve_s);
+  }
+
+  {  // one defocused litho corner, median of 5: the paper's default optics on
+     // the 0.05 um bend's extended design window, and the committed campaign
+     // specs' coarse optics at 0.1 um.
+    fab::litho_settings paper;
+    paper.pixel = 0.05;
+    fab::litho_settings campaign;
+    campaign.pixel = 0.1;
+    campaign.na = 0.65;
+    campaign.sigma = 0.35;
+    campaign.kernel_half = 5;
+    campaign.max_kernels = 5;
+    io::json_value litho = io::json_value::object();
+    for (const auto& [name, settings, side] :
+         {std::tuple{"paper_defaults", paper, std::size_t{52}},
+          std::tuple{"campaign", campaign, std::size_t{26}}}) {
+      dvec seconds;
+      for (int rep = 0; rep < 5; ++rep) {
+        const stopwatch sw;
+        const fab::hopkins_litho model(settings, fab::litho_corner_params{0.08, 1.05}, side,
+                                       side);
+        seconds.push_back(sw.seconds());
+        benchmark::DoNotOptimize(model.kernel_count());
+      }
+      std::sort(seconds.begin(), seconds.end());
+      io::json_value j = io::json_value::object();
+      j["construct_seconds"] = seconds[2];
+      litho[name] = std::move(j);
+      std::printf("hopkins_litho construction (%s, %zux%zu): %.3f ms\n", name, side, side,
+                  1e3 * seconds[2]);
+    }
+    report["litho"] = std::move(litho);
   }
 
   return report;

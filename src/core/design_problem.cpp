@@ -1,5 +1,6 @@
 #include "core/design_problem.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -118,9 +119,16 @@ fab_context make_fab_context(const dev::device_spec& spec,
   const std::size_t ext_nx = spec.design.nx + 2 * ctx.halo;
   const std::size_t ext_ny = spec.design.ny + 2 * ctx.halo;
 
+  // Corners that share a defocus share one optical system; only the dose
+  // differs (the paper's l_min / l_max).
   for (const auto& corner : fab::standard_litho_corners(litho_cfg.corner_defocus)) {
+    const auto same_optics =
+        std::find_if(ctx.litho.begin(), ctx.litho.end(),
+                     [&](const auto& m) { return m->corner().defocus == corner.defocus; });
     ctx.litho.push_back(
-        std::make_shared<const fab::hopkins_litho>(ctx.litho_cfg, corner, ext_nx, ext_ny));
+        same_optics == ctx.litho.end()
+            ? std::make_shared<const fab::hopkins_litho>(ctx.litho_cfg, corner, ext_nx, ext_ny)
+            : std::make_shared<const fab::hopkins_litho>((*same_optics)->with_dose(corner.dose)));
   }
   ctx.eole = std::make_shared<const fab::eole_field>(ext_nx, ext_ny, spec.grid.dx,
                                                      spec.grid.dy, eole_cfg);

@@ -1,5 +1,6 @@
 #include "core/evaluate.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -70,19 +71,46 @@ std::vector<process_window_point> litho_process_window(const design_problem& pro
                                                        const dvec& dose_values) {
   require(!defocus_values_um.empty() && !dose_values.empty(),
           "litho_process_window: empty scan axes");
+  using litho_ptr = std::shared_ptr<const fab::hopkins_litho>;
+  const fab_context& fab = problem.fab();
+
+  // One optical system per distinct defocus — the problem's own corner model
+  // where one has that defocus — from which every dose of the row derives.
+  std::vector<double> distinct;
+  for (const double d : defocus_values_um)
+    if (std::find(distinct.begin(), distinct.end(), d) == distinct.end()) distinct.push_back(d);
+  std::vector<litho_ptr> optics(distinct.size());
+  parallel_for(distinct.size(), [&](std::size_t i) {
+    const auto corner = std::find_if(fab.litho.begin(), fab.litho.end(), [&](const litho_ptr& m) {
+      return m->corner().defocus == distinct[i];
+    });
+    optics[i] = corner != fab.litho.end()
+                    ? *corner
+                    : std::make_shared<const fab::hopkins_litho>(
+                          fab.litho_cfg, fab::litho_corner_params{distinct[i], 1.0},
+                          problem.spec().design.nx + 2 * fab.halo,
+                          problem.spec().design.ny + 2 * fab.halo);
+  });
+
   std::vector<process_window_point> window(defocus_values_um.size() * dose_values.size());
   parallel_for(window.size(), [&](std::size_t idx) {
     const double defocus = defocus_values_um[idx / dose_values.size()];
     const double dose = dose_values[idx % dose_values.size()];
 
     // A fabrication context whose single (nominal-slot) corner is this
-    // process point; EOLE/variation space are shared, and so are the
-    // reference input powers, which do not depend on the fab context.
-    fab_context ctx = problem.fab();
-    const std::size_t ext_nx = problem.spec().design.nx + 2 * ctx.halo;
-    const std::size_t ext_ny = problem.spec().design.ny + 2 * ctx.halo;
-    ctx.litho = {std::make_shared<const fab::hopkins_litho>(
-        ctx.litho_cfg, fab::litho_corner_params{defocus, dose}, ext_nx, ext_ny)};
+    // process point (the problem's own model where the point is one of its
+    // corners); EOLE/variation space are shared, and so are the reference
+    // input powers, which do not depend on the fab context.
+    const auto corner = std::find_if(fab.litho.begin(), fab.litho.end(), [&](const litho_ptr& m) {
+      return m->corner().defocus == defocus && m->corner().dose == dose;
+    });
+    const litho_ptr& base =
+        optics[static_cast<std::size_t>(std::find(distinct.begin(), distinct.end(), defocus) -
+                                        distinct.begin())];
+    fab_context ctx = fab;
+    ctx.litho = {corner != fab.litho.end()
+                     ? *corner
+                     : std::make_shared<const fab::hopkins_litho>(base->with_dose(dose))};
     ctx.space.num_litho_corners = 1;
     const design_problem scanned = problem.with_fab(std::move(ctx));
 

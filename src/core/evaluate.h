@@ -63,7 +63,9 @@ struct process_window_point {
 
 /// Classical process-window analysis: image the mask through every
 /// (defocus, dose) combination, hard-etch at the nominal threshold, and
-/// report the device FoM. Each point builds its own Hopkins model, so keep
+/// report the device FoM. Each distinct defocus builds one Hopkins model
+/// (none where the problem already has a corner at that defocus) and every
+/// dose derives from it; each point still runs its own FDFD solve, so keep
 /// the grids small (e.g. 3 x 3); points run concurrently.
 std::vector<process_window_point> litho_process_window(const design_problem& problem,
                                                        const array2d<double>& mask,

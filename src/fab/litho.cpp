@@ -30,6 +30,20 @@ cplx pupil(const litho_settings& s, double defocus, double fx, double fy) {
   return std::polar(1.0, phase);
 }
 
+/// Lattice points m * df (m integer) inside the disk of radius `radius`.
+std::vector<freq_point> disk_samples(double radius, double df) {
+  const auto reach = static_cast<long>(std::floor(radius / df));
+  std::vector<freq_point> out;
+  for (long mx = -reach; mx <= reach; ++mx) {
+    for (long my = -reach; my <= reach; ++my) {
+      const double fx = static_cast<double>(mx) * df;
+      const double fy = static_cast<double>(my) * df;
+      if (fx * fx + fy * fy <= radius * radius + 1e-12) out.push_back({fx, fy});
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 hopkins_litho::hopkins_litho(const litho_settings& settings,
@@ -49,47 +63,36 @@ hopkins_litho::hopkins_litho(const litho_settings& settings,
   check_numeric(fcap < 0.5 / settings.pixel,
                 "hopkins_litho: pupil exceeds the mask Nyquist frequency");
 
-  // Mask-frequency samples inside the TCC support disk.
-  const auto reach = static_cast<long>(std::floor(fcap / df));
-  std::vector<freq_point> freqs;
-  for (long mx = -reach; mx <= reach; ++mx) {
-    for (long my = -reach; my <= reach; ++my) {
-      const double fx = static_cast<double>(mx) * df;
-      const double fy = static_cast<double>(my) * df;
-      if (fx * fx + fy * fy <= fcap * fcap + 1e-12) freqs.push_back({fx, fy});
-    }
-  }
+  // Mask-frequency samples inside the TCC support disk, and the source
+  // samples (conventional disk illumination of radius sigma * fmax).
+  const std::vector<freq_point> freqs = disk_samples(fcap, df);
   const std::size_t n_freq = freqs.size();
   check_numeric(n_freq >= 5, "hopkins_litho: too few frequency samples");
-
-  // Source samples (conventional disk illumination of radius sigma * fmax).
-  std::vector<freq_point> source;
-  const double fsrc = settings.sigma * fmax;
-  const auto src_reach = static_cast<long>(std::floor(fsrc / df));
-  for (long mx = -src_reach; mx <= src_reach; ++mx) {
-    for (long my = -src_reach; my <= src_reach; ++my) {
-      const double fx = static_cast<double>(mx) * df;
-      const double fy = static_cast<double>(my) * df;
-      if (fx * fx + fy * fy <= fsrc * fsrc + 1e-12) source.push_back({fx, fy});
-    }
-  }
+  std::vector<freq_point> source = disk_samples(settings.sigma * fmax, df);
   if (source.empty()) source.push_back({0.0, 0.0});
+  const std::size_t n_src = source.size();
 
-  // Hopkins TCC on the frequency samples.
-  la::cmat tcc(n_freq, n_freq);
-  const double source_weight = 1.0 / static_cast<double>(source.size());
-  for (const auto& s_pt : source) {
-    std::vector<cplx> p(n_freq);
-    for (std::size_t a = 0; a < n_freq; ++a)
-      p[a] = pupil(settings, corner.defocus, s_pt.fx + freqs[a].fx, s_pt.fy + freqs[a].fy);
-    for (std::size_t a = 0; a < n_freq; ++a) {
-      if (p[a] == cplx{}) continue;
-      for (std::size_t b = 0; b < n_freq; ++b)
-        tcc(a, b) += source_weight * p[a] * std::conj(p[b]);
+  // The Hopkins TCC is a sum of source-point outer products,
+  // TCC = sum_s w p_s p_s^H = Q Q^H with Q(a, s) = sqrt(w) P(f_s + f_a), so
+  // its rank is at most n_src. Its nonzero spectrum is that of the small
+  // Gram matrix Q^H Q: for Q^H Q u = lambda u, v = Q u / sqrt(lambda) is a
+  // unit TCC eigenvector with the same eigenvalue.
+  la::cmat q(n_freq, n_src);
+  const double amplitude = std::sqrt(1.0 / static_cast<double>(n_src));
+  for (std::size_t a = 0; a < n_freq; ++a)
+    for (std::size_t s = 0; s < n_src; ++s)
+      q(a, s) = amplitude * pupil(settings, corner.defocus, source[s].fx + freqs[a].fx,
+                                  source[s].fy + freqs[a].fy);
+  la::cmat gram(n_src, n_src);
+  for (std::size_t s = 0; s < n_src; ++s) {
+    for (std::size_t t = s; t < n_src; ++t) {
+      cplx acc{};
+      for (std::size_t a = 0; a < n_freq; ++a) acc += std::conj(q(a, s)) * q(a, t);
+      gram(s, t) = acc;
+      gram(t, s) = std::conj(acc);
     }
   }
-
-  la::eig_result<cplx> eig = la::hermitian_eig(tcc);
+  const la::eig_result<cplx> eig = la::hermitian_eig(gram);
 
   // Retain the strongest kernels (eigenvalues ascending -> walk backwards).
   double total_energy = 0.0;
@@ -109,46 +112,70 @@ hopkins_litho::hopkins_litho(const litho_settings& settings,
   }
   log_debug("hopkins_litho: ", kept.size(), " kernels capture ",
             captured / total_energy * 100.0, "% of TCC energy (", n_freq,
-            " freq samples, ", source.size(), " source points)");
+            " freq samples, ", n_src, " source points)");
 
-  // Spatial kernels h_k(u) = sum_a phi_k(a) exp(i 2 pi f_a . u) on the pixel
-  // lattice, and the open-frame intensity used for normalization.
+  // Spatial kernels h_k(u) = sum_a v_k(a) exp(i 2 pi f_a . u) on the pixel
+  // lattice, through one phase table shared by every kernel, and the
+  // open-frame intensity used for normalization.
   const std::size_t ks = 2 * settings.kernel_half + 1;
+  const auto offset = [&](std::size_t u) {
+    return (static_cast<double>(u) - static_cast<double>(settings.kernel_half)) *
+           settings.pixel;
+  };
+  std::vector<cplx> phase(ks * ks * n_freq);
+  for (std::size_t ux = 0; ux < ks; ++ux)
+    for (std::size_t uy = 0; uy < ks; ++uy)
+      for (std::size_t a = 0; a < n_freq; ++a)
+        phase[(ux * ks + uy) * n_freq + a] =
+            std::polar(1.0, 2.0 * pi * (freqs[a].fx * offset(ux) + freqs[a].fy * offset(uy)));
+
   std::vector<array2d<cplx>> kernels;
   kernels.reserve(kept.size());
-  dvec raw_weights;
-  raw_weights.reserve(kept.size());
-  double open_intensity = 0.0;
-
+  raw_weights_.reserve(kept.size());
+  std::vector<cplx> v(n_freq);
   for (const std::size_t j : kept) {
+    double norm2 = 0.0;
+    for (std::size_t a = 0; a < n_freq; ++a) {
+      cplx acc{};
+      for (std::size_t s = 0; s < n_src; ++s) acc += q(a, s) * eig.vectors(s, j);
+      v[a] = acc;
+      norm2 += std::norm(acc);
+    }
+    const double inv_norm = 1.0 / std::sqrt(norm2);  // norm2 = lambda up to rounding
+    for (cplx& c : v) c *= inv_norm;
+
     array2d<cplx> h(ks, ks, cplx{});
     cplx open_sum{};
     for (std::size_t ux = 0; ux < ks; ++ux) {
-      const double x = (static_cast<double>(ux) - static_cast<double>(settings.kernel_half)) *
-                       settings.pixel;
       for (std::size_t uy = 0; uy < ks; ++uy) {
-        const double y = (static_cast<double>(uy) - static_cast<double>(settings.kernel_half)) *
-                         settings.pixel;
+        const cplx* row = phase.data() + (ux * ks + uy) * n_freq;
         cplx acc{};
-        for (std::size_t a = 0; a < n_freq; ++a) {
-          const double phase = 2.0 * pi * (freqs[a].fx * x + freqs[a].fy * y);
-          acc += eig.vectors(a, j) * std::polar(1.0, phase);
-        }
+        for (std::size_t a = 0; a < n_freq; ++a) acc += v[a] * row[a];
         h(ux, uy) = acc;
         open_sum += acc;
       }
     }
-    open_intensity += eig.values[j] * std::norm(open_sum);
-    raw_weights.push_back(eig.values[j]);
+    open_intensity_ += eig.values[j] * std::norm(open_sum);
+    raw_weights_.push_back(eig.values[j]);
     kernels.push_back(std::move(h));
   }
-  check_numeric(open_intensity > 0.0, "hopkins_litho: degenerate open-frame intensity");
+  check_numeric(open_intensity_ > 0.0, "hopkins_litho: degenerate open-frame intensity");
 
-  weights_.resize(raw_weights.size());
-  for (std::size_t k = 0; k < raw_weights.size(); ++k)
-    weights_[k] = corner.dose * raw_weights[k] / open_intensity;
+  set_dose(corner.dose);
+  conv_ = std::make_shared<const fft::kernel_conv2d>(nx, ny, std::move(kernels));
+}
 
-  conv_ = std::make_unique<fft::kernel_conv2d>(nx, ny, std::move(kernels));
+hopkins_litho hopkins_litho::with_dose(double dose) const {
+  hopkins_litho out = *this;
+  out.set_dose(dose);
+  return out;
+}
+
+void hopkins_litho::set_dose(double dose) {
+  corner_.dose = dose;
+  weights_.resize(raw_weights_.size());
+  for (std::size_t k = 0; k < raw_weights_.size(); ++k)
+    weights_[k] = dose * raw_weights_[k] / open_intensity_;
 }
 
 litho_forward hopkins_litho::forward(const array2d<double>& mask) const {

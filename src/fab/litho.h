@@ -21,9 +21,9 @@ namespace boson::fab {
 ///
 /// The projection system is a circular pupil of numerical aperture `na` at
 /// wavelength `wavelength`, illuminated by a conventional (disk) source of
-/// coherence factor `sigma`. The transmission cross-coefficient (TCC) matrix
-/// is assembled on a Cartesian frequency grid, eigendecomposed, and truncated
-/// to the strongest coherent kernels (SOCS decomposition).
+/// coherence factor `sigma`. The transmission cross-coefficient (TCC) on a
+/// Cartesian frequency grid is truncated to its strongest coherent kernels
+/// (SOCS decomposition).
 struct litho_settings {
   double wavelength = 0.193;       ///< exposure wavelength [um] (DUV)
   double na = 1.2;                 ///< numerical aperture (immersion)
@@ -61,10 +61,24 @@ struct litho_forward {
 /// mechanism that restricts designs to the low-dimensional fabricable
 /// subspace: kernels are band-limited by the pupil, so features below the
 /// diffraction limit cannot survive.
+///
+/// Construction never forms the TCC. With Q the (frequency x source-point)
+/// matrix of scaled, shifted pupils, TCC = Q Q^H, so its nonzero spectrum is
+/// that of the n_src x n_src Gram matrix Q^H Q (n_src is 1-21 at the
+/// committed settings, against 21-261 frequency samples): each kept kernel
+/// is Q u / sqrt(sigma) for a Gram eigenpair (sigma, u), and one phase table
+/// maps every kernel to the pixel lattice. The kernels and their FFTs are
+/// immutable and shared by the models `with_dose` derives, so corners that
+/// differ only in dose share one optical system.
 class hopkins_litho {
  public:
   hopkins_litho(const litho_settings& settings, const litho_corner_params& corner,
                 std::size_t nx, std::size_t ny);
+
+  /// The same optics (defocus, kernels, FFTs — shared, not copied) at
+  /// another dose. Bit-identical to a fresh construction at that dose: the
+  /// weights are the same dose * sigma_k / I_open.
+  hopkins_litho with_dose(double dose) const;
 
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
@@ -79,16 +93,21 @@ class hopkins_litho {
   /// forward fields.
   array2d<double> backward(const litho_forward& fwd, const array2d<double>& d_aerial) const;
 
-  /// Retained SOCS eigenvalues (diagnostics/tests).
+  /// Retained SOCS eigenvalues, scaled by dose/I_open (diagnostics/tests).
   const dvec& kernel_weights() const { return weights_; }
 
  private:
+  /// Set the corner's dose and rescale `weights_` from `raw_weights_`.
+  void set_dose(double dose);
+
   litho_settings settings_;
   litho_corner_params corner_;
   std::size_t nx_;
   std::size_t ny_;
-  dvec weights_;                                ///< sigma_k, scaled by dose/I_open
-  std::unique_ptr<fft::kernel_conv2d> conv_;
+  dvec raw_weights_;            ///< retained TCC eigenvalues sigma_k
+  double open_intensity_ = 0.0; ///< I_open: the open-frame image at unit dose
+  dvec weights_;                ///< sigma_k, scaled by dose/I_open
+  std::shared_ptr<const fft::kernel_conv2d> conv_;
 };
 
 }  // namespace boson::fab

@@ -81,15 +81,17 @@ std::string journal_path(const std::string& campaign_dir) {
   return (fs::path(campaign_dir) / "journal").string();
 }
 
-journal::journal(std::string dir)
+journal::journal(std::string dir, std::function<void()> on_append)
     : path_(std::move(dir)),
       store_(std::make_unique<store::segment_log>(path_, store::default_log_options,
-                                                  "journal")) {}
+                                                  "journal")),
+      on_append_(std::move(on_append)) {}
 
 journal::~journal() = default;
 
 void journal::append(const journal_entry& entry) {
   store_->append(entry.to_json().dump(-1));
+  if (on_append_) on_append_();
   // Opportunistic compaction: cheap threshold probe every 64th append so
   // long-running appenders bound their own history even when no scheduler
   // pass (maybe_compact) is running in this process.

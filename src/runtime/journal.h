@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -98,7 +99,9 @@ class journal {
  public:
   /// Open (creating if needed) the journal store at `dir` — the value
   /// `journal_path` returns — healing a crash-torn active-segment tail.
-  explicit journal(std::string dir);
+  /// `on_append`, if set, runs on the appending thread after every record
+  /// this handle appends (the service wakes its events long-polls with it).
+  explicit journal(std::string dir, std::function<void()> on_append = {});
 
   ~journal();
 
@@ -176,6 +179,7 @@ class journal {
  private:
   std::string path_;
   std::unique_ptr<store::segment_log> store_;
+  std::function<void()> on_append_;
   std::atomic<std::size_t> appends_{0};  ///< compaction-check pacing
 };
 

@@ -155,7 +155,7 @@ scheduler_report scheduler::run() {
   const bool tracing = options_.trace || env_int("BOSON_TRACE", 0) != 0;
   const std::vector<campaign_job> all_jobs = spec_.expand();
 
-  journal log(journal_path(options_.campaign_dir));
+  journal log(journal_path(options_.campaign_dir), options_.on_append);
   result_store store(options_.campaign_dir);
   fs::create_directories(fs::path(options_.campaign_dir) / "jobs");
   lease_manager manager(log, worker_id(), settings.lease_ttl, options_.clock);

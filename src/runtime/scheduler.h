@@ -95,6 +95,11 @@ struct scheduler_options {
 
   /// Deterministic kill points (tests / `--fault`); nullptr: none.
   fault_injector* faults = nullptr;
+
+  /// Called on the appending thread after every journal record this
+  /// scheduler appends (claims, heartbeats, transitions). The service wakes
+  /// the campaign's events long-polls with it. Empty: nothing.
+  std::function<void()> on_append;
 };
 
 /// What one `scheduler::run` call did to the jobs it considered.

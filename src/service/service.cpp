@@ -76,8 +76,22 @@ void campaign_service::start() {
 }
 
 void campaign_service::drain() {
-  draining_.store(true);
+  {
+    // Set under the mutex so a long-poll between its predicate check and
+    // its wait cannot miss the flag.
+    const std::lock_guard<std::mutex> lock(wake_mutex_);
+    draining_.store(true);
+  }
   wake_cv_.notify_all();
+  events_cv_.notify_all();
+}
+
+void campaign_service::note_event(const std::string& key) {
+  {
+    const std::lock_guard<std::mutex> lock(wake_mutex_);
+    ++events_seen_[key];
+  }
+  events_cv_.notify_all();
 }
 
 void campaign_service::stop() {
@@ -143,6 +157,7 @@ void campaign_service::run_campaign(const campaign_record& record) {
   so.write_artifacts = options_.write_artifacts;
   so.executor = options_.executor;
   so.clock = options_.clock;
+  so.on_append = [this, key] { note_event(key); };
   runtime::scheduler scheduler(spec, std::move(so));
 
   {
@@ -186,6 +201,7 @@ void campaign_service::run_campaign(const campaign_record& record) {
     user_cancelled_.erase(key);
     registry_.set_state(record.tenant, record.id, final_state, now(), detail);
   }
+  note_event(key);  // a terminal campaign's long-polls return at once
   log_info("campaign_service: ", key, " -> ", final_state,
            detail.empty() ? "" : " (" + detail + ")");
 }
@@ -287,22 +303,42 @@ event_page campaign_service::events(const std::string& tenant, const std::string
   const campaign_record record = resolve(tenant, id);
   const std::string path = runtime::journal_path(record.dir);
 
+  const std::string key = key_of(tenant, id);
+  const auto events_seen = [&] {  // wake_mutex_ held
+    const auto it = events_seen_.find(key);
+    return it == events_seen_.end() ? std::uint64_t{0} : it->second;
+  };
+
   event_page page;
   std::uint64_t at = static_cast<std::uint64_t>(cursor);
+  std::uint64_t seen = 0;
+  {
+    // Read the count before the journal, so an append between the two
+    // still moves the count past `seen` and wakes the wait below.
+    const std::lock_guard<std::mutex> lock(wake_mutex_);
+    seen = events_seen();
+  }
   page.lines = runtime::journal::raw_since(path, at, options_.event_page_lines);
 
-  // Long-poll: wait (in poll_interval beats) for the journal to grow rather
-  // than making clients hammer the endpoint. Terminal campaigns return
-  // immediately — nothing will be appended.
+  // Long-poll: wait for the journal to grow rather than making clients
+  // hammer the endpoint. This service's own appends wake the wait; other
+  // processes' appends are picked up at the next poll_interval beat.
+  // Terminal campaigns return immediately — nothing will be appended.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(max_wait);
   while (page.lines.empty() && max_wait > 0.0 && !stopping_.load() &&
          !draining_.load() && std::chrono::steady_clock::now() < deadline) {
     const std::optional<campaign_record> current = registry_.find(tenant, id);
     if (!current || current->terminal()) break;
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_cv_.wait_for(lock, std::chrono::duration<double>(options_.poll_interval));
-    lock.unlock();
+    {
+      std::unique_lock<std::mutex> lock(wake_mutex_);
+      const auto beat = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(options_.poll_interval);
+      events_cv_.wait_until(lock, std::min(beat, deadline), [&] {
+        return events_seen() != seen || draining_.load() || stopping_.load();
+      });
+      seen = events_seen();
+    }
     page.lines = runtime::journal::raw_since(path, at, options_.event_page_lines);
   }
   page.next_cursor = static_cast<std::streamoff>(at);

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,7 +64,9 @@ struct service_options {
   std::optional<double> lease_ttl;
 
   /// Seconds a runner sleeps between scheduler passes while external workers
-  /// hold live leases, and the floor of the events long-poll granularity.
+  /// hold live leases, and the longest an events long-poll goes without
+  /// rereading the journal (appends by this service's own runners wake it
+  /// at once; other processes' appends are seen within one interval).
   double poll_interval = 0.2;
 
   /// Max journal lines one events() poll returns (backpressure: a slow
@@ -182,6 +185,10 @@ class campaign_service {
                       std::string& final_state, std::string& detail);
   double now() const;
 
+  /// Count a journal append (or state change) of campaign `key` and wake
+  /// its events long-polls.
+  void note_event(const std::string& key);
+
   service_options options_;
   campaign_registry registry_;
   /// tenant -> bearer token, from `<data_dir>/tenants.json` (empty: legacy
@@ -194,6 +201,10 @@ class campaign_service {
   std::vector<std::thread> runners_;
   mutable std::mutex wake_mutex_;
   std::condition_variable wake_cv_;  ///< submit/cancel/stop kick idle runners
+  /// Events long-polls wait here for their campaign's `events_seen_` count
+  /// to move (or for drain/stop); guarded by wake_mutex_.
+  std::condition_variable events_cv_;
+  std::map<std::string, std::uint64_t> events_seen_;  ///< per campaign key
 
   mutable std::mutex active_mutex_;
   /// Schedulers currently executing, keyed tenant/id — the cancel() path.

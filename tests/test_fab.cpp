@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "fab/eole.h"
@@ -8,6 +13,8 @@
 #include "fab/litho.h"
 #include "fab/morphology.h"
 #include "fab/temperature.h"
+#include "fft/conv2d.h"
+#include "linalg/eig_sym.h"
 
 namespace boson::fab {
 namespace {
@@ -176,6 +183,188 @@ TEST(litho, rejects_pupil_beyond_nyquist) {
   litho_settings s = test_litho(0.2);  // huge pixels: Nyquist 2.5 1/um < pupil
   s.na = 1.2;
   EXPECT_THROW(hopkins_litho(s, {0.0, 1.0}, 16, 16), numeric_error);
+}
+
+TEST(litho, dose_variant_is_bit_identical_to_a_fresh_construction) {
+  const auto s = test_litho();
+  const hopkins_litho base(s, {0.08, 0.95}, 24, 24);
+  const hopkins_litho derived = base.with_dose(1.05);
+  const hopkins_litho fresh(s, {0.08, 1.05}, 24, 24);
+  EXPECT_EQ(derived.corner().defocus, 0.08);
+  EXPECT_EQ(derived.corner().dose, 1.05);
+  ASSERT_EQ(derived.kernel_weights(), fresh.kernel_weights());
+
+  rng r(5);
+  array2d<double> mask(24, 24), d_aerial(24, 24);
+  for (auto& v : mask) v = r.uniform(0, 1);
+  for (auto& v : d_aerial) v = r.uniform(-1, 1);
+  const auto a = derived.forward(mask);
+  const auto b = fresh.forward(mask);
+  for (std::size_t i = 0; i < a.aerial.size(); ++i)
+    ASSERT_EQ(a.aerial.data()[i], b.aerial.data()[i]) << i;
+  const auto ga = derived.backward(a, d_aerial);
+  const auto gb = fresh.backward(b, d_aerial);
+  for (std::size_t i = 0; i < ga.size(); ++i) ASSERT_EQ(ga.data()[i], gb.data()[i]) << i;
+}
+
+/// The explicit-TCC SOCS construction: assemble the full Hopkins TCC on the
+/// frequency samples, eigendecompose it with `la::hermitian_eig`, and keep
+/// the strongest kernels — the textbook route the Gram-matrix construction
+/// of `hopkins_litho` must agree with.
+struct tcc_oracle {
+  dvec spectrum;                       ///< every TCC eigenvalue, ascending
+  std::size_t kept = 0;                ///< kernels retained by the cut
+  dvec raw_weights;                    ///< retained eigenvalues, strongest first
+  double open_intensity = 0.0;
+  std::unique_ptr<fft::kernel_conv2d> conv;
+
+  array2d<double> aerial(const array2d<double>& mask, double dose) const {
+    array2d<double> out(mask.nx(), mask.ny(), 0.0);
+    const array2d<cplx> mask_fft = conv->transform_input(mask);
+    for (std::size_t k = 0; k < kept; ++k) {
+      const array2d<cplx> field = conv->apply(mask_fft, k);
+      const double w = dose * raw_weights[k] / open_intensity;
+      for (std::size_t i = 0; i < out.size(); ++i)
+        out.data()[i] += w * std::norm(field.data()[i]);
+    }
+    return out;
+  }
+};
+
+tcc_oracle build_tcc_oracle(const litho_settings& s, double defocus, std::size_t nx,
+                            std::size_t ny) {
+  const double fmax = s.na / s.wavelength;
+  const double df = 1.0 / (static_cast<double>(2 * s.kernel_half + 1) * s.pixel);
+  const auto disk = [df](double radius) {
+    std::vector<std::pair<double, double>> pts;
+    const auto reach = static_cast<long>(std::floor(radius / df));
+    for (long mx = -reach; mx <= reach; ++mx)
+      for (long my = -reach; my <= reach; ++my) {
+        const double fx = static_cast<double>(mx) * df;
+        const double fy = static_cast<double>(my) * df;
+        if (fx * fx + fy * fy <= radius * radius + 1e-12) pts.emplace_back(fx, fy);
+      }
+    return pts;
+  };
+  const auto pupil = [&](double fx, double fy) {
+    const double f2 = fx * fx + fy * fy;
+    if (f2 > fmax * fmax) return cplx{};
+    return std::polar(1.0, -pi * s.wavelength * defocus * f2);
+  };
+  const auto freqs = disk((1.0 + s.sigma) * fmax);
+  auto source = disk(s.sigma * fmax);
+  if (source.empty()) source.emplace_back(0.0, 0.0);
+  const std::size_t n = freqs.size();
+
+  la::cmat tcc(n, n);
+  const double w = 1.0 / static_cast<double>(source.size());
+  for (const auto& [sx, sy] : source) {
+    std::vector<cplx> p(n);
+    for (std::size_t a = 0; a < n; ++a) p[a] = pupil(sx + freqs[a].first, sy + freqs[a].second);
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = 0; b < n; ++b) tcc(a, b) += w * p[a] * std::conj(p[b]);
+  }
+  const la::eig_result<cplx> eig = la::hermitian_eig(tcc);
+
+  tcc_oracle o;
+  o.spectrum = eig.values;
+  double total = 0.0;
+  for (const double v : eig.values)
+    if (v > 0.0) total += v;
+  double captured = 0.0;
+  std::vector<std::size_t> kept;
+  for (std::size_t j = n; j-- > 0;) {
+    if (eig.values[j] <= 0.0) break;
+    kept.push_back(j);
+    captured += eig.values[j];
+    if (kept.size() >= s.max_kernels || captured >= s.energy_capture * total) break;
+  }
+  o.kept = kept.size();
+
+  const std::size_t ks = 2 * s.kernel_half + 1;
+  std::vector<array2d<cplx>> kernels;
+  for (const std::size_t j : kept) {
+    array2d<cplx> h(ks, ks);
+    cplx open_sum{};
+    for (std::size_t ux = 0; ux < ks; ++ux)
+      for (std::size_t uy = 0; uy < ks; ++uy) {
+        const double x = (static_cast<double>(ux) - static_cast<double>(s.kernel_half)) * s.pixel;
+        const double y = (static_cast<double>(uy) - static_cast<double>(s.kernel_half)) * s.pixel;
+        cplx acc{};
+        for (std::size_t a = 0; a < n; ++a)
+          acc += eig.vectors(a, j) *
+                 std::polar(1.0, 2.0 * pi * (freqs[a].first * x + freqs[a].second * y));
+        h(ux, uy) = acc;
+        open_sum += acc;
+      }
+    o.open_intensity += eig.values[j] * std::norm(open_sum);
+    o.raw_weights.push_back(eig.values[j]);
+    kernels.push_back(std::move(h));
+  }
+  o.conv = std::make_unique<fft::kernel_conv2d>(nx, ny, std::move(kernels));
+  return o;
+}
+
+/// The committed litho settings: the campaign specs (resolution 0.1), the
+/// benchmark's single-design workloads (resolution 0.05) and the paper
+/// defaults, each at its pixel pitch.
+std::vector<std::pair<std::string, litho_settings>> committed_litho_settings() {
+  litho_settings coarse;
+  coarse.na = 0.65;
+  coarse.sigma = 0.35;
+  coarse.kernel_half = 5;
+  coarse.max_kernels = 5;
+  litho_settings campaign = coarse;
+  campaign.pixel = 0.1;
+  litho_settings e2e = coarse;
+  e2e.pixel = 0.05;
+  litho_settings paper;
+  paper.pixel = 0.05;
+  return {{"campaign", campaign}, {"e2e", e2e}, {"paper", paper}};
+}
+
+TEST(litho, gram_construction_matches_the_explicit_tcc_at_committed_settings) {
+  const std::size_t nx = 36, ny = 30;
+  rng r(31);
+  array2d<double> mask(nx, ny);
+  for (auto& v : mask) v = r.uniform(0, 1) < 0.5 ? 0.0 : 1.0;
+
+  for (const auto& [name, s] : committed_litho_settings()) {
+    const auto corners = standard_litho_corners(s.corner_defocus);
+    for (const double defocus : {corners[0].defocus, corners[1].defocus}) {
+      const tcc_oracle oracle = build_tcc_oracle(s, defocus, nx, ny);
+      ASSERT_GT(oracle.kept, 0u) << name;
+
+      // The cut never splits a degenerate eigenvalue pair, so the kept
+      // subspace (and with it the aerial image) is basis-independent.
+      const std::size_t n = oracle.spectrum.size();
+      const double last_kept = oracle.spectrum[n - oracle.kept];
+      const double first_dropped = oracle.spectrum[n - oracle.kept - 1];
+      EXPECT_GT(last_kept - first_dropped, 1e-6 * last_kept)
+          << name << " defocus " << defocus << ": kept " << last_kept << ", dropped "
+          << first_dropped;
+
+      for (const auto& corner : corners) {
+        if (corner.defocus != defocus) continue;
+        const hopkins_litho model(s, corner, nx, ny);
+        const std::string where = name + " corner (" + std::to_string(corner.defocus) +
+                                  ", " + std::to_string(corner.dose) + ")";
+        ASSERT_EQ(model.kernel_count(), oracle.kept) << where;
+        for (std::size_t k = 0; k < oracle.kept; ++k) {
+          const double expected = corner.dose * oracle.raw_weights[k] / oracle.open_intensity;
+          EXPECT_NEAR(model.kernel_weights()[k], expected, 1e-12 * expected) << where << " k " << k;
+        }
+        const array2d<double> want = oracle.aerial(mask, corner.dose);
+        const array2d<double> got = model.forward(mask).aerial;
+        double peak = 0.0, worst = 0.0;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          peak = std::max(peak, std::abs(want.data()[i]));
+          worst = std::max(worst, std::abs(got.data()[i] - want.data()[i]));
+        }
+        EXPECT_LE(worst, 1e-12 * peak) << where;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- etch ----

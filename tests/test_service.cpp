@@ -661,6 +661,58 @@ TEST(campaign_service, drain_releases_event_long_polls_promptly) {
   EXPECT_LT(waited, 5.0) << "drain() did not release the long-poll";
 }
 
+TEST(campaign_service, an_in_process_append_wakes_an_events_long_poll) {
+  const fs::path data = fresh_dir("service_append_wakes");
+  std::atomic<std::size_t> executed{0};
+  // Jobs run one at a time; the n-th waits until more than n are allowed,
+  // so the campaign stays running (no end-of-campaign wake-up) while one
+  // completion lands in the journal.
+  std::atomic<std::size_t> entered{0};
+  std::atomic<std::size_t> allowed{0};
+  service::service_options options = fast_options(data, executed);
+  options.runners = 1;
+  options.poll_interval = 5.0;  // a beat-driven poll would sleep through the test
+  const runtime::job_executor counting = counting_executor(executed);
+  options.executor = [&](const runtime::campaign_job& job, const api::run_control& control,
+                         api::observer* watcher) {
+    const std::size_t n = entered++;
+    for (int i = 0; i < 20000 && n >= allowed.load(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return counting(job, control, watcher);
+  };
+  service::campaign_service service(options);
+  service.start();
+
+  runtime::campaign_spec spec = synthetic_campaign();
+  spec.scheduler.workers = 1;
+  const service::campaign_record record = service.submit("alice", spec);
+  // The one worker has leased its first job and parked in the executor, so
+  // the journal is quiet until the gate opens.
+  ASSERT_TRUE(wait_until([&] { return entered.load() == 1; }));
+  const service::event_page history = service.events("alice", record.id, 0, 0.0);
+  ASSERT_FALSE(history.lines.empty());
+
+  std::atomic<bool> returned{false};
+  service::event_page page;
+  std::thread poller([&] {
+    page = service.events("alice", record.id, history.next_cursor, /*max_wait=*/10.0);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());  // parked: nothing appended since the cursor
+
+  const auto opened_at = std::chrono::steady_clock::now();
+  allowed.store(1);  // the first job completes; the scheduler appends its record
+  poller.join();
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - opened_at).count();
+  EXPECT_LT(waited, 1.0) << "the append did not wake the long-poll";
+  EXPECT_FALSE(page.lines.empty());
+  EXPECT_EQ(service.registry().find("alice", record.id)->state, "running");
+  allowed.store(1000);
+  service.stop();
+}
+
 // ----------------------------------------------------------- control plane ----
 
 /// Build a request the way the server's parser would deliver it.

@@ -320,18 +320,7 @@ int cmd_campaign_report(const std::string& dir) {
   const runtime::campaign_spec spec =
       runtime::campaign_spec::load(runtime::campaign_spec_path(dir));
   const std::vector<runtime::job_result_row> rows = runtime::result_store::load(dir);
-  const std::string report = runtime::render_report(spec, rows);
-  std::fputs(report.c_str(), stdout);
-
-  const std::string report_path = (std::filesystem::path(dir) / "report.txt").string();
-  std::ofstream out(report_path);
-  out << report;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "boson_cli: failed to write %s\n", report_path.c_str());
-    return 1;
-  }
-  std::printf("\nreport written to %s\n", report_path.c_str());
+  std::fputs(runtime::render_report(spec, rows).c_str(), stdout);
   return 0;
 }
 
