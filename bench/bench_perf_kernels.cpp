@@ -263,8 +263,8 @@ BENCHMARK(bm_pipeline_evaluate)->Unit(benchmark::kMillisecond);
 
 /// Wall-clock the solver-level figures the microbenchmarks sample — the FDFD
 /// factorization at 88x88 and 176x176, the engine's prepare/solve split and
-/// the Hopkins model's construction — and write them to BENCH_solvers.json
-/// so the perf trajectory is recorded run to run.
+/// the Hopkins model's construction and forward/backward passes — and write
+/// them to BENCH_solvers.json so the perf trajectory is recorded run to run.
 io::json_value time_solvers() {
   io::json_value report = io::json_value::object();
 
@@ -321,7 +321,8 @@ io::json_value time_solvers() {
 
   {  // one defocused litho corner, median of 5: the paper's default optics on
      // the 0.05 um bend's extended design window, and the committed campaign
-     // specs' coarse optics at 0.1 um.
+     // specs' coarse optics at 0.1 um. Construction is timed per model; the
+     // forward and backward passes per call, averaged over a batch of calls.
     fab::litho_settings paper;
     paper.pixel = 0.05;
     fab::litho_settings campaign;
@@ -330,24 +331,48 @@ io::json_value time_solvers() {
     campaign.sigma = 0.35;
     campaign.kernel_half = 5;
     campaign.max_kernels = 5;
+    const auto median = [](dvec v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
     io::json_value litho = io::json_value::object();
     for (const auto& [name, settings, side] :
          {std::tuple{"paper_defaults", paper, std::size_t{52}},
           std::tuple{"campaign", campaign, std::size_t{26}}}) {
-      dvec seconds;
+      const fab::litho_corner_params corner{0.08, 1.05};
+      dvec construct_s;
       for (int rep = 0; rep < 5; ++rep) {
         const stopwatch sw;
-        const fab::hopkins_litho model(settings, fab::litho_corner_params{0.08, 1.05}, side,
-                                       side);
-        seconds.push_back(sw.seconds());
+        const fab::hopkins_litho model(settings, corner, side, side);
+        construct_s.push_back(sw.seconds());
         benchmark::DoNotOptimize(model.kernel_count());
       }
-      std::sort(seconds.begin(), seconds.end());
+      const fab::hopkins_litho model(settings, corner, side, side);
+      rng r(9);
+      array2d<double> mask(side, side), d_aerial(side, side);
+      for (auto& v : mask) v = r.uniform(0, 1);
+      for (auto& v : d_aerial) v = r.uniform(-1, 1);
+      const fab::litho_forward fwd = model.forward(mask);
+      constexpr int calls = 50;
+      dvec forward_s, backward_s;
+      for (int rep = 0; rep < 5; ++rep) {
+        stopwatch sw;
+        for (int c = 0; c < calls; ++c) benchmark::DoNotOptimize(model.forward(mask));
+        forward_s.push_back(sw.seconds() / calls);
+        sw.reset();
+        for (int c = 0; c < calls; ++c) benchmark::DoNotOptimize(model.backward(fwd, d_aerial));
+        backward_s.push_back(sw.seconds() / calls);
+      }
       io::json_value j = io::json_value::object();
-      j["construct_seconds"] = seconds[2];
+      j["construct_seconds"] = median(construct_s);
+      j["forward_seconds"] = median(forward_s);
+      j["backward_seconds"] = median(backward_s);
+      std::printf(
+          "hopkins_litho (%s, %zux%zu, %zu kernels): construct %.3f ms, forward %.3f ms, "
+          "backward %.3f ms\n",
+          name, side, side, model.kernel_count(), 1e3 * median(construct_s),
+          1e3 * median(forward_s), 1e3 * median(backward_s));
       litho[name] = std::move(j);
-      std::printf("hopkins_litho construction (%s, %zux%zu): %.3f ms\n", name, side, side,
-                  1e3 * seconds[2]);
     }
     report["litho"] = std::move(litho);
   }

@@ -1,5 +1,6 @@
 #include "fft/fft.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -16,118 +17,60 @@ std::size_t next_power_of_two(std::size_t n) {
 
 namespace {
 
-/// Iterative radix-2 Cooley-Tukey; length must be a power of two.
-void fft_pow2(cvec& a, bool inverse) {
-  const std::size_t n = a.size();
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * pi / static_cast<double>(len);
-    const cplx wn = std::polar(1.0, angle);
-    for (std::size_t start = 0; start < n; start += len) {
-      cplx w{1.0, 0.0};
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cplx u = a[start + k];
-        const cplx v = a[start + k + len / 2] * w;
-        a[start + k] = u + v;
-        a[start + k + len / 2] = u - v;
-        w *= wn;
-      }
-    }
-  }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (auto& v : a) v *= scale;
-  }
-}
-
-/// Bluestein's chirp-z algorithm: expresses an arbitrary-length DFT as a
-/// convolution, which is evaluated with power-of-two FFTs.
-void fft_bluestein(cvec& a, bool inverse) {
-  const std::size_t n = a.size();
-  const std::size_t m = next_power_of_two(2 * n - 1);
-  const double sign = inverse ? 1.0 : -1.0;
-
-  cvec chirp(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Split k^2 mod 2n to avoid precision loss for large k.
-    const double phase = sign * pi * static_cast<double>((k * k) % (2 * n)) /
-                         static_cast<double>(n);
-    chirp[k] = std::polar(1.0, phase);
-  }
-
-  cvec x(m, cplx{});
-  for (std::size_t k = 0; k < n; ++k) x[k] = a[k] * chirp[k];
-
-  cvec y(m, cplx{});
-  y[0] = std::conj(chirp[0]);
-  for (std::size_t k = 1; k < n; ++k) {
-    y[k] = std::conj(chirp[k]);
-    y[m - k] = std::conj(chirp[k]);
-  }
-
-  fft_pow2(x, false);
-  fft_pow2(y, false);
-  for (std::size_t k = 0; k < m; ++k) x[k] *= y[k];
-  fft_pow2(x, true);
-
-  for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * chirp[k];
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (auto& v : a) v *= scale;
+/// m radix-2 butterflies sharing one twiddle w = c + i s:
+/// (p, q) <- (p + w q, p - w q), on interleaved re/im storage.
+void butterfly(double* __restrict__ p, double* __restrict__ q, std::size_t m, double c,
+               double s) {
+  for (std::size_t t = 0; t < m; ++t) {
+    const double qr = q[2 * t];
+    const double qi = q[2 * t + 1];
+    const double vr = qr * c - qi * s;
+    const double vi = qr * s + qi * c;
+    const double ur = p[2 * t];
+    const double ui = p[2 * t + 1];
+    p[2 * t] = ur + vr;
+    p[2 * t + 1] = ui + vi;
+    q[2 * t] = ur - vr;
+    q[2 * t + 1] = ui - vi;
   }
 }
 
 }  // namespace
 
-void fft_inplace(cvec& data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n <= 1) return;
-  if (is_power_of_two(n)) {
-    fft_pow2(data, inverse);
-  } else {
-    fft_bluestein(data, inverse);
+fft_plan::fft_plan(std::size_t n) : n_(n) {
+  require(is_power_of_two(n), "fft_plan: length must be a power of two");
+  bit_reverse_.assign(n, 0);
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    bit_reverse_[i] = j;
   }
-}
-
-cvec dft_reference(const cvec& data, bool inverse) {
-  const std::size_t n = data.size();
-  cvec out(n, cplx{});
-  const double sign = inverse ? 2.0 : -2.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    cplx acc{};
-    for (std::size_t j = 0; j < n; ++j) {
-      const double angle = sign * pi * static_cast<double>(k * j) / static_cast<double>(n);
-      acc += data[j] * std::polar(1.0, angle);
+  twiddles_.reserve(n - 1);
+  for (std::size_t h = 1; h < n; h <<= 1) {
+    for (std::size_t k = 0; k < h; ++k) {
+      const double angle = -pi * static_cast<double>(k) / static_cast<double>(h);
+      twiddles_.emplace_back(std::cos(angle), std::sin(angle));
     }
-    out[k] = inverse ? acc / static_cast<double>(n) : acc;
   }
-  return out;
 }
 
-void fft2d_inplace(array2d<cplx>& data, bool inverse) {
-  const std::size_t nx = data.nx();
-  const std::size_t ny = data.ny();
-  if (nx == 0 || ny == 0) return;
+void fft_plan::transform(cplx* data, bool inverse) const { transform_rows(data, 1, inverse); }
 
-  // Rows (contiguous along y).
-  cvec row(ny);
-  for (std::size_t ix = 0; ix < nx; ++ix) {
-    for (std::size_t iy = 0; iy < ny; ++iy) row[iy] = data(ix, iy);
-    fft_inplace(row, inverse);
-    for (std::size_t iy = 0; iy < ny; ++iy) data(ix, iy) = row[iy];
-  }
-  // Columns (strided along x).
-  cvec column(nx);
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    for (std::size_t ix = 0; ix < nx; ++ix) column[ix] = data(ix, iy);
-    fft_inplace(column, inverse);
-    for (std::size_t ix = 0; ix < nx; ++ix) data(ix, iy) = column[ix];
+void fft_plan::transform_rows(cplx* data, std::size_t width, bool inverse) const {
+  for (std::size_t i = 0; i < n_; ++i)
+    if (i < bit_reverse_[i])
+      std::swap_ranges(data + i * width, data + (i + 1) * width, data + bit_reverse_[i] * width);
+  double* a = reinterpret_cast<double*>(data);
+  const double sign = inverse ? -1.0 : 1.0;
+  for (std::size_t h = 1; h < n_; h <<= 1) {
+    for (std::size_t start = 0; start < n_; start += 2 * h) {
+      for (std::size_t k = 0; k < h; ++k) {
+        const cplx w = twiddles_[h - 1 + k];
+        double* p = a + 2 * (start + k) * width;
+        butterfly(p, p + 2 * h * width, width, w.real(), sign * w.imag());
+      }
+    }
   }
 }
 
