@@ -461,12 +461,12 @@ io::json_value time_runtime() {
                 append_s, static_cast<double>(appends) / append_s, replay_s);
   }
 
-  {  // segmented store: append rate with rotation, chain replay, compaction.
+  {  // segmented store: append rate and whole-store replay.
     const fs::path dir = root / "store";
     constexpr std::size_t appends = 20000;
     stopwatch sw;
     {
-      store::segment_log log(dir.string(), {0, 4096, 0}, "bench");
+      store::segment_log log(dir.string(), {}, "bench");
       for (std::size_t i = 0; i < appends; ++i)
         log.append("{\"k\":" + std::to_string(i % 128) + ",\"i\":" +
                    std::to_string(i) + ",\"detail\":\"iteration 10/50\"}");
@@ -477,41 +477,15 @@ io::json_value time_runtime() {
         store::segment_log::read_all(dir.string(), "bench").size();
     const double replay_s = sw.seconds();
 
-    // Latest-wins fold over ~5 sealed segments: the registry-style pattern.
-    const auto fold = [](const std::vector<std::string>& lines) {
-      std::map<std::string, std::size_t> last;
-      for (std::size_t i = 0; i < lines.size(); ++i)
-        last[io::json_value::parse(lines[i]).at("k").dump(-1)] = i;
-      std::vector<std::size_t> keep;
-      for (const auto& [k, i] : last) keep.push_back(i);
-      std::sort(keep.begin(), keep.end());
-      std::vector<std::string> kept;
-      for (const std::size_t i : keep) kept.push_back(lines[i]);
-      return kept;
-    };
-    sw.reset();
-    std::size_t folded = 0;
-    {
-      store::segment_log log(dir.string(), {}, "bench");
-      folded = log.compact(fold);
-    }
-    const double compact_s = sw.seconds();
-
     io::json_value j = io::json_value::object();
     j["appends"] = appends;
     j["append_seconds"] = append_s;
     j["appends_per_second"] = static_cast<double>(appends) / append_s;
     j["replay_seconds"] = replay_s;
     j["replayed"] = replayed;
-    j["compact_seconds"] = compact_s;
-    j["compacted_records"] = folded;
-    j["compacted_per_second"] = static_cast<double>(folded) / compact_s;
     report["store"] = std::move(j);
-    std::printf(
-        "store: %zu appends in %.3f s (%.0f/s), replay %.3f s, compact folded "
-        "%zu in %.3f s\n",
-        appends, append_s, static_cast<double>(appends) / append_s, replay_s,
-        folded, compact_s);
+    std::printf("store: %zu appends in %.3f s (%.0f/s), replay %.3f s\n", appends,
+                append_s, static_cast<double>(appends) / append_s, replay_s);
   }
 
   {  // lease claim / renew throughput — the elastic scheduler's hot path

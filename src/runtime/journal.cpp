@@ -1,11 +1,9 @@
 #include "runtime/journal.h"
 
 #include <filesystem>
-#include <set>
 #include <utility>
 
 #include "common/error.h"
-#include "runtime/lease.h"
 #include "store/segment_log.h"
 
 namespace fs = std::filesystem;
@@ -83,8 +81,7 @@ std::string journal_path(const std::string& campaign_dir) {
 
 journal::journal(std::string dir, std::function<void()> on_append)
     : path_(std::move(dir)),
-      store_(std::make_unique<store::segment_log>(path_, store::default_log_options,
-                                                  "journal")),
+      store_(std::make_unique<store::segment_log>(path_, store::log_options{}, "journal")),
       on_append_(std::move(on_append)) {}
 
 journal::~journal() = default;
@@ -92,18 +89,7 @@ journal::~journal() = default;
 void journal::append(const journal_entry& entry) {
   store_->append(entry.to_json().dump(-1));
   if (on_append_) on_append_();
-  // Opportunistic compaction: cheap threshold probe every 64th append so
-  // long-running appenders bound their own history even when no scheduler
-  // pass (maybe_compact) is running in this process.
-  if (((appends_.fetch_add(1) + 1) & 63) == 0) maybe_compact();
 }
-
-std::size_t journal::maybe_compact() {
-  if (!store_->should_compact()) return 0;
-  return compact();
-}
-
-std::size_t journal::compact() { return store_->compact(&journal::compaction_fold); }
 
 namespace {
 
@@ -155,106 +141,6 @@ std::vector<std::string> journal::raw_since(const std::string& path,
       store::segment_log::read_since_dir(path, "journal", cursor, max_lines);
   cursor = batch.end_cursor;
   return std::move(batch.lines);
-}
-
-namespace {
-
-bool same_view(const lease_view& a, const lease_view& b) {
-  return a.state == b.state && a.worker == b.worker && a.lease_id == b.lease_id &&
-         a.deadline == b.deadline && a.attempts == b.attempts;
-}
-
-}  // namespace
-
-std::vector<std::string> journal::compaction_fold(
-    const std::vector<std::string>& lines) {
-  std::vector<journal_entry> entries;
-  entries.reserve(lines.size());
-  for (const std::string& line : lines) {
-    try {
-      entries.push_back(journal_entry::from_json(io::json_value::parse(line)));
-    } catch (...) {
-      return lines;  // unparseable history: degrade to a pure segment merge
-    }
-  }
-
-  lease_table full;
-  for (const journal_entry& e : entries) full.apply(e);
-
-  std::map<std::size_t, std::vector<std::size_t>> by_job;
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    by_job[entries[i].job_index].push_back(i);
-
-  std::vector<char> keep(entries.size(), 0);
-  for (const auto& [job, idxs] : by_job) {
-    const lease_view ref = full.view(job);
-
-    // Walk this job's records once, tracking which record created the
-    // current live lease, which one last set its deadline, and which one
-    // last released a lease back to pending.
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::size_t claim_idx = npos, deadline_idx = npos, release_idx = npos;
-    std::size_t completed_idx = npos, max_attempt_idx = npos;
-    lease_table walk;
-    for (const std::size_t i : idxs) {
-      const lease_view before = walk.view(job);
-      walk.apply(entries[i]);
-      const lease_view after = walk.view(job);
-      if (after.state == lease_view::phase::leased) {
-        if (before.state != lease_view::phase::leased ||
-            before.worker != after.worker || before.lease_id != after.lease_id) {
-          claim_idx = deadline_idx = i;
-        } else if (after.deadline != before.deadline) {
-          deadline_idx = i;
-        }
-      } else if (after.state == lease_view::phase::pending &&
-                 before.state == lease_view::phase::leased) {
-        release_idx = i;
-      }
-      if (completed_idx == npos && entries[i].state == job_state::completed)
-        completed_idx = i;
-      if (max_attempt_idx == npos && ref.attempts != 0 &&
-          entries[i].attempt == ref.attempts)
-        max_attempt_idx = i;
-    }
-
-    std::set<std::size_t> chosen;
-    chosen.insert(idxs.back());  // preserves journal::latest_states
-    if (max_attempt_idx != npos) chosen.insert(max_attempt_idx);
-    if (ref.state == lease_view::phase::done) {
-      if (completed_idx != npos) chosen.insert(completed_idx);
-    } else if (ref.state == lease_view::phase::leased) {
-      if (claim_idx != npos) chosen.insert(claim_idx);
-      if (deadline_idx != npos) chosen.insert(deadline_idx);
-    } else if (release_idx != npos) {
-      chosen.insert(release_idx);
-    }
-
-    // Self-verify: the kept subsequence must fold to the same lease view,
-    // and re-applying it onto the final state must change nothing (a poller
-    // whose cursor fell inside a compacted segment gets the snapshot
-    // re-delivered into its already-folded table). Jobs fold independently,
-    // so `walk` — this job's final state alone — stands in for the full
-    // table at O(1) copy cost per job.
-    lease_table kept_fold;
-    for (const std::size_t i : chosen) kept_fold.apply(entries[i]);
-    bool ok = same_view(kept_fold.view(job), ref);
-    if (ok) {
-      lease_table redelivered = walk;
-      for (const std::size_t i : chosen) redelivered.apply(entries[i]);
-      ok = same_view(redelivered.view(job), ref);
-    }
-    if (ok) {
-      for (const std::size_t i : chosen) keep[i] = 1;
-    } else {
-      for (const std::size_t i : idxs) keep[i] = 1;  // fallback: keep history
-    }
-  }
-
-  std::vector<std::string> kept;
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    if (keep[i]) kept.push_back(lines[i]);
-  return kept;
 }
 
 std::map<std::size_t, journal_entry> journal::latest_states(

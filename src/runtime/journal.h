@@ -2,11 +2,11 @@
 /// Append-only durability log of a campaign: every job state transition
 /// (leased, running, checkpointed, completed, failed, cancelled, ...) is one
 /// JSON line in the campaign's `journal/` directory, a `store::segment_log`
-/// that rotates, compacts and garbage-collects its segments. Appends are
-/// single O_APPEND writes, so concurrent worker processes sharing one
-/// campaign directory interleave whole lines only. Replay reconstructs the
-/// latest state per job — the scheduler's crash-recovery source of truth —
-/// and tolerates a torn (crash-truncated) final line.
+/// (one growing segment). Appends are single O_APPEND writes, so concurrent
+/// worker processes sharing one campaign directory interleave whole lines
+/// only. Replay reconstructs the latest state per job — the scheduler's
+/// crash-recovery source of truth — and tolerates a torn (crash-truncated)
+/// final line.
 ///
 /// The journal is also the *coordination* medium: workers claim jobs by
 /// appending `leased` records, keep them alive with `lease_renewed`
@@ -21,7 +21,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -79,10 +78,10 @@ struct journal_entry {
 /// Pollers — the event stream, the lease manager — keep one per journal and
 /// fold only what appended since, so poll cost tracks journal *growth*
 /// instead of journal size. The offset is a `store::segment_log` cursor and
-/// doubles as the control plane's wire cursor (`?cursor=N`). Cursors survive
-/// rotation and compaction: a cursor into a compacted-away segment resumes
+/// doubles as the control plane's wire cursor (`?cursor=N`). In a journal an
+/// earlier build compacted, a cursor into a compacted-away segment resumes
 /// at the covering snapshot (at-least-once re-delivery — safe for the
-/// latest-wins / lease-fold consumers, see `compaction_fold`).
+/// latest-wins / lease-fold consumers).
 struct journal_cursor {
   std::uint64_t offset = 0;  ///< store cursor; 0 = start of the journal
   std::size_t line = 0;      ///< complete lines already consumed
@@ -98,7 +97,7 @@ std::string journal_path(const std::string& campaign_dir);
 class journal {
  public:
   /// Open (creating if needed) the journal store at `dir` — the value
-  /// `journal_path` returns — healing a crash-torn active-segment tail.
+  /// `journal_path` returns. The first append heals a crash-torn tail.
   /// `on_append`, if set, runs on the appending thread after every record
   /// this handle appends (the service wakes its events long-polls with it).
   explicit journal(std::string dir, std::function<void()> on_append = {});
@@ -106,22 +105,11 @@ class journal {
   ~journal();
 
   /// Append one record; thread-safe, flushed before returning so a crash
-  /// after `append` never loses the record. Rotates the active segment past
-  /// its thresholds and opportunistically compacts (every 64th append) once
-  /// enough sealed segments accumulate.
+  /// after `append` never loses the record.
   void append(const journal_entry& entry);
 
   /// The store directory.
   const std::string& path() const { return path_; }
-
-  /// Compact now if the sealed-segment threshold is reached. Returns the
-  /// number of records folded away (0 otherwise). The scheduler calls this
-  /// once per scheduling pass.
-  std::size_t maybe_compact();
-
-  /// Compact unconditionally (still a no-op with fewer than two sealed
-  /// segments). Returns the number of records folded away.
-  std::size_t compact();
 
   /// Parse every complete line of a journal, in order. A malformed final
   /// line (a racing writer's record seen mid-append) is ignored; a
@@ -162,25 +150,10 @@ class journal {
   static std::map<std::size_t, journal_entry> latest_states(
       const std::vector<journal_entry>& entries);
 
-  /// The journal's compaction fold (see `store::compaction_fold`): keeps,
-  /// per job, the records that reproduce every consumer's fold state —
-  /// the latest record (`latest_states`), the live lease's claim +
-  /// deadline-setting heartbeat, the completing/releasing transition, and
-  /// the max-attempt record (`lease_table`). The result is *self-verified*:
-  /// for each job the kept subsequence is re-folded and must (a) resolve to
-  /// the identical lease view and (b) be idempotent when re-applied onto
-  /// the final state — because a poller whose cursor fell inside a
-  /// compacted segment gets the snapshot re-delivered. Any job failing
-  /// verification keeps its full history; an unparseable history is
-  /// returned unchanged (compaction degrades to a pure segment merge).
-  static std::vector<std::string> compaction_fold(
-      const std::vector<std::string>& lines);
-
  private:
   std::string path_;
   std::unique_ptr<store::segment_log> store_;
   std::function<void()> on_append_;
-  std::atomic<std::size_t> appends_{0};  ///< compaction-check pacing
 };
 
 }  // namespace boson::runtime

@@ -9,15 +9,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "io/table.h"
+#include "store/segment_log.h"
 
 namespace boson::runtime {
 
@@ -127,17 +126,7 @@ result_store::result_store(const std::string& campaign_dir)
   // the file is cut to it.
   try {
     const file_lock lock(fd_, LOCK_EX, path_);
-    std::ifstream in(path_, std::ios::binary);
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    if (!text.empty() && text.back() != '\n') {
-      const std::size_t cut = text.find_last_of('\n');
-      const std::size_t keep = cut == std::string::npos ? 0 : cut + 1;
-      log_warn("result_store: dropping torn trailing fragment of '", path_, "' (",
-               text.size() - keep, " bytes)");
-      if (::ftruncate(fd_, static_cast<off_t>(keep)) != 0)
-        throw io_error("result_store: cannot truncate torn tail of '" + path_ + "'");
-    }
+    store::heal_torn_tail(path_, "result_store");
   } catch (...) {
     ::close(fd_);
     throw;

@@ -46,8 +46,8 @@ struct job_result_row {
 /// Concurrent worker processes share one file through flock(2) on it, the
 /// protocol of `store::segment_log`: an append is one O_APPEND write under a
 /// shared lock, so appends interleave whole lines only; healing a torn tail
-/// takes the exclusive lock, so it never truncates a row another worker
-/// appended after the healer looked. Readers (`load`, `count_rows`) take no
+/// (`store::heal_torn_tail`) takes the exclusive lock, so it never truncates
+/// a row another worker appended after the healer looked. Readers (`load`, `count_rows`) take no
 /// lock and tolerate the torn tail instead.
 class result_store {
  public:

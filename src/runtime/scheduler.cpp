@@ -466,14 +466,6 @@ scheduler_report scheduler::run() {
   for (std::thread& t : workers) t.join();
   sched_metrics().queue_depth.set(0.0);
 
-  // Fold finished history once per scheduling pass, so replay/poll cost at
-  // the next resume tracks live state, not the full lease/heartbeat churn
-  // this run appended.
-  const std::size_t folded = log.maybe_compact();
-  if (folded > 0)
-    log_info("scheduler[", spec_.name, "]: journal compaction folded away ",
-             folded, " records");
-
   report.wall_seconds = sw.seconds();
   log_info("scheduler[", spec_.name, " ", manager.worker(), "]: ",
            report.completed, " completed, ", report.skipped, " skipped, ",

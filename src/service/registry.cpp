@@ -70,28 +70,6 @@ std::size_t id_number(const std::string& id, const std::string& where) {
   }
 }
 
-/// The ledger's compaction fold: the latest record per id, in original
-/// order. Tombstones survive the fold — a compacted ledger must still prove
-/// which ids were minted (id monotonicity) and which campaigns were deleted.
-std::vector<std::string> registry_fold(const std::vector<std::string>& lines) {
-  std::map<std::string, std::size_t> last;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    try {
-      last[io::json_value::parse(lines[i]).at("id").as_string()] = i;
-    } catch (...) {
-      return lines;  // unparseable history: degrade to a pure segment merge
-    }
-  }
-  std::vector<std::size_t> keep;
-  keep.reserve(last.size());
-  for (const auto& [id, i] : last) keep.push_back(i);
-  std::sort(keep.begin(), keep.end());
-  std::vector<std::string> kept;
-  kept.reserve(keep.size());
-  for (const std::size_t i : keep) kept.push_back(lines[i]);
-  return kept;
-}
-
 }  // namespace
 
 campaign_registry::campaign_registry(options opts) : options_(std::move(opts)) {
@@ -108,7 +86,7 @@ campaign_registry::campaign_registry(options opts) : options_(std::move(opts)) {
                    "' is a pre-store ledger; open this data root once with a build "
                    "that still migrates it into registry/");
   log_ = std::make_unique<store::segment_log>(ledger_dir(options_.data_dir),
-                                              store::default_log_options, "registry");
+                                              store::log_options{}, "registry");
 
   const std::lock_guard<std::mutex> lock(mutex_);
   sync_locked();
@@ -142,7 +120,6 @@ void campaign_registry::sync_locked() const {
 
 void campaign_registry::append_locked(const campaign_record& record) const {
   log_->append(record.to_json().dump(-1));
-  if (log_->should_compact()) log_->compact(&registry_fold);
 }
 
 campaign_record campaign_registry::submit(const std::string& tenant,

@@ -2,16 +2,17 @@
 /// The service's durable campaign ledger: every submitted campaign gets an
 /// id, a per-tenant directory under one data root, and a lifecycle state
 /// (queued → running → done/failed/cancelled → deleted). State changes
-/// append latest-record-wins lines to a `registry/` segment store
-/// (`store::segment_log`) in the data root, so a restarted service rescans
+/// append latest-record-wins lines to a `registry/` log store in the data
+/// root (`store::segment_log`, one growing segment; a `"deleted"` tombstone
+/// keeps its id from being minted again), so a restarted service rescans
 /// the ledger and finds every campaign exactly where it left it — and
 /// because every mutation runs under the store's cross-process exclusive
 /// lock, *several service processes can share one data root*: ids stay
 /// unique, quotas are enforced against the union of submits, and a
 /// queued→running claim is atomic across the fleet. A data root that still
-/// holds a pre-store `registry.jsonl` is refused. Tenants are directories: quota and listing are per tenant,
-/// and two tenants can submit campaigns with the same name without
-/// colliding.
+/// holds a pre-store `registry.jsonl` is refused. Tenants are directories:
+/// quota and listing are per tenant, and two tenants can submit campaigns
+/// with the same name without colliding.
 
 #pragma once
 

@@ -70,9 +70,8 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// The first segment of a journal store: the active one for every journal
-/// here that appends too little to rotate — where raw torn or malformed
-/// bytes go.
+/// The only segment of a journal store this build creates — where raw torn
+/// or malformed bytes go.
 fs::path first_segment(const std::string& journal_dir) {
   return fs::path(journal_dir) / "segment-000000.jsonl";
 }

@@ -60,9 +60,8 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// The first segment of a journal store: the active one for every journal
-/// here that appends too little to rotate — where raw torn or malformed
-/// bytes go.
+/// The only segment of a journal store this build creates — where raw torn
+/// or malformed bytes go.
 fs::path first_segment(const std::string& journal_dir) {
   return fs::path(journal_dir) / "segment-000000.jsonl";
 }
@@ -436,8 +435,7 @@ TEST(registry, rescan_names_a_corrupt_manifest_id_instead_of_aborting_blind) {
   record["submitted_at"] = 2.0;
   record["updated_at"] = 2.0;
   {
-    store::segment_log ledger((data / "registry").string(), store::default_log_options,
-                              "test");
+    store::segment_log ledger((data / "registry").string(), {}, "test");
     ledger.append(record.dump(-1));
   }
 
@@ -1056,25 +1054,21 @@ TEST(campaign_service, segmented_journal_campaign_completes_and_pages_events) {
   options.event_page_lines = 5;  // exercise the page cap
   service::campaign_service service(options);
 
-  // Submit while stopped and pre-create the campaign's store with small
-  // thresholds (the journal adopts them): several rotations across 12 jobs
-  // and at least one compaction opportunity.
   const service::campaign_record record =
       service.submit("alice", synthetic_campaign());
-  { store::segment_log creator(runtime::journal_path(record.dir), {0, 8, 2}, "journal"); }
   service.start();
   ASSERT_TRUE(wait_until([&] {
     return service.registry().find("alice", record.id)->state == "done";
   })) << "campaign never finished";
   EXPECT_EQ(executed.load(), 12u);
 
-  // The journal rotated and compacted.
   const std::string journal = runtime::journal_path(record.dir);
   EXPECT_EQ(journal, (data / "alice" / record.id / "journal").string());
-  EXPECT_GE(store::segment_log(journal).segment_count(), 2u);
-  EXPECT_FALSE(fs::exists(fs::path(journal) / "segment-000000.jsonl"));
+  // One segment takes the whole campaign.
+  EXPECT_TRUE(fs::exists(first_segment(journal)));
+  EXPECT_FALSE(fs::exists(fs::path(journal) / "segment-000001.jsonl"));
 
-  // Event pages respect the cap and the cursor walks the chain without
+  // Event pages respect the cap and the cursor walks the journal without
   // gaps or duplicates.
   std::vector<std::string> lines;
   std::streamoff cursor = 0;

@@ -1,21 +1,21 @@
-// Tests of the durable segmented log store (src/store) and the journal's
-// ride on top of it: rotation + replay order, incremental cursors across
-// rotation and compaction, config adoption by attaching processes, torn-tail
-// healing, SIGKILL crashes at named fault points inside rotation and
-// compaction (forked children; the parent verifies the survivors replay
-// bit-identically), multi-process append interleaving, and the journal's
-// self-verifying compaction fold.
+// Tests of the durable append-only log store (src/store) and the journal's
+// ride on top of it: one growing segment per store, replay order,
+// incremental cursors and paging, torn-tail healing, multi-process append
+// interleaving, and reading (and appending to) the rotated and compacted
+// chains earlier builds wrote.
 
 #include <gtest/gtest.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,79 +48,117 @@ pid_t fork_child(Fn&& fn) {
   return pid;
 }
 
-enum class child_end { clean_exit, sigkilled, other };
-
-child_end wait_child(pid_t pid) {
+bool exited_cleanly(pid_t pid) {
   int status = 0;
   ::waitpid(pid, &status, 0);
-  if (WIFEXITED(status) && WEXITSTATUS(status) == 0) return child_end::clean_exit;
-  if (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) return child_end::sigkilled;
-  return child_end::other;
-}
-
-/// SIGKILL the calling process when the named fault point is reached —
-/// installed inside forked children to simulate a crash mid-operation.
-void crash_at(const std::string& point) {
-  store::set_crash_hook([point](const char* at) {
-    if (point == at) ::kill(::getpid(), SIGKILL);
-  });
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 std::string rec(int i) { return "{\"i\":" + std::to_string(i) + "}"; }
 
-/// Keyed record for fold tests: latest line per key wins.
-std::string keyed(int key, int round) {
-  return "{\"k\":" + std::to_string(key) + ",\"round\":" + std::to_string(round) + "}";
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
-std::vector<std::string> latest_per_key(const std::vector<std::string>& lines) {
-  std::map<std::string, std::size_t> last;
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    last[io::json_value::parse(lines[i]).at("k").dump(-1)] = i;
-  std::vector<std::size_t> keep;
-  for (const auto& [k, i] : last) keep.push_back(i);
-  std::sort(keep.begin(), keep.end());
-  std::vector<std::string> kept;
-  for (const std::size_t i : keep) kept.push_back(lines[i]);
-  return kept;
+void write_text(const fs::path& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary) << text;
 }
 
-// ------------------------------------------------------ rotation + cursors ---
+std::string lines_of(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
 
-TEST(segment_log, rotates_by_record_count_and_replays_in_order) {
-  const fs::path dir = fresh_dir("store_rotate");
-  store::segment_log log(dir.string(), {0, 4, 0});
-  for (int i = 0; i < 10; ++i) log.append(rec(i));
-  EXPECT_GE(log.segment_count(), 3u);
+/// Every file of a store directory but its lock.
+std::set<std::string> store_files(const fs::path& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.path().filename() != "lock") names.insert(entry.path().filename().string());
+  return names;
+}
+
+/// Hand-write a store the way an earlier build's rotation left it: its
+/// config record, then one `open` record and one segment per element of
+/// `segments` (seqs 0, 1, ...; the last is the active tail).
+void write_rotated_store(const fs::path& dir,
+                         const std::vector<std::vector<std::string>>& segments) {
+  std::string manifest =
+      R"({"op":"config","segment_bytes":262144,"segment_records":1024,"compact_segments":4})"
+      "\n";
+  for (std::size_t seq = 0; seq < segments.size(); ++seq) {
+    manifest += R"({"op":"open","seq":)" + std::to_string(seq) + "}\n";
+    char name[48];
+    std::snprintf(name, sizeof name, "segment-%06zu.jsonl", seq);
+    write_text(dir / name, lines_of(segments[seq]));
+  }
+  write_text(dir / "manifest.jsonl", manifest);
+}
+
+// ------------------------------------------------------- one segment + cursors ---
+
+TEST(segment_log, appends_land_in_one_segment_and_replay_in_order) {
+  const fs::path dir = fresh_dir("store_one_segment");
+  // More records than the 1024 an earlier build rotated at.
+  constexpr int kRecords = 1500;
+  {
+    store::segment_log log(dir.string());
+    for (int i = 0; i < kRecords; ++i) log.append(rec(i));
+  }
 
   const auto lines = store::segment_log::read_all(dir.string(), "test");
-  ASSERT_EQ(lines.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(lines[static_cast<std::size_t>(i)], rec(i));
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRecords));
+  for (int i = 0; i < kRecords; ++i)
+    EXPECT_EQ(lines[static_cast<std::size_t>(i)], rec(i));
+  EXPECT_EQ(store_files(dir),
+            (std::set<std::string>{"manifest.jsonl", "segment-000000.jsonl"}));
+  EXPECT_EQ(read_text(dir / "manifest.jsonl"), "{\"op\":\"open\",\"seq\":0}\n");
 }
 
 TEST(segment_log, incremental_cursors_stay_exact_across_rotation) {
+  // A chain an earlier build rotated every four records, then appends.
   const fs::path dir = fresh_dir("store_cursors");
-  store::segment_log log(dir.string(), {0, 3, 0});
+  write_rotated_store(dir, {{rec(0), rec(1), rec(2), rec(3)},
+                            {rec(4), rec(5), rec(6), rec(7)},
+                            {rec(8), rec(9)}});
+  store::segment_log log(dir.string());
 
-  std::uint64_t cursor = 0;
-  std::vector<std::string> seen;
-  for (int i = 0; i < 11; ++i) {
+  const store::read_batch all =
+      store::segment_log::read_since_dir(dir.string(), "test", 0);
+  ASSERT_EQ(all.lines.size(), 10u);
+  // Every per-line cursor resumes right after its line, segment ends included.
+  for (std::size_t i = 0; i < all.cursors.size(); ++i) {
+    const store::read_batch rest =
+        store::segment_log::read_since_dir(dir.string(), "test", all.cursors[i]);
+    ASSERT_EQ(rest.lines.size(), all.lines.size() - i - 1) << "after line " << i;
+    if (!rest.lines.empty()) {
+      EXPECT_EQ(rest.lines[0], rec(static_cast<int>(i) + 1));
+    }
+  }
+
+  std::uint64_t cursor = all.end_cursor;
+  std::vector<std::string> seen = all.lines;
+  for (int i = 10; i < 14; ++i) {
     log.append(rec(i));
     const store::read_batch batch =
         store::segment_log::read_since_dir(dir.string(), "test", cursor);
-    for (const std::string& line : batch.lines) seen.push_back(line);
+    ASSERT_EQ(batch.lines.size(), 1u);
+    seen.push_back(batch.lines[0]);
     cursor = batch.end_cursor;
   }
-  ASSERT_EQ(seen.size(), 11u);
-  for (int i = 0; i < 11; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], rec(i));
+  ASSERT_EQ(seen.size(), 14u);
+  for (int i = 0; i < 14; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], rec(i));
   EXPECT_TRUE(
       store::segment_log::read_since_dir(dir.string(), "test", cursor).lines.empty());
 }
 
 TEST(segment_log, max_lines_pages_through_the_chain_without_gaps) {
   const fs::path dir = fresh_dir("store_pages");
-  store::segment_log log(dir.string(), {0, 3, 0});
-  for (int i = 0; i < 10; ++i) log.append(rec(i));
+  write_rotated_store(dir, {{rec(0), rec(1), rec(2)}, {rec(3), rec(4), rec(5)}, {}});
+  store::segment_log log(dir.string());
+  for (int i = 6; i < 10; ++i) log.append(rec(i));
 
   std::uint64_t cursor = 0;
   std::vector<std::string> seen;
@@ -134,17 +172,6 @@ TEST(segment_log, max_lines_pages_through_the_chain_without_gaps) {
   }
   ASSERT_EQ(seen.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], rec(i));
-}
-
-TEST(segment_log, attacher_adopts_the_creators_config) {
-  const fs::path dir = fresh_dir("store_config");
-  { store::segment_log creator(dir.string(), {1024, 7, 3}); }
-
-  // An attacher's own options are ignored: the store already exists.
-  store::segment_log attached(dir.string(), {1, 1, 1});
-  EXPECT_EQ(attached.options().segment_bytes, 1024u);
-  EXPECT_EQ(attached.options().segment_records, 7u);
-  EXPECT_EQ(attached.options().compact_segments, 3u);
 }
 
 TEST(segment_log, a_cursor_naming_no_segment_is_a_bad_argument) {
@@ -166,6 +193,17 @@ TEST(segment_log, a_cursor_naming_no_segment_is_a_bad_argument) {
   }
 }
 
+TEST(segment_log, a_cursor_cannot_encode_an_offset_past_8_gib) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 33;
+  EXPECT_THROW((void)store::encode_cursor(0, kLimit), io_error);
+  EXPECT_THROW((void)store::encode_cursor(3, kLimit + 17), io_error);
+  std::uint64_t seq = 0;
+  std::uint64_t offset = 0;
+  store::decode_cursor(store::encode_cursor(3, kLimit - 1), seq, offset);
+  EXPECT_EQ(seq, 3u);
+  EXPECT_EQ(offset, kLimit - 1);
+}
+
 TEST(segment_log, heals_a_torn_active_tail_on_attach) {
   const fs::path dir = fresh_dir("store_torn");
   { // no rotation: all records land in segment 0
@@ -181,173 +219,93 @@ TEST(segment_log, heals_a_torn_active_tail_on_attach) {
   EXPECT_EQ(lines[3], rec(3));
 }
 
-// ------------------------------------------------------------- compaction ---
+TEST(segment_log, heal_torn_tail_cuts_back_to_the_last_newline) {
+  const fs::path dir = fresh_dir("store_heal_tail");
+  const fs::path file = dir / "f.jsonl";
 
-TEST(segment_log, compaction_preserves_fold_state_and_live_cursors) {
-  const fs::path dir = fresh_dir("store_compact");
-  store::segment_log log(dir.string(), {0, 4, 2});
-  for (int round = 0; round < 4; ++round)
-    for (int key = 0; key < 4; ++key) log.append(keyed(key, round));
+  // A fragment longer than one read-back chunk.
+  const std::string head = rec(0) + "\n" + rec(1) + "\n";
+  write_text(file, head + std::string(10000, 'x'));
+  EXPECT_EQ(store::heal_torn_tail(file.string(), "test"), 10000u);
+  EXPECT_EQ(read_text(file), head);
 
-  const store::read_batch before =
-      store::segment_log::read_since_dir(dir.string(), "test", 0);
-  ASSERT_EQ(before.lines.size(), 16u);
-  const std::uint64_t tail = before.end_cursor;
-  const std::uint64_t early = before.cursors[0];  // inside the first segment
+  // A clean tail, an empty file and a missing one are left alone.
+  EXPECT_EQ(store::heal_torn_tail(file.string(), "test"), 0u);
+  EXPECT_EQ(read_text(file), head);
+  write_text(file, "");
+  EXPECT_EQ(store::heal_torn_tail(file.string(), "test"), 0u);
+  EXPECT_EQ(store::heal_torn_tail((dir / "missing.jsonl").string(), "test"), 0u);
+  EXPECT_FALSE(fs::exists(dir / "missing.jsonl"));
 
-  ASSERT_TRUE(log.should_compact());
-  const std::size_t folded = log.compact(&latest_per_key);
-  EXPECT_GT(folded, 0u);
-
-  // Whole-chain replay after compaction folds to the same latest-per-key
-  // state as the full pre-compaction history.
-  const auto after = store::segment_log::read_all(dir.string(), "test");
-  EXPECT_LT(after.size(), before.lines.size());
-  EXPECT_EQ(latest_per_key(after), latest_per_key(before.lines));
-
-  // A cursor at the live tail stays exactly valid: only records appended
-  // after it are delivered.
-  log.append(keyed(7, 7));
-  const store::read_batch resumed =
-      store::segment_log::read_since_dir(dir.string(), "test", tail);
-  ASSERT_EQ(resumed.lines.size(), 1u);
-  EXPECT_EQ(resumed.lines[0], keyed(7, 7));
-
-  // A cursor that had drained the compacted run's last segment resumes
-  // right after the snapshot: nothing it already saw is re-delivered.
-  const store::read_batch drained =
-      store::segment_log::read_since_dir(dir.string(), "test", before.cursors.back());
-  ASSERT_EQ(drained.lines.size(), 1u);
-  EXPECT_EQ(drained.lines[0], keyed(7, 7));
-
-  // A cursor into a compacted-away segment re-delivers from the covering
-  // snapshot: at-least-once, and convergent for a latest-wins consumer.
-  const store::read_batch redelivered =
-      store::segment_log::read_since_dir(dir.string(), "test", early);
-  EXPECT_GE(redelivered.lines.size(), 4u);
-  std::vector<std::string> full = before.lines;
-  full.push_back(keyed(7, 7));
-  EXPECT_EQ(latest_per_key(redelivered.lines), latest_per_key(full));
+  // No newline at all: the whole file is one fragment.
+  write_text(file, "{\"torn\"");
+  EXPECT_EQ(store::heal_torn_tail(file.string(), "test"), 7u);
+  EXPECT_EQ(read_text(file), "");
 }
 
-TEST(segment_log, a_lone_snapshot_is_never_refolded) {
-  const fs::path dir = fresh_dir("store_compact_once");
-  store::segment_log log(dir.string(), {0, 2, 1});
-  for (int i = 0; i < 6; ++i) log.append(keyed(i % 2, i));  // 3 sealed + empty active
-  ASSERT_TRUE(log.should_compact());
-  EXPECT_GT(log.compact(&latest_per_key), 0u);
+// ------------------------------------------- chains earlier builds wrote ---
 
-  // [snapshot, newest sealed, active]: the run compaction would fold is the
-  // snapshot alone, so neither the probe nor an explicit compact touches
-  // the store, whatever the threshold.
-  const std::uintmax_t manifest_bytes = fs::file_size(dir / "manifest.jsonl");
-  EXPECT_FALSE(log.should_compact());
-  EXPECT_EQ(log.compact(&latest_per_key), 0u);
-  EXPECT_EQ(fs::file_size(dir / "manifest.jsonl"), manifest_bytes);
+TEST(segment_log, replays_and_appends_to_a_chain_an_earlier_build_compacted) {
+  // Segments 0..3 opened by rotation; 0..1 compacted into snapshot 4.
+  // Segment 0 outlived the compaction (a crash before its GC) and a draft of
+  // a later snapshot was left behind: neither is in the chain.
+  const fs::path dir = fresh_dir("store_earlier_chain");
+  write_text(
+      dir / "manifest.jsonl",
+      R"({"op":"config","segment_bytes":262144,"segment_records":1024,"compact_segments":4})"
+      "\n"
+      R"({"op":"open","seq":0})"
+      "\n"
+      R"({"op":"open","seq":1})"
+      "\n"
+      R"({"op":"open","seq":2})"
+      "\n"
+      R"({"op":"open","seq":3})"
+      "\n"
+      R"({"op":"compact","seq":4,"first":0,"last":1,"in":4,"kept":2})"
+      "\n");
+  write_text(dir / "segment-000000.jsonl", lines_of({rec(0), rec(1)}));
+  write_text(dir / "segment-000004.jsonl", lines_of({rec(1), rec(3)}));
+  write_text(dir / "segment-000002.jsonl", lines_of({rec(4), rec(5)}));
+  write_text(dir / "segment-000003.jsonl", lines_of({rec(6)}));
+  write_text(dir / "segment-000005.jsonl.tmp", lines_of({rec(99)}));
 
-  // Folding resumes once the fresh sealed bytes match the snapshot's.
-  for (int i = 0; i < 4; ++i) log.append(keyed(i % 2, 10 + i));
-  EXPECT_TRUE(log.should_compact());
-}
+  // Chain order: the snapshot, then the segments opened after the run.
+  const std::vector<std::string> chain = {rec(1), rec(3), rec(4), rec(5), rec(6)};
+  EXPECT_EQ(store::segment_log::read_all(dir.string(), "test"), chain);
 
-// ------------------------------------------------------- crash resilience ---
+  // A cursor into compacted-away segment 0 resumes at the start of snapshot 4.
+  const std::uint64_t into_seq0 = store::encode_cursor(0, rec(0).size() + 1);
+  EXPECT_EQ(store::segment_log::read_since_dir(dir.string(), "test", into_seq0).lines,
+            chain);
+  // A segment the chain never had is still the caller's mistake.
+  EXPECT_THROW((void)store::segment_log::read_since_dir(dir.string(), "test",
+                                                        store::encode_cursor(9, 0)),
+               bad_argument);
 
-TEST(segment_log, sigkill_during_rotation_heals_and_loses_nothing) {
-  for (const char* point : {"rotate:before_manifest", "rotate:after_manifest"}) {
-    const fs::path dir = fresh_dir(std::string("store_crash_rotate_") +
-                                   (std::string(point).find("before") !=
-                                            std::string::npos
-                                        ? "before"
-                                        : "after"));
-    {
-      store::segment_log log(dir.string(), {0, 4, 0});
-      for (int i = 0; i < 3; ++i) log.append(rec(i));
-    }
-
-    const pid_t pid = fork_child([&] {
-      crash_at(point);
-      store::segment_log log(dir.string());
-      log.append(rec(3));  // crosses the threshold: rotation dies at `point`
-    });
-    ASSERT_EQ(wait_child(pid), child_end::sigkilled) << point;
-
-    // Reattach: healing + GC run in the constructor; every append before the
-    // crash survives exactly once and new appends continue.
-    store::segment_log log(dir.string());
-    log.append(rec(4));
-    const auto lines = store::segment_log::read_all(dir.string(), "test");
-    ASSERT_EQ(lines.size(), 5u) << point;
-    for (int i = 0; i < 5; ++i)
-      EXPECT_EQ(lines[static_cast<std::size_t>(i)], rec(i)) << point;
-  }
-}
-
-TEST(segment_log, sigkill_before_compaction_commits_replays_bit_identical) {
-  for (const char* point :
-       {"compact:before_tmp", "compact:after_tmp", "compact:before_manifest"}) {
-    const fs::path dir = fresh_dir("store_crash_compact");
-    std::vector<std::string> expected;
-    {
-      store::segment_log log(dir.string(), {0, 3, 2});
-      for (int round = 0; round < 3; ++round)
-        for (int key = 0; key < 3; ++key) log.append(keyed(key, round));
-      expected = store::segment_log::read_all(dir.string(), "test");
-    }
-    ASSERT_EQ(expected.size(), 9u);
-
-    const pid_t pid = fork_child([&] {
-      crash_at(point);
-      store::segment_log log(dir.string());
-      log.compact(&latest_per_key);
-    });
-    ASSERT_EQ(wait_child(pid), child_end::sigkilled) << point;
-
-    // Until the manifest compact record lands, the chain replays exactly as
-    // before — bit for bit.
-    EXPECT_EQ(store::segment_log::read_all(dir.string(), "test"), expected) << point;
-
-    // Reattaching GCs any snapshot temp the crash left behind.
-    store::segment_log reopened(dir.string());
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      if (entry.path().filename() == "lock") continue;
-      EXPECT_EQ(entry.path().extension(), ".jsonl") << entry.path() << " at " << point;
-    }
-  }
-}
-
-TEST(segment_log, sigkill_after_compaction_commits_keeps_the_snapshot) {
-  const fs::path dir = fresh_dir("store_crash_compact_commit");
-  std::vector<std::string> full;
+  // Attaching and appending writes segment 3 only: the manifest keeps its
+  // bytes and no file appears or disappears.
+  const std::string manifest = read_text(dir / "manifest.jsonl");
+  const std::set<std::string> files = store_files(dir);
   {
-    store::segment_log log(dir.string(), {0, 3, 2});
-    for (int round = 0; round < 3; ++round)
-      for (int key = 0; key < 3; ++key) log.append(keyed(key, round));
-    full = store::segment_log::read_all(dir.string(), "test");
-  }
-
-  const pid_t pid = fork_child([&] {
-    crash_at("compact:after_manifest");
     store::segment_log log(dir.string());
-    log.compact(&latest_per_key);
-  });
-  ASSERT_EQ(wait_child(pid), child_end::sigkilled);
-
-  // The manifest committed the snapshot before the crash: replay is the
-  // folded state even though the replaced segments may still be on disk.
-  EXPECT_EQ(latest_per_key(store::segment_log::read_all(dir.string(), "test")),
-            latest_per_key(full));
-
-  // Reattach GCs the replaced segments; replay is unchanged by GC.
-  store::segment_log reopened(dir.string());
-  EXPECT_EQ(latest_per_key(store::segment_log::read_all(dir.string(), "test")),
-            latest_per_key(full));
+    log.append(rec(7));
+    std::vector<std::string> expected = chain;
+    expected.push_back(rec(7));
+    EXPECT_EQ(log.read_since(0).lines, expected);
+    EXPECT_EQ(log.read_since(into_seq0).lines, expected);
+  }
+  EXPECT_EQ(read_text(dir / "manifest.jsonl"), manifest);
+  EXPECT_EQ(store_files(dir), files);
+  EXPECT_EQ(read_text(dir / "segment-000003.jsonl"), lines_of({rec(6), rec(7)}));
+  EXPECT_EQ(read_text(dir / "segment-000000.jsonl"), lines_of({rec(0), rec(1)}));
 }
 
 // --------------------------------------------------- multi-process appends ---
 
-TEST(segment_log, concurrent_appenders_interleave_whole_lines_across_rotation) {
+TEST(segment_log, concurrent_appenders_interleave_whole_lines) {
   const fs::path dir = fresh_dir("store_concurrent");
-  { store::segment_log creator(dir.string(), {0, 8, 0}); }
+  { store::segment_log creator(dir.string()); }
 
   constexpr int kChildren = 4;
   constexpr int kEach = 25;
@@ -360,10 +318,11 @@ TEST(segment_log, concurrent_appenders_interleave_whole_lines_across_rotation) {
                    "}");
     }));
   }
-  for (const pid_t pid : pids) ASSERT_EQ(wait_child(pid), child_end::clean_exit);
+  for (const pid_t pid : pids) ASSERT_TRUE(exited_cleanly(pid));
 
   // Every line is complete and parseable; each child's lines appear in its
-  // own append order; nothing was lost or torn by concurrent rotation.
+  // own append order; nothing was lost or torn, and all of it is in the one
+  // segment.
   const auto lines = store::segment_log::read_all(dir.string(), "test");
   ASSERT_EQ(lines.size(), static_cast<std::size_t>(kChildren * kEach));
   std::map<int, int> next;
@@ -374,6 +333,8 @@ TEST(segment_log, concurrent_appenders_interleave_whole_lines_across_rotation) {
     ++next[child];
   }
   for (int c = 0; c < kChildren; ++c) EXPECT_EQ(next[c], kEach);
+  EXPECT_EQ(store_files(dir),
+            (std::set<std::string>{"manifest.jsonl", "segment-000000.jsonl"}));
 }
 
 // ------------------------------------------------------ journal-on-store ---
@@ -394,16 +355,12 @@ runtime::journal_entry entry(std::size_t job, runtime::job_state state,
   return e;
 }
 
-TEST(journal_store, segmented_journal_round_trips_and_compacts) {
+TEST(journal_store, segmented_journal_round_trips) {
   const fs::path dir = fresh_dir("journal_store");
   const std::string path = runtime::journal_path(dir.string());
-  // Small thresholds without a production knob: the journal attaches to a
-  // store created beforehand and adopts its options.
-  { store::segment_log creator(path, {0, 4, 2}, "journal"); }
-
   runtime::journal log(path);
 
-  // A three-job history with enough traffic to rotate several times.
+  // A three-job history with leases, heartbeats, a completion and a release.
   using runtime::job_state;
   std::vector<runtime::journal_entry> history;
   for (std::size_t job = 0; job < 3; ++job) {
@@ -425,22 +382,18 @@ TEST(journal_store, segmented_journal_round_trips_and_compacts) {
     EXPECT_EQ(replayed[i].state, history[i].state);
   }
 
-  // An incremental cursor parked at the tail stays valid across compaction.
+  // An incremental cursor parked at the tail sees exactly what is appended
+  // after it.
   runtime::journal_cursor cursor;
-  (void)runtime::journal::since(log.path(), cursor);
-  EXPECT_GT(log.compact(), 0u);
-  // Compacting again folds nothing and writes no manifest record.
-  const std::uintmax_t manifest_bytes = fs::file_size(fs::path(path) / "manifest.jsonl");
-  EXPECT_EQ(log.maybe_compact(), 0u);
-  EXPECT_EQ(log.compact(), 0u);
-  EXPECT_EQ(fs::file_size(fs::path(path) / "manifest.jsonl"), manifest_bytes);
+  EXPECT_EQ(runtime::journal::since(log.path(), cursor).size(), history.size());
   EXPECT_TRUE(runtime::journal::since(log.path(), cursor).empty());
   log.append(entry(2, job_state::completed, "w1", 3, 0.0, 5.0, 1));
   const auto fresh = runtime::journal::since(log.path(), cursor);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].state, job_state::completed);
+  EXPECT_EQ(cursor.line, history.size() + 1);
 
-  // The compacted chain resolves to the same lease state as the full one.
+  // The replayed journal resolves to the same lease state as the history.
   runtime::lease_table folded;
   for (const auto& e : runtime::journal::replay(log.path())) folded.apply(e);
   runtime::lease_table truth;
@@ -453,68 +406,8 @@ TEST(journal_store, segmented_journal_round_trips_and_compacts) {
     EXPECT_EQ(a.worker, b.worker) << "job " << job;
     EXPECT_EQ(a.attempts, b.attempts) << "job " << job;
   }
-}
-
-TEST(journal_store, compaction_fold_is_lease_equivalent_and_idempotent) {
-  using runtime::job_state;
-  std::vector<runtime::journal_entry> history;
-  // Job 0: full happy path with heartbeats — fold should drop the chatter.
-  history.push_back(entry(0, job_state::leased, "w1", 1, 10.0, 1.0, 1));
-  history.push_back(entry(0, job_state::running, "w1", 1, 0.0, 1.1, 1));
-  for (int i = 0; i < 8; ++i)
-    history.push_back(entry(0, job_state::lease_renewed, "w1", 1, 12.0 + i, 2.0 + i, 1));
-  history.push_back(entry(0, job_state::completed, "w1", 1, 0.0, 11.0, 1));
-  // Job 1: expiry + re-lease by another worker, still live.
-  history.push_back(entry(1, job_state::leased, "w1", 2, 5.0, 1.0, 1));
-  history.push_back(entry(1, job_state::lease_expired, "w2", 0, 0.0, 6.0, 1));
-  history.push_back(entry(1, job_state::leased, "w2", 1, 16.0, 6.1, 2));
-  history.push_back(entry(1, job_state::running, "w2", 1, 0.0, 6.2, 2));
-  // Job 2: released back to pending.
-  history.push_back(entry(2, job_state::leased, "w3", 1, 9.0, 1.0, 1));
-  history.push_back(entry(2, job_state::lease_released, "w3", 1, 0.0, 2.0, 1));
-
-  std::vector<std::string> lines;
-  for (const auto& e : history) lines.push_back(e.to_json().dump(-1));
-  const std::vector<std::string> kept = runtime::journal::compaction_fold(lines);
-  EXPECT_LT(kept.size(), lines.size());  // the heartbeats folded away
-
-  std::vector<runtime::journal_entry> kept_entries;
-  for (const auto& line : kept)
-    kept_entries.push_back(
-        runtime::journal_entry::from_json(io::json_value::parse(line)));
-
-  runtime::lease_table truth;
-  for (const auto& e : history) truth.apply(e);
-  runtime::lease_table folded;
-  for (const auto& e : kept_entries) folded.apply(e);
-  for (std::size_t job = 0; job < 3; ++job) {
-    const auto a = folded.view(job);
-    const auto b = truth.view(job);
-    EXPECT_EQ(a.state, b.state) << "job " << job;
-    EXPECT_EQ(a.worker, b.worker) << "job " << job;
-    EXPECT_EQ(a.lease_id, b.lease_id) << "job " << job;
-    EXPECT_EQ(a.deadline, b.deadline) << "job " << job;
-    EXPECT_EQ(a.attempts, b.attempts) << "job " << job;
-  }
-
-  // Snapshot re-delivery: applying the kept records again onto the final
-  // state must change nothing (a poller whose cursor fell inside a
-  // compacted segment replays the snapshot on top of what it already saw).
-  runtime::lease_table redelivered = truth;
-  for (const auto& e : kept_entries) redelivered.apply(e);
-  for (std::size_t job = 0; job < 3; ++job) {
-    EXPECT_EQ(redelivered.view(job).state, truth.view(job).state) << "job " << job;
-    EXPECT_EQ(redelivered.view(job).worker, truth.view(job).worker) << "job " << job;
-  }
-
-  // latest_states is preserved too (the status table's fold).
-  const auto latest_full = runtime::journal::latest_states(history);
-  const auto latest_kept = runtime::journal::latest_states(kept_entries);
-  ASSERT_EQ(latest_full.size(), latest_kept.size());
-  for (const auto& [job, e] : latest_full) {
-    ASSERT_TRUE(latest_kept.count(job));
-    EXPECT_EQ(latest_kept.at(job).state, e.state) << "job " << job;
-  }
+  EXPECT_EQ(store_files(path),
+            (std::set<std::string>{"manifest.jsonl", "segment-000000.jsonl"}));
 }
 
 }  // namespace
